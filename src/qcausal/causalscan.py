@@ -5,21 +5,32 @@ initial state to each grid time and measures A there; this is the protocol
 behind arrival times. ``quench-at-zero`` measures A once at t=0 and evolves
 every outcome branch separately. Distances start at d=2 because at d=1 the
 conditioning set C between sender and receiver is empty.
+
+Every initial state is pure and a projective-z measurement keeps it pure, so
+scans run on amplitudes: psi(t) is evolved once for the whole grid, A is
+measured by slicing its axis, and entropies come from the Gram matrix on the
+smaller side of each cut. The dense density-matrix functions
+(`asymmetric_qcmi`, `apply_instrument`, `evolve`) compute the same values and
+are the oracle the tests hold this kernel to.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .exceptions import EmptyConditioner, InsufficientData, InvalidInput
-from .infomeasures import Partition, asymmetric_qcmi, mutual_information_sites
-from .instrument import apply_instrument, projective_z_instrument
-from .qstate import Ket, basis_ket
-from .spinchain import ChainModel, Hamiltonian, build_model, evolve, evolve_ket, ground_state, propagator
+from .exceptions import DegenerateMeasurement, EmptyConditioner, InsufficientData, InvalidInput
+from .infomeasures import Partition, _clamped
+from .instrument import PROBABILITY_FLOOR, projective_z_instrument
+from .qstate import Ket, basis_ket, entropy_from_eigenvalues
+from .spinchain import ChainModel, Hamiltonian, _evolve_grid, build_model, ground_state
+
+# Unused here since scans run on amplitudes; perfbench/test_perfbench.py
+# checks that the tracer patches this imported name, so it stays importable.
+from .spinchain import evolve  # noqa: F401
 
 PROTOCOLS = ("measure-at-t", "quench-at-zero")
 CROSSINGS = ("first-sample", "interp")
@@ -134,41 +145,116 @@ def _series_partition(config: ScanConfig, n_sites: int) -> Partition:
     return Partition((a,), (b,), between)
 
 
-def qcmi_time_series(config: ScanConfig, hamiltonian: Hamiltonian | None = None) -> QcmiSeries:
-    """Directional QCMI over the configured time grid for one partition."""
-    h = hamiltonian if hamiltonian is not None else build_model(config.model)
-    if hamiltonian is not None and hamiltonian.model != config.model:
+def _hamiltonian(config: ScanConfig, hamiltonian: Hamiltonian | None) -> Hamiltonian:
+    if hamiltonian is None:
+        return build_model(config.model)
+    if hamiltonian.model != config.model:
         raise InvalidInput("supplied Hamiltonian does not match the configured model")
-    partition = _series_partition(config, h.n_sites)
-    instrument = projective_z_instrument(partition.a[0], h.n_sites)
+    return hamiltonian
+
+
+def _measure_z(kets: np.ndarray, site: int, n_sites: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Projective-z measurement of `site` on every row of a (T, 2^n) ket batch.
+
+    Slicing the site's axis gives the branch kets without that site; their
+    squared norms are the outcome probabilities. Floor, renormalization and
+    degeneracy follow `apply_instrument`. Returns (weights, normalized kets)
+    per outcome; a branch dropped at some row has weight 0 and a zero ket there.
+    """
+    rows = kets.shape[0]
+    tensor = kets.reshape(rows, 2**site, 2, 2 ** (n_sites - site - 1))
+    slices = [tensor[:, :, x, :].reshape(rows, -1) for x in (0, 1)]
+    probs = np.stack([np.sum(np.abs(branch) ** 2, axis=1) for branch in slices], axis=1)
+    kept = probs >= PROBABILITY_FLOOR
+    if not np.all(np.any(kept, axis=1)):
+        raise DegenerateMeasurement("every outcome fell below the probability floor")
+    total = np.sum(np.where(kept, probs, 0.0), axis=1)
+    scale = np.where(kept, 1.0 / np.sqrt(np.where(kept, probs, 1.0)), 0.0)
+    weights = np.where(kept, probs / total[:, None], 0.0)
+    return [(weights[:, x], slices[x] * scale[:, x, None]) for x in (0, 1)]
+
+
+def _entropies(kets: np.ndarray, n_sites: int, sites: tuple[int, ...]) -> list[float]:
+    """Entropy of `sites` for every pure state in a (T, 2^n) ket batch.
+
+    The reduced state of `sites` and of its complement share their nonzero
+    spectrum, so the Gram matrix is formed on whichever side is smaller.
+    """
+    rest = [s for s in range(n_sites) if s not in sites]
+    axes = [0] + [1 + s for s in sites] + [1 + s for s in rest]
+    tensor = kets.reshape((kets.shape[0],) + (2,) * n_sites).transpose(axes)
+    mat = tensor.reshape(kets.shape[0], 2 ** len(sites), 2 ** len(rest))
+    if mat.shape[1] > mat.shape[2]:
+        mat = mat.transpose(0, 2, 1)
+    gram = mat @ mat.conj().transpose(0, 2, 1)
+    return [entropy_from_eigenvalues(lam) for lam in np.linalg.eigvalsh(gram)]
+
+
+def _branch_average(branches, n_sites: int, b: tuple[int, ...], c: tuple[int, ...]) -> np.ndarray:
+    """Per-row sum over branches of weight * I(B:C), clamped as in `asymmetric_qcmi`."""
+    if not c:
+        return np.zeros(branches[0][0].size)
+    bc = tuple(sorted(b + c))
+    terms = [
+        (weights, *(_entropies(kets, n_sites, sites) for sites in (b, c, bc)))
+        for weights, kets in branches
+    ]
+    values = np.empty(branches[0][0].size)
+    for i in range(values.size):
+        total = 0.0
+        for weights, s_b, s_c, s_bc in terms:
+            if weights[i] > 0.0:
+                total += weights[i] * _clamped(s_b[i] + s_c[i] - s_bc[i])
+        values[i] = _clamped(total)
+    return values
+
+
+def _pure_series(
+    h: Hamiltonian, config: ScanConfig, site_a: int, receivers: list[tuple[int, tuple[int, ...]]]
+) -> list[np.ndarray]:
+    """QCMI series of sender `site_a` against each (B site, C sites) receiver.
+
+    psi(t) (or, for quench-at-zero, each branch ket) is evolved once for the
+    whole grid and shared by every receiver. measure-at-t slices A out of
+    psi(t), so sites after A move down by one in the branch register;
+    quench-at-zero keeps A, in its measured state, on the full register.
+    """
     psi0 = initial_ket(h, config.initial)
     times = config.grid.times
-
-    values = np.empty(times.size)
+    n = h.n_sites
     if config.protocol == "measure-at-t":
-        for i, t in enumerate(times):
-            rho_t = evolve_ket(h, psi0, t).density_matrix()
-            values[i] = asymmetric_qcmi(
-                rho_t, partition, instrument, allow_empty_c=config.allow_empty_c
-            )
+        branches = _measure_z(_evolve_grid(h, psi0.amplitudes, times), site_a, n)
+        register = n - 1
+        shift = [s - (s > site_a) for s in range(n)]
     else:  # quench-at-zero
-        ensemble = apply_instrument(psi0.density_matrix(), instrument, keep_target=True)
-        for i, t in enumerate(times):
-            if not partition.c:
-                values[i] = 0.0
-                continue
-            u = propagator(h, t)
-            total = 0.0
-            for branch in ensemble:
-                evolved = evolve(branch.state, u)
-                total += branch.probability * mutual_information_sites(
-                    evolved, partition.b, partition.c
+        branches = []
+        for x, (weight, ket) in enumerate(_measure_z(psi0.amplitudes[None, :], site_a, n)):
+            if weight[0] > 0.0:
+                full = np.zeros((2**site_a, 2, 2 ** (n - site_a - 1)), dtype=complex)
+                full[:, x, :] = ket.reshape(2**site_a, -1)
+                branches.append(
+                    (np.full(times.size, weight[0]), _evolve_grid(h, full.reshape(-1), times))
                 )
-            values[i] = total
+        register = n
+        shift = list(range(n))
+    return [
+        _branch_average(branches, register, (shift[b],), tuple(shift[s] for s in c))
+        for b, c in receivers
+    ]
 
+
+def qcmi_time_series(config: ScanConfig, hamiltonian: Hamiltonian | None = None) -> QcmiSeries:
+    """Directional QCMI over the configured time grid for one partition."""
+    h = _hamiltonian(config, hamiltonian)
+    partition = _series_partition(config, h.n_sites)
+    instrument = projective_z_instrument(partition.a[0], h.n_sites)
+    values = _pure_series(h, config, partition.a[0], [(partition.b[0], partition.c)])[0]
     values.setflags(write=False)
     return QcmiSeries(
-        config=config, instrument_label=instrument.describe, times=times, values=values
+        config=config,
+        instrument_label=instrument.describe,
+        times=config.grid.times,
+        values=values,
     )
 
 
@@ -212,15 +298,14 @@ def arrival_scan(config: ScanConfig, hamiltonian: Hamiltonian | None = None) -> 
     if lo > hi or hi > n - 1:
         raise InvalidInput(f"distance range {lo}:{hi} invalid for {n} sites")
 
-    h = hamiltonian if hamiltonian is not None else build_model(config.model)
-    rows = []
-    for d in range(lo, hi + 1):
-        series_config = replace(config, site_a=0, site_b=d, d_min=None, d_max=None)
-        series = qcmi_time_series(series_config, h)
-        rows.append(
-            (d, arrival_time(series.times, series.values, config.threshold, config.crossing))
-        )
-    return ArrivalTable(tuple(rows))
+    h = _hamiltonian(config, hamiltonian)
+    distances = range(lo, hi + 1)
+    receivers = [(d, tuple(range(1, d))) for d in distances]
+    series = _pure_series(h, config, 0, receivers)
+    return ArrivalTable(tuple(
+        (d, arrival_time(config.grid.times, values, config.threshold, config.crossing))
+        for d, values in zip(distances, series)
+    ))
 
 
 def fit_velocity(table: ArrivalTable) -> FitResult:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .exceptions import EmptyConditioner, InvalidInput, NumericalInstability
 from .instrument import Instrument, apply_instrument
-from .qstate import DensityMatrix, partial_trace, von_neumann_entropy
+from .qstate import DensityMatrix, check_sites, partial_trace, von_neumann_entropy
 
 # Strong subadditivity guarantees non-negativity analytically; anything in
 # (-NEGATIVITY_TOL, 0) is rounding and is clamped, anything below is a bug.
@@ -28,15 +28,6 @@ def _clamped(value: float) -> float:
     return value if value > 0.0 else 0.0
 
 
-def _site_tuple(sites: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(int(s) for s in sites)
-    if any(s < 0 for s in out):
-        raise InvalidInput(f"site indices must be >= 0, got {out}")
-    if any(a >= b for a, b in zip(out, out[1:])):
-        raise InvalidInput(f"site indices must be strictly increasing, got {out}")
-    return out
-
-
 @dataclass(frozen=True)
 class Partition:
     """Disjoint site sets (A, B, C); C may be empty, A and B may not."""
@@ -46,9 +37,9 @@ class Partition:
     c: tuple[int, ...] = ()
 
     def __post_init__(self):
-        a = _site_tuple(self.a)
-        b = _site_tuple(self.b)
-        c = _site_tuple(self.c)
+        a = check_sites(self.a, allow_empty=True)
+        b = check_sites(self.b, allow_empty=True)
+        c = check_sites(self.c, allow_empty=True)
         if not a or not b:
             raise InvalidInput("subsystems A and B must be non-empty")
         combined = a + b + c
@@ -85,8 +76,8 @@ def mutual_information_sites(
     rho: DensityMatrix, sites_b: Sequence[int], sites_c: Sequence[int]
 ) -> float:
     """I(B:C) for arbitrary disjoint site sets of `rho`."""
-    sites_b = _site_tuple(sites_b)
-    sites_c = _site_tuple(sites_c)
+    sites_b = check_sites(sites_b, allow_empty=True)
+    sites_c = check_sites(sites_c, allow_empty=True)
     if not sites_b or not sites_c:
         raise InvalidInput("both parts of the mutual information must be non-empty")
     if set(sites_b) & set(sites_c):

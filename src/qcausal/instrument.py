@@ -37,11 +37,7 @@ class Instrument:
     name: str = "instrument"
 
     def __post_init__(self):
-        targets = tuple(int(s) for s in self.target_sites)
-        if not targets:
-            raise InvalidInput("instrument needs at least one target site")
-        if any(a >= b for a, b in zip(targets, targets[1:])) or any(s < 0 for s in targets):
-            raise InvalidInput(f"target sites must be strictly increasing and >= 0, got {targets}")
+        targets = check_sites(self.target_sites)
         ops = tuple(np.array(op, dtype=complex) for op in self.operators)
         if not ops:
             raise InvalidInput("instrument needs at least one measurement operator")

@@ -42,14 +42,18 @@ PAULI_Z = _readonly([[1.0, 0.0], [0.0, -1.0]])
 IDENTITY_2 = _readonly(np.eye(2))
 
 
-def check_sites(sites: Iterable[int], n_sites: int, *, allow_empty: bool = False) -> tuple[int, ...]:
-    """Validate a strictly increasing site set for an n_sites register."""
+def check_sites(
+    sites: Iterable[int], n_sites: int | None = None, *, allow_empty: bool = False
+) -> tuple[int, ...]:
+    """Validate a strictly increasing site set; n_sites=None skips the upper bound."""
     out = tuple(int(s) for s in sites)
     if not out:
         if allow_empty:
             return out
         raise InvalidInput("site set must not be empty")
-    if any(s < 0 or s >= n_sites for s in out):
+    if any(s < 0 for s in out):
+        raise InvalidInput(f"site indices must be >= 0, got {out}")
+    if n_sites is not None and max(out) >= n_sites:
         raise InvalidInput(f"site indices must lie in [0, {n_sites}), got {out}")
     if any(a >= b for a, b in zip(out, out[1:])):
         raise InvalidInput(f"site indices must be strictly increasing, got {out}")

@@ -16,6 +16,7 @@ import numpy as np
 from .exceptions import InvalidInput, NumericalInstability
 from .qstate import (
     MAX_SITES,
+    NORM_TOL,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -187,10 +188,26 @@ def evolve_ket(hamiltonian: Hamiltonian, ket: Ket, time: float) -> Ket:
         )
     if not math.isfinite(time):
         raise InvalidInput(f"time must be finite, got {time!r}")
+    return Ket(ket.n_sites, _evolve_grid(hamiltonian, ket.amplitudes, np.array([time]))[0])
+
+
+def _evolve_grid(hamiltonian: Hamiltonian, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Rows psi(t) = V exp(-iEt) V^dagger psi for every t, as one (T, dim) array.
+
+    The norm of every row is checked once here, so callers that consume the
+    rows directly need no per-time `Ket`.
+    """
     values, vectors = hamiltonian.spectrum
-    coeffs = vectors.conj().T @ ket.amplitudes
-    amplitudes = vectors @ (np.exp(-1j * values * time) * coeffs)
-    return Ket(ket.n_sites, amplitudes)
+    coeffs = vectors.conj().T @ amplitudes
+    phases = np.outer(times, -1j * values)
+    np.exp(phases, out=phases)
+    phases *= coeffs
+    grid = phases @ vectors.T
+    parts = grid.view(float)  # squared row norms without a complex temporary
+    defect = np.max(np.abs(np.sqrt(np.einsum("ij,ij->i", parts, parts)) - 1.0))
+    if defect > NORM_TOL:
+        raise NumericalInstability(f"evolved norm defect {defect:.3e} exceeds {NORM_TOL}")
+    return grid
 
 
 def total_sigma_z(n_sites: int) -> np.ndarray:

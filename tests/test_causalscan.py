@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,17 +9,22 @@ from qcausal import (
     EmptyConditioner,
     InsufficientData,
     InvalidInput,
+    NumericalInstability,
     Partition,
     ScanConfig,
     TimeGrid,
+    apply_instrument,
     arrival_scan,
     arrival_time,
     asymmetric_qcmi,
     build_model,
+    evolve,
     evolve_ket,
     fit_velocity,
     initial_ket,
+    mutual_information_sites,
     projective_z_instrument,
+    propagator,
     qcmi_time_series,
 )
 
@@ -103,7 +110,8 @@ class TestQcmiTimeSeries:
         assert np.max(series.values) <= 1e-10
 
     def test_values_match_pointwise_evaluation(self):
-        # Determinism: the series is the pointwise map over the grid.
+        # The series is the pointwise map over the grid of the dense path; the
+        # pure-state kernel rounds differently, so agreement is to 1e-12.
         config = xx_config(grid=TimeGrid(1.0, 0.25))
         series = qcmi_time_series(config)
         h = build_model(config.model)
@@ -112,7 +120,7 @@ class TestQcmiTimeSeries:
         instr = projective_z_instrument(0, 4)
         for i in (3, 1, 4, 0, 2):
             rho_t = evolve_ket(h, psi0, series.times[i]).density_matrix()
-            assert series.values[i] == asymmetric_qcmi(rho_t, part, instr)
+            assert abs(series.values[i] - asymmetric_qcmi(rho_t, part, instr)) <= 1e-12
 
     def test_quench_protocol_runs_and_starts_low(self):
         series = qcmi_time_series(xx_config(protocol="quench-at-zero"))
@@ -135,6 +143,113 @@ class TestQcmiTimeSeries:
     def test_missing_sites_rejected(self):
         with pytest.raises(InvalidInput):
             qcmi_time_series(xx_config(site_a=None, site_b=None))
+
+
+def dense_series(config):
+    """The density-matrix path, one grid time at a time: the kernel's oracle."""
+    h = build_model(config.model)
+    a, b = config.site_a, config.site_b
+    part = Partition((a,), (b,), tuple(range(min(a, b) + 1, max(a, b))))
+    instr = projective_z_instrument(a, h.n_sites)
+    psi0 = initial_ket(h, config.initial)
+    times = config.grid.times
+    if config.protocol == "measure-at-t":
+        return np.array([
+            asymmetric_qcmi(
+                evolve_ket(h, psi0, t).density_matrix(), part, instr,
+                allow_empty_c=config.allow_empty_c,
+            )
+            for t in times
+        ])
+    ensemble = apply_instrument(psi0.density_matrix(), instr, keep_target=True)
+    values = []
+    for t in times:
+        u = propagator(h, t)
+        values.append(sum(
+            branch.probability * mutual_information_sites(evolve(branch.state, u), part.b, part.c)
+            for branch in ensemble
+        ))
+    return np.array(values)
+
+
+def oracle_cases():
+    # Pairs with A != 0 and with B < A; short grids keep the dense path cheap.
+    for n in range(3, 9):
+        pairs = [(0, n - 1), (n - 1, 0)] + ([(1, n - 1), (n - 2, 0)] if n >= 4 else [])
+        for kind, bits in (("xx", "1" + "0" * (n - 1)), ("tfim", ("10" * n)[:n])):
+            for initial in ("ground", f"basis:{bits}"):
+                for protocol in ("measure-at-t", "quench-at-zero"):
+                    yield pytest.param(
+                        n, kind, initial, protocol, pairs, id=f"{kind}{n}-{initial}-{protocol}"
+                    )
+
+
+class TestPureStateKernel:
+    @pytest.mark.parametrize("n, kind, initial, protocol, pairs", oracle_cases())
+    def test_matches_dense_path(self, n, kind, initial, protocol, pairs):
+        model = ChainModel(kind, n, 1.0, 0.7 if kind == "tfim" else 0.3)
+        h = build_model(model)
+        for a, b in pairs:
+            config = ScanConfig(
+                model=model, initial=initial, protocol=protocol,
+                grid=TimeGrid(1.0, 0.2), site_a=a, site_b=b,
+            )
+            series = qcmi_time_series(config, h)
+            assert series.values.size == 6
+            assert np.max(np.abs(series.values - dense_series(config))) <= 1e-12
+
+    def test_evolved_norms_are_checked(self):
+        h = build_model(ChainModel("xx", 4, 1.0, 0.5))
+        values, vectors = h.spectrum
+        h.__dict__["spectrum"] = (values, 1.01 * vectors)  # a non-unitary eigenbasis
+        for protocol in ("measure-at-t", "quench-at-zero"):
+            with pytest.raises(NumericalInstability):
+                qcmi_time_series(xx_config(protocol=protocol, grid=TimeGrid(0.2, 0.1)), h)
+
+    def test_empty_c_is_zero_for_an_inner_pair(self):
+        for protocol in ("measure-at-t", "quench-at-zero"):
+            config = xx_config(
+                site_a=2, site_b=1, protocol=protocol, allow_empty_c=True,
+                grid=TimeGrid(0.4, 0.2),
+            )
+            assert np.all(qcmi_time_series(config).values == 0.0)
+
+    def test_arrival_scan_matches_per_distance_series(self):
+        config = xx_config(
+            model=ChainModel("xx", 6, 1.0, 0.3), initial="basis:100000",
+            protocol="quench-at-zero", grid=TimeGrid(3.0, 0.05),
+            site_a=None, site_b=None, d_min=2, d_max=5, crossing="interp",
+        )
+        table = arrival_scan(config)
+        for d, t_arr in table.rows:
+            series = qcmi_time_series(replace(config, site_a=0, site_b=d, d_min=None, d_max=None))
+            assert t_arr == arrival_time(series.times, series.values, 0.03, "interp")
+
+    def test_paper_scan_reproduces_reference_arrivals(self):
+        # Arrival times and v_eff of the N=8 XX scan as computed by the dense
+        # path (12 significant digits for the times).
+        expected = {
+            2: 0.310564355156,
+            3: 0.642424949359,
+            4: 1.02412901665,
+            5: 1.43493765503,
+            6: 1.8662377228,
+            7: 2.27151776176,
+        }
+        config = ScanConfig(
+            model=ChainModel("xx", 8, 1.0, 0.3),
+            initial="basis:10000000",
+            grid=TimeGrid(5.0, 0.01),
+            threshold=0.03,
+            crossing="interp",
+            d_min=2,
+            d_max=7,
+        )
+        table = arrival_scan(config)
+        assert [d for d, _ in table.rows] == list(expected)
+        for d, t_arr in table.rows:
+            assert abs(t_arr - expected[d]) <= 1e-9
+        assert abs(fit_velocity(table).v_eff - 2.520340227265703) <= 1e-9
 
 
 class TestArrivalTime:

@@ -3,19 +3,23 @@ import pytest
 
 from qcausal import (
     DensityMatrix,
+    Instrument,
     InvalidInput,
     Ket,
     NotPositiveSemidefinite,
     PAULI_X,
     PAULI_Z,
+    Partition,
     basis_ket,
     embed_on_sites,
     embed_operator,
     ghz_state,
+    mutual_information_sites,
     partial_trace,
     validate_density_matrix,
     von_neumann_entropy,
 )
+from qcausal.qstate import check_sites
 from helpers import brute_partial_trace, matrix_log_entropy, random_density, random_unitary
 
 
@@ -235,3 +239,31 @@ class TestConstructionGuards:
         ket = ghz_state(2)
         with pytest.raises(ValueError):
             ket.amplitudes[0] = 0.0
+
+
+class TestCheckSites:
+    def test_bounded_and_unbounded(self):
+        assert check_sites([1, 3], 4) == (1, 3)
+        assert check_sites([1, 30]) == (1, 30)
+        with pytest.raises(InvalidInput):
+            check_sites([1, 4], 4)
+
+    def test_empty_needs_opt_in(self):
+        assert check_sites([], 4, allow_empty=True) == ()
+        with pytest.raises(InvalidInput):
+            check_sites([], 4)
+
+    @pytest.mark.parametrize("sites", [(-1,), (2, 1), (1, 1)])
+    def test_bad_sets_rejected_by_every_caller(self, sites):
+        with pytest.raises(InvalidInput):
+            check_sites(sites)
+        with pytest.raises(InvalidInput):
+            Partition(sites, (5,), ())
+        with pytest.raises(InvalidInput):
+            Instrument(sites, (np.eye(2 ** len(sites)),))
+        with pytest.raises(InvalidInput):
+            mutual_information_sites(ghz_state(3).density_matrix(), sites, (0,))
+
+    def test_instrument_needs_a_target(self):
+        with pytest.raises(InvalidInput):
+            Instrument((), (np.eye(1),))
