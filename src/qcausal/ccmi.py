@@ -7,10 +7,20 @@ scored against the future of the response x' conditioned on the response's
 own present and past. Series are discretized with equiquantal (equal-count)
 bins; ties are broken by stable sample order, and an all-equal series
 collapses to a single bin carrying zero entropy.
+
+The series path never builds a bins^5 table. Everything that does not depend
+on the driver is computed once per embedding: the four response columns are
+binned, the rows of C and of BC are packed into dense ids, and H(C), H(BC)
+are taken from their counts. For each driver labelling, H(AC) and H(ABC)
+come from bincounts over at most (#distinct BC rows) * bins cells. The
+driver is sorted once; the labels of each shuffled window follow from that
+sort by gathers, one searchsorted over the excluded samples, and a sort of
+the tied samples only. The estimate is the identity shuffle.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -107,12 +117,16 @@ def ccmi_symmetric(
     if len(set(combined)) != len(combined):
         raise InvalidInput(f"A, B, C must be disjoint, got {a}, {b}, {c}")
     dist._axes(combined)
+    return _checked_cmi(
+        _marginal_entropy(dist, a + c),
+        _marginal_entropy(dist, b + c),
+        _marginal_entropy(dist, c),
+        _marginal_entropy(dist, combined),
+    )
 
-    h_ac = _marginal_entropy(dist, a + c)
-    h_bc = _marginal_entropy(dist, b + c)
-    h_c = _marginal_entropy(dist, c)
-    h_abc = _marginal_entropy(dist, combined)
 
+def _checked_cmi(h_ac: float, h_bc: float, h_c: float, h_abc: float) -> float:
+    """The CMI from four joint entropies: identity cross-check, sign check, clamp at 0."""
     value = h_ac + h_bc - h_c - h_abc
     conditional_form = (h_ac - h_c) - (h_abc - h_bc)
     if abs(value - conditional_form) > EQUIVALENCE_TOL:
@@ -124,11 +138,22 @@ def ccmi_symmetric(
     return value if value > 0.0 else 0.0
 
 
+def _integer(value, name: str) -> int:
+    """`value` as a Python int; bools and non-integral numbers are rejected."""
+    if isinstance(value, (bool, np.bool_)):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+
+
 def equiquantal_bins(values: Sequence[float], bins: int) -> np.ndarray:
     """Equal-count bin labels; stable-order tie break; all-equal -> one bin."""
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise InvalidInput("binning expects a non-empty 1-d series")
+    bins = _integer(bins, "bins")
     if bins < 2:
         raise InvalidInput(f"need at least 2 bins, got {bins}")
     if not np.all(np.isfinite(v)):
@@ -160,16 +185,19 @@ class SeriesEmbedding:
             raise InvalidInput(
                 f"series lengths differ: {driver.size} vs {response.size}"
             )
-        if self.horizon < 1 or self.delay < 1:
+        horizon = _integer(self.horizon, "horizon")
+        delay = _integer(self.delay, "delay")
+        bins = _integer(self.bins, "bins")
+        if horizon < 1 or delay < 1:
             raise InvalidInput("horizon and delay must be positive integers")
-        if self.bins < 2:
-            raise InvalidInput(f"need at least 2 bins, got {self.bins}")
+        if bins < 2:
+            raise InvalidInput(f"need at least 2 bins, got {bins}")
         if not (np.all(np.isfinite(driver)) and np.all(np.isfinite(response))):
             raise DegenerateSeries("series contain non-finite values")
-        if driver.size <= self.horizon + 2 * self.delay:
+        if driver.size <= horizon + 2 * delay:
             raise InsufficientData(
-                f"series of length {driver.size} too short for horizon {self.horizon} "
-                f"and delay {self.delay}"
+                f"series of length {driver.size} too short for horizon {horizon} "
+                f"and delay {delay}"
             )
         driver = driver.copy()
         response = response.copy()
@@ -177,52 +205,115 @@ class SeriesEmbedding:
         response.setflags(write=False)
         object.__setattr__(self, "driver", driver)
         object.__setattr__(self, "response", response)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "delay", delay)
+        object.__setattr__(self, "bins", bins)
 
     @property
     def n_samples(self) -> int:
         return self.driver.size - self.horizon - 2 * self.delay
 
 
-_EMBED_NAMES = ("driver_now", "response_future", "response_now", "response_past1", "response_past2")
+def _count_entropy(codes: np.ndarray) -> float:
+    """Plug-in entropy in bits of the rows labelled by non-negative int codes."""
+    counts = np.bincount(codes)
+    return _plugin_entropy(counts[counts > 0] / codes.size)
 
 
-def _embedded_joint(emb: SeriesEmbedding) -> JointDistribution:
-    n_s = emb.driver.size
-    tau, eta = emb.horizon, emb.delay
-    start = 2 * eta
-    stop = n_s - tau  # exclusive upper bound on j
-    columns = (
-        emb.driver[start:stop],
-        emb.response[start + tau : stop + tau],
-        emb.response[start:stop],
-        emb.response[start - eta : stop - eta],
-        emb.response[start - 2 * eta : stop - 2 * eta],
-    )
-    binned = [equiquantal_bins(col, emb.bins) for col in columns]
-    counts = np.zeros([emb.bins] * len(columns), dtype=float)
-    np.add.at(counts, tuple(binned), 1.0)
-    return JointDistribution(_EMBED_NAMES, counts / emb.n_samples)
+class _DriverRanker:
+    """Equiquantal labels of driver[perm][start:stop] from one global sort.
+
+    The stable rank of a window sample is the number of samples of smaller
+    value in the whole series, minus those among the excluded samples, plus
+    the earlier window samples of equal value. Only tied samples need the
+    last term.
+    """
+
+    def __init__(self, driver: np.ndarray, start: int, stop: int, bins: int):
+        ordered = np.sort(driver)
+        # Per sample: how many samples are smaller (also the key of its value
+        # group), and whether another sample shares its value.
+        self.below = np.searchsorted(ordered, driver)
+        self.tied = np.searchsorted(ordered, driver, side="right") - self.below > 1
+        self.start, self.stop, self.bins = start, stop, bins
+
+    def labels(self, perm: np.ndarray) -> np.ndarray:
+        start, stop = self.start, self.stop
+        window = perm[start:stop]
+        rank = self.below[window]
+        if rank.min() == rank.max():
+            return np.zeros(rank.size, dtype=np.intp)
+        tied = np.flatnonzero(self.tied[window])
+        tied = tied[np.argsort(rank[tied], kind="stable")]  # by value, then position
+        groups = rank[tied]
+        excluded = np.sort(self.below[np.concatenate((perm[:start], perm[stop:]))])
+        rank -= np.searchsorted(excluded, rank)
+        if tied.size:
+            run_starts = np.flatnonzero(np.diff(groups, prepend=-1))
+            run_lengths = np.diff(run_starts, append=groups.size)
+            rank[tied] += np.arange(groups.size) - np.repeat(run_starts, run_lengths)
+        rank *= self.bins
+        rank //= rank.size
+        return rank
+
+
+class _SeriesCmi:
+    """Driver-independent parts of the series CMI, computed once per embedding.
+
+    C = (response now, past1, past2) and BC = (response future, C) are binned
+    and packed into dense row ids, and H(C), H(BC) taken here; each driver
+    labelling then costs two bincounts over occupied cells only.
+    """
+
+    def __init__(self, emb: SeriesEmbedding):
+        tau, eta, bins = emb.horizon, emb.delay, emb.bins
+        start, stop = 2 * eta, emb.driver.size - tau
+
+        def column(lag: int) -> np.ndarray:
+            return equiquantal_bins(emb.response[start - lag : stop - lag], bins)
+
+        # Compressing to dense ids after every column keeps codes below
+        # n_samples * bins, the range equiquantal_bins already needs.
+        codes = column(0)
+        for lag in (eta, 2 * eta):
+            codes *= bins
+            codes += column(lag)
+            _, codes = np.unique(codes, return_inverse=True)
+        self.c_id = codes
+        codes = self.c_id * bins
+        codes += column(-tau)
+        _, self.bc_id = np.unique(codes, return_inverse=True)
+        del codes
+        self.h_c = _count_entropy(self.c_id)
+        self.h_bc = _count_entropy(self.bc_id)
+        self.ranker = _DriverRanker(emb.driver, start, stop, bins)
+
+    def __call__(self, perm: np.ndarray) -> float:
+        """CMI of the driver permuted by `perm` against the fixed response."""
+        a = self.ranker.labels(perm)
+        n_a = int(a.max()) + 1
+        h_ac = _count_entropy(self.c_id * n_a + a)
+        h_abc = _count_entropy(self.bc_id * n_a + a)
+        return _checked_cmi(h_ac, self.h_bc, self.h_c, h_abc)
 
 
 def ccmi_asymmetric_series(emb: SeriesEmbedding) -> float:
     """Plug-in estimate of the directional time-series CMI, in bits."""
-    dist = _embedded_joint(emb)
-    return ccmi_symmetric(
-        dist,
-        ("driver_now",),
-        ("response_future",),
-        ("response_now", "response_past1", "response_past2"),
-    )
+    return _SeriesCmi(emb)(np.arange(emb.driver.size))
 
 
 def surrogate_baseline(emb: SeriesEmbedding, n_surrogates: int, seed: int = 0) -> np.ndarray:
-    """CMI values for driver-shuffled surrogates; estimates the bias floor."""
+    """CMI values for driver-shuffled surrogates; estimates the bias floor.
+
+    Surrogate i shuffles the driver with the i-th `permutation` drawn from
+    `np.random.default_rng(seed)`.
+    """
+    n_surrogates = _integer(n_surrogates, "n_surrogates")
+    seed = _integer(seed, "seed")
     if n_surrogates < 1:
         raise InvalidInput(f"need at least one surrogate, got {n_surrogates}")
+    if seed < 0:
+        raise InvalidInput(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
-    values = np.empty(n_surrogates)
-    for i in range(n_surrogates):
-        shuffled = rng.permutation(emb.driver)
-        surrogate = SeriesEmbedding(shuffled, emb.response, emb.horizon, emb.delay, emb.bins)
-        values[i] = ccmi_asymmetric_series(surrogate)
-    return values
+    cmi = _SeriesCmi(emb)
+    return np.array([cmi(rng.permutation(emb.driver.size)) for _ in range(n_surrogates)])

@@ -396,6 +396,8 @@ def _read_series(path: str) -> np.ndarray:
 
 def cmd_ccmi(args, resolved) -> int:
     _require(resolved, "driver", "response")
+    if resolved["surrogates"] < 0:
+        raise InvalidInput(f"--surrogates must be non-negative, got {resolved['surrogates']}")
     driver = _read_series(resolved["driver"])
     response = _read_series(resolved["response"])
     try:

@@ -6,7 +6,7 @@ library so that agreement between the two is meaningful.
 
 import numpy as np
 
-from qcausal import DensityMatrix, Ket
+from qcausal import DensityMatrix, JointDistribution, Ket, ccmi_symmetric, equiquantal_bins
 
 
 def random_ket(n_sites, rng):
@@ -75,3 +75,24 @@ def brute_apply_instrument(matrix, n_sites, site, operators):
         reduced = brute_partial_trace(hit, n_sites, keep)
         results.append((p, reduced / p if p > 1e-12 else None))
     return results
+
+
+def dense_series_ccmi(driver, response, horizon, delay, bins):
+    """Series CMI from a dense bins^5 probability table and ccmi_symmetric.
+
+    Keep bins**5 small: the table is allocated in full.
+    """
+    start, stop = 2 * delay, len(driver) - horizon
+    columns = (
+        driver[start:stop],
+        response[start + horizon : stop + horizon],
+        response[start:stop],
+        response[start - delay : stop - delay],
+        response[start - 2 * delay : stop - 2 * delay],
+    )
+    binned = [equiquantal_bins(column, bins) for column in columns]
+    counts = np.zeros([bins] * len(columns))
+    np.add.at(counts, tuple(binned), 1.0)
+    names = ("a", "b", "c_now", "c_past1", "c_past2")
+    dist = JointDistribution(names, counts / (stop - start))
+    return ccmi_symmetric(dist, ("a",), ("b",), names[2:])

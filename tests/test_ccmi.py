@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from helpers import dense_series_ccmi
 from qcausal import (
     DegenerateSeries,
     InsufficientData,
@@ -15,6 +17,7 @@ from qcausal import (
     shannon_entropy,
     surrogate_baseline,
 )
+from qcausal.ccmi import _DriverRanker
 
 
 def random_table(rng, shape):
@@ -148,6 +151,16 @@ class TestEquiquantalBins:
         with pytest.raises(DegenerateSeries):
             equiquantal_bins(np.array([0.0, np.nan, 1.0]), 2)
 
+    @pytest.mark.parametrize("bins", [2.5, 3.0, True, "4", None])
+    def test_non_integer_bin_count_rejected(self, bins):
+        with pytest.raises(InvalidInput):
+            equiquantal_bins(np.arange(10.0), bins)
+
+    def test_numpy_integer_bin_count_accepted(self):
+        labels = equiquantal_bins(np.arange(10.0), np.int64(2))
+        assert labels.dtype.kind == "i"
+        assert list(labels) == [0] * 5 + [1] * 5
+
 
 class TestAsymmetricSeries:
     def test_independent_noise_stays_near_bias_floor(self):
@@ -199,3 +212,102 @@ class TestAsymmetricSeries:
         a = surrogate_baseline(emb, 5, seed=7)
         b = surrogate_baseline(emb, 5, seed=7)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("field", ["bins", "horizon", "delay"])
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_non_integer_embedding_parameters_rejected(self, field, value):
+        params = {"horizon": 1, "delay": 1, "bins": 4, field: value}
+        with pytest.raises(InvalidInput):
+            SeriesEmbedding(np.arange(20.0), np.arange(20.0), **params)
+
+    def test_numpy_integer_embedding_parameters_stored_as_int(self):
+        emb = SeriesEmbedding(
+            np.arange(20.0), np.arange(20.0), horizon=np.int64(1), delay=np.int32(2), bins=np.int16(3)
+        )
+        assert (emb.horizon, emb.delay, emb.bins) == (1, 2, 3)
+        assert all(type(v) is int for v in (emb.horizon, emb.delay, emb.bins))
+
+
+def tied_series(rng, n, levels):
+    return rng.integers(0, levels, n).astype(float)
+
+
+class TestSurrogateInputs:
+    @pytest.fixture
+    def emb(self):
+        rng = np.random.default_rng(60)
+        return SeriesEmbedding(rng.standard_normal(200), rng.standard_normal(200), horizon=1, delay=1)
+
+    @pytest.mark.parametrize("count", [0, -3, 2.5, True, np.bool_(True), "3", None])
+    def test_bad_surrogate_count_rejected(self, emb, count):
+        with pytest.raises(InvalidInput):
+            surrogate_baseline(emb, count)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_bad_seed_rejected(self, emb, seed):
+        with pytest.raises(InvalidInput):
+            surrogate_baseline(emb, 2, seed=seed)
+
+    def test_numpy_integers_accepted(self, emb):
+        assert np.array_equal(
+            surrogate_baseline(emb, np.int64(3), seed=np.uint8(4)), surrogate_baseline(emb, 3, seed=4)
+        )
+
+
+class TestOccupiedCellPath:
+    """The series path against the dense bins^5 table of tests/helpers.py."""
+
+    @pytest.mark.parametrize("bins", [2, 3, 5])
+    @pytest.mark.parametrize("delay", [1, 2, 3])
+    @pytest.mark.parametrize("horizon", [1, 2, 3])
+    def test_matches_dense_table_on_tied_series(self, horizon, delay, bins):
+        rng = np.random.default_rng(100 * horizon + 10 * delay + bins)
+        for levels in (1, 2, 3, 7):  # one level: an all-equal driver
+            x = tied_series(rng, 240, levels)
+            y = np.roll(x, horizon) + tied_series(rng, 240, 2)
+            emb = SeriesEmbedding(x, y, horizon, delay, bins)
+            want = dense_series_ccmi(x, y, horizon, delay, bins)
+            assert abs(ccmi_asymmetric_series(emb) - want) <= 1e-12
+
+    @pytest.mark.parametrize("levels", [2, 5, None])
+    def test_surrogates_match_dense_table_on_permuted_drivers(self, levels):
+        rng = np.random.default_rng(63)
+        x = rng.standard_normal(500) if levels is None else tied_series(rng, 500, levels)
+        y = np.roll(x, 1) + tied_series(rng, 500, 3)
+        emb = SeriesEmbedding(x, y, horizon=1, delay=2, bins=3)
+        assert abs(ccmi_asymmetric_series(emb) - dense_series_ccmi(x, y, 1, 2, 3)) <= 1e-12
+        got = surrogate_baseline(emb, 6, seed=11)
+        draws = np.random.default_rng(11)
+        for value in got:
+            want = dense_series_ccmi(draws.permutation(x), y, 1, 2, 3)
+            assert abs(value - want) <= 1e-12
+
+    def test_ranker_labels_equal_equiquantal_bins(self):
+        rng = np.random.default_rng(64)
+        for _ in range(300):
+            n = int(rng.integers(4, 120))
+            levels = int(rng.integers(1, 12))
+            x = tied_series(rng, n, levels)
+            start = int(rng.integers(0, n // 2))
+            stop = int(rng.integers(start + 1, n + 1))
+            bins = int(rng.integers(2, 9))
+            ranker = _DriverRanker(x, start, stop, bins)
+            for perm in (np.arange(n), rng.permutation(n)):
+                got = ranker.labels(perm)
+                want = equiquantal_bins(x[perm][start:stop], bins)
+                assert got.dtype.kind == "i"
+                assert np.array_equal(got, want)
+
+    def test_many_bins_stay_small_in_memory(self):
+        # The dense table for these inputs would be 32**5 * 8 B = 268 MB.
+        rng = np.random.default_rng(65)
+        x = rng.standard_normal(3_000)
+        emb = SeriesEmbedding(x, np.roll(x, 1) + rng.standard_normal(x.size), 1, 1, bins=32)
+        tracemalloc.start()
+        try:
+            ccmi_asymmetric_series(emb)
+            surrogate_baseline(emb, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20

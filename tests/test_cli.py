@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from qcausal.cli import main
 
@@ -211,6 +212,17 @@ class TestCcmi:
         response = self.write_series(tmp_path, "y.txt", [1.0, 2.0, 3.0])
         assert run_cli("ccmi", "--driver", str(driver), "--response", str(response)) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flags", [("--surrogates", "-3"), ("--surrogates", "2", "--seed", "-1")])
+    def test_negative_surrogates_or_seed_exit_2(self, tmp_path, capsys, flags):
+        rng = np.random.default_rng(73)
+        driver = self.write_series(tmp_path, "x.txt", rng.standard_normal(200))
+        response = self.write_series(tmp_path, "y.txt", rng.standard_normal(200))
+        code = run_cli("ccmi", "--driver", str(driver), "--response", str(response), *flags)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_unreadable_file_exits_2(self, tmp_path, capsys):
         assert run_cli("ccmi", "--driver", str(tmp_path / "no.txt"),
