@@ -1,8 +1,10 @@
 """Chain Hamiltonians (transverse-field Ising, XX) and exact time evolution.
 
-Both models are open-boundary and dense; evolution goes through the cached
-spectral decomposition so that propagators at many times are cheap. Units:
-hbar = 1, couplings dimensionless, time in units of 1/J.
+Both models are open-boundary, dense and real symmetric: the builders fill a
+float64 matrix straight from the bits of the basis indices. The spectrum is
+taken per conserved sector that the matrix itself shows (total magnetization,
+else spin-flip parity, else one block) and cached, so evolution to many times
+is cheap. Units: hbar = 1, couplings dimensionless, time in units of 1/J.
 """
 
 from __future__ import annotations
@@ -14,16 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import InvalidInput, NumericalInstability
-from .qstate import (
-    MAX_SITES,
-    NORM_TOL,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    DensityMatrix,
-    Ket,
-    embed_operator,
-)
+from .qstate import MAX_SITES, NORM_TOL, DensityMatrix, Ket
 
 BUILD_HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-9
@@ -51,14 +44,17 @@ class ChainModel:
 
 
 class Hamiltonian:
-    """Dense Hermitian chain Hamiltonian with a cached eigendecomposition."""
+    """Dense Hermitian chain Hamiltonian (real for the built models) with a
+    cached eigendecomposition taken per verified sector (`_sectors`)."""
 
     def __init__(self, model: ChainModel, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=complex)
+        matrix = np.asarray(matrix)
+        if matrix.shape != (2**model.n_sites,) * 2:
+            raise InvalidInput(f"matrix shape {matrix.shape} does not fit {model.n_sites} sites")
+        matrix = matrix.astype(np.result_type(matrix, float))
         defect = np.max(np.abs(matrix - matrix.conj().T))
-        if defect > BUILD_HERMITICITY_TOL:
+        if not defect <= BUILD_HERMITICITY_TOL:  # a NaN entry fails too
             raise InvalidInput(f"hermiticity defect {defect:.3e} exceeds {BUILD_HERMITICITY_TOL}")
-        matrix = matrix.copy()
         matrix.setflags(write=False)
         self.model = model
         self.matrix = matrix
@@ -73,51 +69,88 @@ class Hamiltonian:
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and phase-fixed orthonormal eigenvectors."""
-        values, vectors = np.linalg.eigh(self.matrix)
-        vectors = _fix_phases(vectors)
+        """Ascending eigenvalues and phase-fixed orthonormal eigenvectors.
+
+        Equal eigenvalues keep the sector order of `_sectors` (stable sort).
+        """
+        blocks = [(rows, mirror, *np.linalg.eigh(block)) for rows, mirror, block in _sectors(self.matrix)]
+        values = np.concatenate([block_values for _, _, block_values, _ in blocks])
+        order = np.argsort(values, kind="stable")
+        column = np.empty_like(order)
+        column[order] = np.arange(order.size)
+        vectors = np.zeros_like(self.matrix)
+        start = 0
+        for rows, mirror, _, block_vectors in blocks:
+            cols = column[start : start + rows.size]
+            start += rows.size
+            if mirror:
+                block_vectors /= math.sqrt(2.0)
+                vectors[np.ix_(rows ^ (self.dim - 1), cols)] = mirror * block_vectors
+            vectors[np.ix_(rows, cols)] = block_vectors
+        values = values[order]
+        _fix_phases(vectors)
         values.setflags(write=False)
         vectors.setflags(write=False)
         return values, vectors
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
+def _sectors(matrix: np.ndarray):
+    """(rows, mirror, block) for each conserved sector the matrix verifies.
+
+    Magnetization sectors (basis states of one popcount, in ascending
+    popcount) when no entry couples two popcounts; else the spin-flip parity
+    sectors (|s> + mirror |s~>)/sqrt(2), s~ = s with every bit flipped, even
+    first, when H equals H[::-1, ::-1]; else the whole space as one block.
+    """
+    dim = matrix.shape[0]
+    popcount = _site_bits(dim.bit_length() - 1).sum(axis=1)
+    if np.max(np.abs(matrix[popcount[:, None] != popcount])) <= BUILD_HERMITICITY_TOL:
+        for count in np.unique(popcount):
+            rows = np.flatnonzero(popcount == count)
+            yield rows, 0, matrix[np.ix_(rows, rows)]
+    elif np.max(np.abs(matrix - matrix[::-1, ::-1])) <= BUILD_HERMITICITY_TOL:
+        half = dim // 2
+        rows = np.arange(half)
+        flipped = matrix[:half, half:][:, ::-1]
+        yield rows, 1, matrix[:half, :half] + flipped
+        yield rows, -1, matrix[:half, :half] - flipped
+    else:
+        yield np.arange(dim), 0, matrix
+
+
+def _fix_phases(vectors: np.ndarray) -> None:
     # Reproducibility: make the largest-magnitude amplitude of each column
-    # real and positive.
+    # real and positive (in place).
     lead = np.argmax(np.abs(vectors), axis=0)
     pivots = vectors[lead, np.arange(vectors.shape[1])]
-    return vectors * (pivots.conj() / np.abs(pivots))
+    vectors *= pivots.conj() / np.abs(pivots)
 
 
-def _bond_operator(pair_op: np.ndarray, bond: int, n_sites: int) -> np.ndarray:
-    left = np.eye(2**bond)
-    right = np.eye(2 ** (n_sites - bond - 2))
-    return np.kron(np.kron(left, pair_op), right)
+def _site_bits(n_sites: int) -> np.ndarray:
+    """bits[i, k]: occupation of site k in basis state i (site 0 is the top bit)."""
+    return (np.arange(2**n_sites)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
 
 
 def build_tfim(n_sites: int, coupling: float, field: float) -> Hamiltonian:
     """H = -J sum_k sz_k sz_{k+1} - h sum_k sx_k (open boundaries)."""
     model = ChainModel("tfim", n_sites, coupling, field)
-    dim = 2**model.n_sites
-    matrix = np.zeros((dim, dim), dtype=complex)
-    zz = np.kron(PAULI_Z, PAULI_Z)
-    for k in range(model.n_sites - 1):
-        matrix -= model.coupling * _bond_operator(zz, k, model.n_sites)
+    spins = 1 - 2 * _site_bits(model.n_sites)
+    matrix = np.diag(-model.coupling * np.sum(spins[:, :-1] * spins[:, 1:], axis=1, dtype=float))
+    index = np.arange(matrix.shape[0])
     for k in range(model.n_sites):
-        matrix -= model.field * embed_operator(PAULI_X, k, model.n_sites)
+        matrix[index ^ (1 << (model.n_sites - 1 - k)), index] = -model.field
     return Hamiltonian(model, matrix)
 
 
 def build_xx(n_sites: int, coupling: float, field: float) -> Hamiltonian:
     """H = (J/2) sum_k (sx_k sx_{k+1} + sy_k sy_{k+1}) + h sum_k sz_k."""
     model = ChainModel("xx", n_sites, coupling, field)
-    dim = 2**model.n_sites
-    matrix = np.zeros((dim, dim), dtype=complex)
-    hop = np.kron(PAULI_X, PAULI_X) + np.kron(PAULI_Y, PAULI_Y)
+    bits = _site_bits(model.n_sites)
+    matrix = np.diag(model.field * (model.n_sites - 2 * bits.sum(axis=1, dtype=float)))
+    # sx sx + sy sy = 2(|01><10| + |10><01|): J on every flip of a differing pair.
     for k in range(model.n_sites - 1):
-        matrix += 0.5 * model.coupling * _bond_operator(hop, k, model.n_sites)
-    for k in range(model.n_sites):
-        matrix += model.field * embed_operator(PAULI_Z, k, model.n_sites)
+        hop = np.flatnonzero(bits[:, k] != bits[:, k + 1])
+        matrix[hop ^ (3 << (model.n_sites - 2 - k)), hop] = model.coupling
     return Hamiltonian(model, matrix)
 
 
@@ -135,7 +168,10 @@ class GroundState:
 
 
 def ground_state(hamiltonian: Hamiltonian) -> GroundState:
-    """Lowest-energy eigenvector; flags (near-)degeneracy instead of failing."""
+    """Lowest-energy eigenvector; flags (near-)degeneracy instead of failing.
+
+    An exact tie across sectors goes to the first in the fixed order of
+    `_sectors`, on every build: TFIM with h = 0 gives |0...0>."""
     values, vectors = hamiltonian.spectrum
     degenerate = values.size > 1 and values[1] - values[0] < DEGENERACY_GAP
     ket = Ket(hamiltonian.n_sites, vectors[:, 0])
@@ -212,7 +248,4 @@ def _evolve_grid(hamiltonian: Hamiltonian, amplitudes: np.ndarray, times: np.nda
 
 def total_sigma_z(n_sites: int) -> np.ndarray:
     """Total magnetization operator, the conserved charge of the XX chain."""
-    out = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
-    for k in range(n_sites):
-        out += embed_operator(PAULI_Z, k, n_sites)
-    return out
+    return np.diag(n_sites - 2 * _site_bits(n_sites).sum(axis=1)).astype(complex)

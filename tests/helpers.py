@@ -6,7 +6,17 @@ library so that agreement between the two is meaningful.
 
 import numpy as np
 
-from qcausal import DensityMatrix, JointDistribution, Ket, ccmi_symmetric, equiquantal_bins
+from qcausal import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    DensityMatrix,
+    JointDistribution,
+    Ket,
+    ccmi_symmetric,
+    embed_operator,
+    equiquantal_bins,
+)
 
 
 def random_ket(n_sites, rng):
@@ -96,3 +106,33 @@ def dense_series_ccmi(driver, response, horizon, delay, bins):
     names = ("a", "b", "c_now", "c_past1", "c_past2")
     dist = JointDistribution(names, counts / (stop - start))
     return ccmi_symmetric(dist, ("a",), ("b",), names[2:])
+
+
+def _bond_operator(pair_op, bond, n_sites):
+    left = np.eye(2**bond)
+    right = np.eye(2 ** (n_sites - bond - 2))
+    return np.kron(np.kron(left, pair_op), right)
+
+
+def dense_tfim(n_sites, coupling, field):
+    """TFIM matrix summed from Kronecker-embedded Pauli terms (complex)."""
+    dim = 2**n_sites
+    matrix = np.zeros((dim, dim), dtype=complex)
+    zz = np.kron(PAULI_Z, PAULI_Z)
+    for k in range(n_sites - 1):
+        matrix -= coupling * _bond_operator(zz, k, n_sites)
+    for k in range(n_sites):
+        matrix -= field * embed_operator(PAULI_X, k, n_sites)
+    return matrix
+
+
+def dense_xx(n_sites, coupling, field):
+    """XX matrix summed from Kronecker-embedded Pauli terms (complex)."""
+    dim = 2**n_sites
+    matrix = np.zeros((dim, dim), dtype=complex)
+    hop = np.kron(PAULI_X, PAULI_X) + np.kron(PAULI_Y, PAULI_Y)
+    for k in range(n_sites - 1):
+        matrix += 0.5 * coupling * _bond_operator(hop, k, n_sites)
+    for k in range(n_sites):
+        matrix += field * embed_operator(PAULI_Z, k, n_sites)
+    return matrix

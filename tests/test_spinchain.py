@@ -1,14 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from qcausal import (
     ChainModel,
+    Hamiltonian,
     InvalidInput,
     PAULI_X,
     PAULI_Z,
     basis_ket,
+    build_model,
     build_tfim,
     build_xx,
+    embed_operator,
     evolve,
     evolve_ket,
     ground_state,
@@ -16,7 +21,11 @@ from qcausal import (
     total_sigma_z,
     von_neumann_entropy,
 )
-from helpers import random_density, random_ket
+from qcausal.spinchain import _sectors
+from helpers import dense_tfim, dense_xx, random_density, random_ket
+
+ORACLES = {"tfim": dense_tfim, "xx": dense_xx}
+PARAMETERS = (0.0, 0.7, -0.7, 1.0, 1.3)
 
 
 def assemble_tfim_by_hand(n, j, h):
@@ -100,10 +109,89 @@ class TestHermiticityAndSpectrum:
         rebuilt = (vectors * values) @ vectors.conj().T
         assert np.max(np.abs(rebuilt - hamiltonian.matrix)) <= 1e-9
 
+    def test_matrix_shape_must_fit_the_chain(self):
+        with pytest.raises(InvalidInput):
+            Hamiltonian(ChainModel("xx", 3, 1.0, 0.0), np.eye(4))
+
+    def test_non_finite_matrix_rejected(self):
+        matrix = np.eye(4)
+        matrix[0, 0] = np.nan
+        with pytest.raises(InvalidInput):
+            Hamiltonian(ChainModel("xx", 2, 1.0, 0.0), matrix)
+
     def test_eigenvectors_orthonormal(self):
         hamiltonian = build_tfim(4, 1.0, 0.7)
         _, vectors = hamiltonian.spectrum
         assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(16))) <= 1e-9
+
+
+class TestBuildersMatchKronOracle:
+    @pytest.mark.parametrize("kind", sorted(ORACLES))
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_bit_arithmetic_matches_pauli_kron(self, kind, n):
+        for j in PARAMETERS:
+            for h in PARAMETERS:
+                hamiltonian = build_model(ChainModel(kind, n, j, h))
+                assert hamiltonian.matrix.dtype == np.float64
+                assert np.max(np.abs(hamiltonian.matrix - ORACLES[kind](n, j, h))) <= 1e-14
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_total_sigma_z_is_the_sum_of_site_operators(self, n):
+        oracle = sum(embed_operator(PAULI_Z, k, n) for k in range(n))
+        mz = total_sigma_z(n)
+        assert mz.dtype == complex
+        assert np.array_equal(mz, oracle)
+
+
+class TestSectorSpectrum:
+    @staticmethod
+    def assert_exact_spectrum(hamiltonian, oracle):
+        values, vectors = hamiltonian.spectrum
+        assert not values.flags.writeable and not vectors.flags.writeable
+        assert np.max(np.abs(values - np.linalg.eigvalsh(oracle))) <= 1e-10
+        assert np.max(np.abs((vectors * values) @ vectors.conj().T - oracle)) <= 1e-10
+        eye = np.eye(hamiltonian.dim)
+        assert np.max(np.abs(vectors.conj().T @ vectors - eye)) <= 1e-10
+
+    @pytest.mark.parametrize("kind, h", [("tfim", 0.7), ("xx", 0.3), ("xx", 0.0)])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_dense_oracle(self, kind, h, n):
+        hamiltonian = build_model(ChainModel(kind, n, 1.0, h))
+        self.assert_exact_spectrum(hamiltonian, ORACLES[kind](n, 1.0, h))
+
+    def test_sectors_are_verified_from_the_matrix(self):
+        n = 6
+        xx = build_xx(n, 1.0, 0.3).matrix
+        sizes = [rows.size for rows, _, _ in _sectors(xx)]
+        assert sizes == [math.comb(n, m) for m in range(n + 1)]
+        tfim = build_tfim(n, 1.0, 0.7).matrix
+        assert [(rows.size, mirror) for rows, mirror, _ in _sectors(tfim)] == [(32, 1), (32, -1)]
+
+    def test_complex_matrix_without_symmetry_is_one_block(self):
+        rng = np.random.default_rng(31)
+        g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        matrix = g + g.conj().T
+        assert len(list(_sectors(matrix))) == 1
+        hamiltonian = Hamiltonian(ChainModel("xx", 4, 1.0, 0.0), matrix)
+        assert hamiltonian.matrix.dtype == complex
+        self.assert_exact_spectrum(hamiltonian, matrix)
+
+    def test_parity_breaking_entry_is_not_split(self):
+        matrix = build_tfim(5, 1.0, 0.7).matrix.copy()
+        matrix[3, 3] += 0.25
+        assert len(list(_sectors(matrix))) == 1
+        hamiltonian = Hamiltonian(ChainModel("tfim", 5, 1.0, 0.7), matrix)
+        self.assert_exact_spectrum(hamiltonian, matrix)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_degenerate_ground_state_is_the_first_sector_pick(self, n):
+        # h = 0 is diagonal, so the popcount sectors apply and |0...0> comes
+        # first among the two degenerate ferromagnetic states.
+        first = ground_state(build_tfim(n, 1.0, 0.0))
+        again = ground_state(build_tfim(n, 1.0, 0.0))
+        assert first.degenerate and again.degenerate
+        assert np.array_equal(first.state.amplitudes, again.state.amplitudes)
+        assert np.array_equal(first.state.amplitudes, basis_ket([0] * n).amplitudes)
 
 
 class TestGroundState:
