@@ -9,9 +9,11 @@ conditioning set C between sender and receiver is empty.
 Every initial state is pure and a projective-z measurement keeps it pure, so
 scans run on amplitudes: psi(t) is evolved once for the whole grid, A is
 measured by slicing its axis, and entropies come from the Gram matrix on the
-smaller side of each cut. The dense density-matrix functions
-(`asymmetric_qcmi`, `apply_instrument`, `evolve`) compute the same values and
-are the oracle the tests hold this kernel to.
+smaller side of each cut. Entropies and branch sums are batched over the
+whole grid: one `eigvalsh` call per site set and branch, and the clamp rules
+of `asymmetric_qcmi` applied to every time at once. The dense density-matrix
+functions (`asymmetric_qcmi`, `apply_instrument`, `evolve`) compute the same
+values and are the oracle the tests hold this kernel to.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import DegenerateMeasurement, EmptyConditioner, InsufficientData, InvalidInput
-from .infomeasures import Partition, _clamped
+from .infomeasures import Partition, _clamped_values
 from .instrument import PROBABILITY_FLOOR, projective_z_instrument
-from .qstate import Ket, basis_ket, entropy_from_eigenvalues
+from .qstate import Ket, basis_ket, entropies_from_eigenvalues
 from .spinchain import ChainModel, Hamiltonian, _evolve_grid, build_model, ground_state
 
 # Unused here since scans run on amplitudes; perfbench/test_perfbench.py
@@ -174,7 +176,7 @@ def _measure_z(kets: np.ndarray, site: int, n_sites: int) -> list[tuple[np.ndarr
     return [(weights[:, x], slices[x] * scale[:, x, None]) for x in (0, 1)]
 
 
-def _entropies(kets: np.ndarray, n_sites: int, sites: tuple[int, ...]) -> list[float]:
+def _entropies(kets: np.ndarray, n_sites: int, sites: tuple[int, ...]) -> np.ndarray:
     """Entropy of `sites` for every pure state in a (T, 2^n) ket batch.
 
     The reduced state of `sites` and of its complement share their nonzero
@@ -187,26 +189,26 @@ def _entropies(kets: np.ndarray, n_sites: int, sites: tuple[int, ...]) -> list[f
     if mat.shape[1] > mat.shape[2]:
         mat = mat.transpose(0, 2, 1)
     gram = mat @ mat.conj().transpose(0, 2, 1)
-    return [entropy_from_eigenvalues(lam) for lam in np.linalg.eigvalsh(gram)]
+    return entropies_from_eigenvalues(np.linalg.eigvalsh(gram))
 
 
 def _branch_average(branches, n_sites: int, b: tuple[int, ...], c: tuple[int, ...]) -> np.ndarray:
-    """Per-row sum over branches of weight * I(B:C), clamped as in `asymmetric_qcmi`."""
+    """Per-row sum over branches of weight * I(B:C), clamped as in `asymmetric_qcmi`.
+
+    A branch's term is checked and clamped only on rows where its weight is
+    positive; elsewhere the branch was dropped and contributes nothing.
+    """
+    values = np.zeros(branches[0][0].size)
     if not c:
-        return np.zeros(branches[0][0].size)
+        return values
     bc = tuple(sorted(b + c))
     terms = [
         (weights, *(_entropies(kets, n_sites, sites) for sites in (b, c, bc)))
         for weights, kets in branches
     ]
-    values = np.empty(branches[0][0].size)
-    for i in range(values.size):
-        total = 0.0
-        for weights, s_b, s_c, s_bc in terms:
-            if weights[i] > 0.0:
-                total += weights[i] * _clamped(s_b[i] + s_c[i] - s_bc[i])
-        values[i] = _clamped(total)
-    return values
+    for weights, s_b, s_c, s_bc in terms:
+        values += weights * _clamped_values(np.where(weights > 0.0, s_b + s_c - s_bc, 0.0))
+    return _clamped_values(values)
 
 
 def _pure_series(

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
 
 from .exceptions import EmptyConditioner, InvalidInput, NumericalInstability
 from .instrument import Instrument, apply_instrument
@@ -22,10 +23,19 @@ from .qstate import DensityMatrix, check_sites, partial_trace, von_neumann_entro
 NEGATIVITY_TOL = 1e-9
 
 
+def _clamped_values(values: np.ndarray) -> np.ndarray:
+    """Information values with rounding negatives set to 0; NaN or a real negative raises."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise NumericalInstability("information measure is not finite")
+    lowest = float(values.min())
+    if lowest < -NEGATIVITY_TOL:
+        raise NumericalInstability(f"information measure {lowest:.3e} below -{NEGATIVITY_TOL}")
+    return np.where(values > 0.0, values, 0.0)
+
+
 def _clamped(value: float) -> float:
-    if value < -NEGATIVITY_TOL:
-        raise NumericalInstability(f"information measure {value:.3e} below -{NEGATIVITY_TOL}")
-    return value if value > 0.0 else 0.0
+    return float(_clamped_values(value))
 
 
 @dataclass(frozen=True)

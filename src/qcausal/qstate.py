@@ -82,7 +82,7 @@ class Ket:
         if amp.shape != (2**n,):
             raise InvalidInput(f"expected {2**n} amplitudes for {n} sites, got shape {amp.shape}")
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise InvalidInput(f"ket norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "n_sites", n)
         object.__setattr__(self, "amplitudes", _readonly(amp))
@@ -110,10 +110,10 @@ class DensityMatrix:
         if mat.shape != (dim, dim):
             raise InvalidInput(f"expected {dim}x{dim} matrix for {n} sites, got shape {mat.shape}")
         herm = np.max(np.abs(mat - mat.conj().T))
-        if herm > HERMITICITY_TOL:
+        if not herm <= HERMITICITY_TOL:
             raise InvalidInput(f"hermiticity defect {herm:.3e} exceeds {HERMITICITY_TOL}")
         trace = np.trace(mat)
-        if abs(trace - 1.0) > TRACE_TOL:
+        if not abs(trace - 1.0) <= TRACE_TOL:
             raise InvalidInput(f"trace {trace!r} deviates from 1 beyond {TRACE_TOL}")
         object.__setattr__(self, "n_sites", n)
         object.__setattr__(self, "matrix", _readonly(mat))
@@ -225,17 +225,23 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(len(keep), reduced)
 
 
-def entropy_from_eigenvalues(eigenvalues: np.ndarray) -> float:
-    """-sum(lam * log2(lam)) with the clamp rules applied."""
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
-    lowest = float(eigenvalues.min())
+def entropies_from_eigenvalues(eigenvalues: np.ndarray) -> np.ndarray:
+    """-sum(lam * log2(lam)) over the last axis with the clamp rules applied."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    if not np.all(np.isfinite(lam)):
+        raise NotPositiveSemidefinite("eigenvalues must be finite")
+    lowest = float(lam.min())
     if lowest < EIG_NEGATIVE_LIMIT:
         raise NotPositiveSemidefinite(f"eigenvalue {lowest:.3e} below {EIG_NEGATIVE_LIMIT}")
-    lam = eigenvalues[eigenvalues > EIG_CLAMP]
-    if lam.size == 0:
-        return 0.0
-    value = float(-np.sum(lam * np.log2(lam)))
-    return value if value > 0.0 else 0.0
+    kept = lam > EIG_CLAMP
+    terms = np.where(kept, lam * np.log2(np.where(kept, lam, 1.0)), 0.0)
+    values = -np.sum(terms, axis=-1)
+    return np.where(values > 0.0, values, 0.0)
+
+
+def entropy_from_eigenvalues(eigenvalues: np.ndarray) -> float:
+    """Entropy of one spectrum; see `entropies_from_eigenvalues`."""
+    return float(entropies_from_eigenvalues(eigenvalues))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -241,7 +241,7 @@ def _evolve_grid(hamiltonian: Hamiltonian, amplitudes: np.ndarray, times: np.nda
     grid = phases @ vectors.T
     parts = grid.view(float)  # squared row norms without a complex temporary
     defect = np.max(np.abs(np.sqrt(np.einsum("ij,ij->i", parts, parts)) - 1.0))
-    if defect > NORM_TOL:
+    if not defect <= NORM_TOL:
         raise NumericalInstability(f"evolved norm defect {defect:.3e} exceeds {NORM_TOL}")
     return grid
 

@@ -27,6 +27,8 @@ from qcausal import (
     propagator,
     qcmi_time_series,
 )
+from qcausal import causalscan
+from qcausal.infomeasures import NEGATIVITY_TOL, _clamped
 
 
 def xx_config(**overrides):
@@ -206,6 +208,15 @@ class TestPureStateKernel:
             with pytest.raises(NumericalInstability):
                 qcmi_time_series(xx_config(protocol=protocol, grid=TimeGrid(0.2, 0.1)), h)
 
+    def test_nan_evolution_is_rejected(self):
+        h = build_model(ChainModel("xx", 4, 1.0, 0.5))
+        values, vectors = h.spectrum
+        h.__dict__["spectrum"] = (values, np.where(vectors == vectors[0, 0], np.nan, vectors))
+        with pytest.raises(NumericalInstability):
+            evolve_ket(h, initial_ket(h, "basis:1000"), 0.3)
+        with pytest.raises(NumericalInstability):
+            qcmi_time_series(xx_config(grid=TimeGrid(0.2, 0.1)), h)
+
     def test_empty_c_is_zero_for_an_inner_pair(self):
         for protocol in ("measure-at-t", "quench-at-zero"):
             config = xx_config(
@@ -250,6 +261,65 @@ class TestPureStateKernel:
         for d, t_arr in table.rows:
             assert abs(t_arr - expected[d]) <= 1e-9
         assert abs(fit_velocity(table).v_eff - 2.520340227265703) <= 1e-9
+
+
+def fake_branches(monkeypatch, rows, rng):
+    """Two branches whose S(B), S(C), S(BC) come from a table, not from kets.
+
+    `_branch_average` hands each branch's kets to `_entropies` only, so a
+    branch index stands in for them.
+    """
+    weights = rng.dirichlet([1.0, 1.0], size=rows).T.copy()
+    weights[0, ::9] = 0.0
+    weights[1, ::9] = 1.0
+    table = {
+        (x, sites): rng.uniform(0.0, 2.0, rows)
+        for x in (0, 1) for sites in ((0,), (1,), (0, 1))
+    }
+    for x in (0, 1):
+        # S(BC) = S(B) + S(C) - I(B:C), where I is a rounding negative on
+        # about 30% of rows, to exercise the clamp.
+        mi = rng.uniform(0.0, 1.0, rows)
+        mi[rng.random(rows) < 0.3] *= -0.9 * NEGATIVITY_TOL
+        table[x, (0, 1)] = table[x, (0,)] + table[x, (1,)] - mi
+    monkeypatch.setattr(causalscan, "_entropies", lambda kets, n, sites: table[kets, sites])
+    return [(weights[0], 0), (weights[1], 1)], table
+
+
+def loop_branch_average(branches, table):
+    """The per-row, per-branch loop the batched branch sum replaced."""
+    values = np.empty(branches[0][0].size)
+    for i in range(values.size):
+        total = 0.0
+        for weights, x in branches:
+            if weights[i] > 0.0:
+                s_b, s_c, s_bc = (table[x, sites][i] for sites in ((0,), (1,), (0, 1)))
+                total += weights[i] * _clamped(s_b + s_c - s_bc)
+        values[i] = _clamped(total)
+    return values
+
+
+class TestBatchedBranchSum:
+    def test_matches_row_loop(self, monkeypatch):
+        branches, table = fake_branches(monkeypatch, 500, np.random.default_rng(31))
+        values = causalscan._branch_average(branches, 2, (0,), (1,))
+        assert np.array_equal(values, loop_branch_average(branches, table))
+        assert np.all(values >= 0.0)
+
+    def test_one_bad_term_in_500_raises(self, monkeypatch):
+        branches, table = fake_branches(monkeypatch, 500, np.random.default_rng(32))
+        table[1, (0, 1)][317] = table[1, (0,)][317] + table[1, (1,)][317] + 2 * NEGATIVITY_TOL
+        with pytest.raises(NumericalInstability):
+            causalscan._branch_average(branches, 2, (0,), (1,))
+
+    @pytest.mark.parametrize("bad", [2 * NEGATIVITY_TOL, np.nan])
+    def test_bad_term_on_a_zero_weight_row_is_skipped(self, monkeypatch, bad):
+        branches, table = fake_branches(monkeypatch, 500, np.random.default_rng(33))
+        row = 18  # a multiple of 9: branch 0 has weight 0 there
+        assert branches[0][0][row] == 0.0
+        table[0, (0, 1)][row] = table[0, (0,)][row] + table[0, (1,)][row] + bad
+        values = causalscan._branch_average(branches, 2, (0,), (1,))
+        assert np.array_equal(values, loop_branch_average(branches, table))
 
 
 class TestArrivalTime:

@@ -6,6 +6,7 @@ from qcausal import (
     EmptyConditioner,
     InvalidInput,
     Ket,
+    NumericalInstability,
     Partition,
     asymmetric_qcmi,
     basis_ket,
@@ -17,7 +18,36 @@ from qcausal import (
     symmetric_qcmi,
     von_neumann_entropy,
 )
+from qcausal.infomeasures import NEGATIVITY_TOL, _clamped, _clamped_values
 from helpers import random_density, random_ket
+
+
+class TestClampRule:
+    def test_rounding_negatives_clamp_to_zero(self):
+        values = np.array([0.25, -0.5 * NEGATIVITY_TOL, 0.0, -0.0, 1e-300])
+        out = _clamped_values(values)
+        assert np.array_equal(out, [0.25, 0.0, 0.0, 0.0, 1e-300])
+        assert all(np.copysign(1.0, v) == 1.0 for v in out)
+        for value, expected in zip(values, out):
+            clamped = _clamped(float(value))
+            assert type(clamped) is float and clamped == expected
+
+    def test_one_negative_value_in_500_rejected(self):
+        values = np.linspace(0.0, 1.0, 500)
+        values[417] = -2 * NEGATIVITY_TOL
+        with pytest.raises(NumericalInstability):
+            _clamped_values(values)
+        with pytest.raises(NumericalInstability):
+            _clamped(-2 * NEGATIVITY_TOL)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(NumericalInstability):
+            _clamped(bad)
+        values = np.linspace(0.0, 1.0, 500)
+        values[9] = bad
+        with pytest.raises(NumericalInstability):
+            _clamped_values(values)
 
 
 class TestPartition:

@@ -19,7 +19,13 @@ from qcausal import (
     validate_density_matrix,
     von_neumann_entropy,
 )
-from qcausal.qstate import check_sites
+from qcausal.qstate import (
+    EIG_CLAMP,
+    EIG_NEGATIVE_LIMIT,
+    check_sites,
+    entropies_from_eigenvalues,
+    entropy_from_eigenvalues,
+)
 from helpers import brute_partial_trace, matrix_log_entropy, random_density, random_unitary
 
 
@@ -194,6 +200,55 @@ class TestVonNeumannEntropy:
             von_neumann_entropy(rho)
 
 
+def loop_entropy(lam):
+    """Filter-then-sum form of the entropy rule, one spectrum at a time."""
+    kept = np.asarray(lam)[np.asarray(lam) > EIG_CLAMP]
+    value = float(-np.sum(kept * np.log2(kept))) if kept.size else 0.0
+    return max(value, 0.0)
+
+
+def random_spectra(rows, size, rng):
+    """Probability spectra with clamped entries, pure rows and all-zero rows."""
+    spectra = rng.dirichlet(np.full(size, 0.7), size=rows)
+    spectra[rng.random((rows, size)) < 0.2] = 0.0
+    spectra[rng.random((rows, size)) < 0.1] = EIG_CLAMP
+    spectra[rng.random((rows, size)) < 0.1] = -0.5 * abs(EIG_NEGATIVE_LIMIT)
+    spectra[::7] = np.eye(size)[0]
+    spectra[3::11] = 0.0
+    return spectra
+
+
+class TestBatchedEntropy:
+    def test_rows_match_scalar_and_loop_forms(self):
+        rng = np.random.default_rng(21)
+        for size in (1, 2, 4, 16):
+            spectra = random_spectra(500, size, rng)
+            batched = entropies_from_eigenvalues(spectra)
+            assert batched.shape == (500,)
+            for row, value in zip(spectra, batched):
+                assert abs(value - entropy_from_eigenvalues(row)) <= 1e-15
+                assert abs(value - loop_entropy(row)) <= 1e-15
+            assert np.all(batched[3::11] == 0.0)
+
+    def test_scalar_form_returns_a_float(self):
+        assert type(entropy_from_eigenvalues(np.array([0.5, 0.5]))) is float
+
+    def test_one_negative_row_in_500_rejected(self):
+        spectra = random_spectra(500, 4, np.random.default_rng(22))
+        spectra[317, 2] = 2 * EIG_NEGATIVE_LIMIT
+        with pytest.raises(NotPositiveSemidefinite):
+            entropies_from_eigenvalues(spectra)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_eigenvalues_rejected(self, bad):
+        with pytest.raises(NotPositiveSemidefinite):
+            entropy_from_eigenvalues([bad, 0.5, 0.5])
+        spectra = random_spectra(500, 4, np.random.default_rng(23))
+        spectra[123, 1] = bad
+        with pytest.raises(NotPositiveSemidefinite):
+            entropies_from_eigenvalues(spectra)
+
+
 class TestValidateDensityMatrix:
     def test_maximally_mixed_passes(self):
         report = validate_density_matrix(np.eye(2) / 2)
@@ -230,6 +285,15 @@ class TestConstructionGuards:
     def test_density_hermiticity_enforced(self):
         with pytest.raises(InvalidInput):
             DensityMatrix(1, np.array([[0.5, 0.5], [0.0, 0.5]]))
+
+    def test_ket_with_nan_rejected(self):
+        with pytest.raises(InvalidInput):
+            Ket(1, np.array([np.nan, 0.0]))
+
+    def test_density_with_nan_rejected(self):
+        for mat in ([[np.nan, 0.0], [0.0, 1.0]], [[0.5, np.nan], [np.nan, 0.5]]):
+            with pytest.raises(InvalidInput):
+                DensityMatrix(1, np.array(mat))
 
     def test_site_cap_enforced(self):
         with pytest.raises(InvalidInput):
