@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInput
-from .qstate import embed_operator
+from .qstate import check_real, embed_operator
 from .spinchain import ChainModel, Hamiltonian, propagator
 
 
@@ -47,19 +47,17 @@ def lr_velocity(model: ChainModel) -> LrEstimate:
 
 def xx_group_velocity(coupling: float) -> float:
     """Maximum group speed 2|J| of the XX chain's free-fermion dispersion."""
-    if not math.isfinite(coupling):
-        raise InvalidInput(f"coupling must be finite, got {coupling!r}")
-    return 2.0 * abs(coupling)
+    return 2.0 * abs(check_real(coupling, "coupling"))
 
 
 def dispersion(k: float, coupling: float) -> DispersionPoint:
     """Single-particle energy 2J cos(k) and group velocity -2J sin(k)."""
-    if not math.isfinite(coupling):
-        raise InvalidInput(f"coupling must be finite, got {coupling!r}")
+    coupling = check_real(coupling, "coupling")
+    k = check_real(k, "quasi-momentum")
     if not -math.pi <= k <= math.pi:
         raise InvalidInput(f"quasi-momentum must lie in [-pi, pi], got {k!r}")
     return DispersionPoint(
-        k=float(k),
+        k=k,
         energy=2.0 * coupling * math.cos(k),
         velocity=-2.0 * coupling * math.sin(k),
     )

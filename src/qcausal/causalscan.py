@@ -28,6 +28,7 @@ from .exceptions import DegenerateMeasurement, EmptyConditioner, InsufficientDat
 from .infomeasures import Partition, _clamped_values
 from .instrument import PROBABILITY_FLOOR, projective_z_instrument
 from .qstate import Ket, basis_ket, entropies_from_eigenvalues
+from .qstate import check_integer, check_real, check_sites
 from .spinchain import ChainModel, Hamiltonian, _evolve_grid, build_model, ground_state
 
 # Unused here since scans run on amplitudes; perfbench/test_perfbench.py
@@ -50,9 +51,9 @@ class TimeGrid:
     dt: float = DEFAULT_DT
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_max) and self.t_max > 0):
+        if not check_real(self.t_max, "t_max") > 0:
             raise InvalidInput(f"t_max must be positive and finite, got {self.t_max!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0):
+        if not check_real(self.dt, "dt") > 0:
             raise InvalidInput(f"dt must be positive and finite, got {self.dt!r}")
         if self.dt > self.t_max:
             raise InvalidInput(f"dt={self.dt} exceeds t_max={self.t_max}")
@@ -84,10 +85,15 @@ class ScanConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise InvalidInput(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
-        if self.crossing not in CROSSINGS:
-            raise InvalidInput(f"crossing must be one of {CROSSINGS}, got {self.crossing!r}")
-        if not (math.isfinite(self.threshold) and self.threshold > 0):
-            raise InvalidInput(f"threshold must be positive, got {self.threshold!r}")
+        _check_detection(self.threshold, self.crossing)
+
+
+def _check_detection(threshold: float, crossing: str) -> None:
+    """The threshold and crossing rule of both `ScanConfig` and `arrival_time`."""
+    if not check_real(threshold, "threshold") > 0:
+        raise InvalidInput(f"threshold must be positive, got {threshold!r}")
+    if crossing not in CROSSINGS:
+        raise InvalidInput(f"crossing must be one of {CROSSINGS}, got {crossing!r}")
 
 
 @dataclass(frozen=True)
@@ -132,13 +138,13 @@ def initial_ket(hamiltonian: Hamiltonian, spec: str) -> Ket:
 
 
 def _series_partition(config: ScanConfig, n_sites: int) -> Partition:
-    a, b = config.site_a, config.site_b
-    if a is None or b is None:
+    """(A, B, C) of a time series; sites follow `check_sites` when the series runs."""
+    if config.site_a is None or config.site_b is None:
         raise InvalidInput("time series needs both site_a and site_b")
+    (a,) = check_sites((config.site_a,), n_sites)
+    (b,) = check_sites((config.site_b,), n_sites)
     if a == b:
         raise InvalidInput("site_a and site_b must differ")
-    if not (0 <= a < n_sites and 0 <= b < n_sites):
-        raise InvalidInput(f"sites ({a}, {b}) out of range for {n_sites} sites")
     between = tuple(range(min(a, b) + 1, max(a, b)))
     if not between and not config.allow_empty_c:
         raise EmptyConditioner(
@@ -247,8 +253,8 @@ def _pure_series(
 
 def qcmi_time_series(config: ScanConfig, hamiltonian: Hamiltonian | None = None) -> QcmiSeries:
     """Directional QCMI over the configured time grid for one partition."""
+    partition = _series_partition(config, config.model.n_sites)
     h = _hamiltonian(config, hamiltonian)
-    partition = _series_partition(config, h.n_sites)
     instrument = projective_z_instrument(partition.a[0], h.n_sites)
     values = _pure_series(h, config, partition.a[0], [(partition.b[0], partition.c)])[0]
     values.setflags(write=False)
@@ -267,10 +273,7 @@ def arrival_time(
     crossing: str = "first-sample",
 ) -> float | None:
     """First time the series reaches the threshold; None if it never does."""
-    if threshold <= 0:
-        raise InvalidInput(f"threshold must be positive, got {threshold!r}")
-    if crossing not in CROSSINGS:
-        raise InvalidInput(f"crossing must be one of {CROSSINGS}, got {crossing!r}")
+    _check_detection(threshold, crossing)
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape:
@@ -291,7 +294,7 @@ def arrival_scan(config: ScanConfig, hamiltonian: Hamiltonian | None = None) -> 
     if config.d_min is None or config.d_max is None:
         raise InvalidInput("arrival scan needs d_min and d_max")
     n = config.model.n_sites
-    lo, hi = config.d_min, config.d_max
+    lo, hi = check_integer(config.d_min, "d_min"), check_integer(config.d_max, "d_max")
     min_distance = 1 if config.allow_empty_c else 2
     if lo < min_distance:
         if lo == 1:

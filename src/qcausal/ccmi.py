@@ -20,7 +20,6 @@ the tied samples only. The estimate is the identity shuffle.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,6 +31,7 @@ from .exceptions import (
     InvalidInput,
     NumericalInstability,
 )
+from .qstate import check_integer
 
 TABLE_SUM_TOL = 1e-12
 EQUIVALENCE_TOL = 1e-12
@@ -138,22 +138,12 @@ def _checked_cmi(h_ac: float, h_bc: float, h_c: float, h_abc: float) -> float:
     return value if value > 0.0 else 0.0
 
 
-def _integer(value, name: str) -> int:
-    """`value` as a Python int; bools and non-integral numbers are rejected."""
-    if isinstance(value, (bool, np.bool_)):
-        raise InvalidInput(f"{name} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
-
-
 def equiquantal_bins(values: Sequence[float], bins: int) -> np.ndarray:
     """Equal-count bin labels; stable-order tie break; all-equal -> one bin."""
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise InvalidInput("binning expects a non-empty 1-d series")
-    bins = _integer(bins, "bins")
+    bins = check_integer(bins, "bins")
     if bins < 2:
         raise InvalidInput(f"need at least 2 bins, got {bins}")
     if not np.all(np.isfinite(v)):
@@ -185,9 +175,9 @@ class SeriesEmbedding:
             raise InvalidInput(
                 f"series lengths differ: {driver.size} vs {response.size}"
             )
-        horizon = _integer(self.horizon, "horizon")
-        delay = _integer(self.delay, "delay")
-        bins = _integer(self.bins, "bins")
+        horizon = check_integer(self.horizon, "horizon")
+        delay = check_integer(self.delay, "delay")
+        bins = check_integer(self.bins, "bins")
         if horizon < 1 or delay < 1:
             raise InvalidInput("horizon and delay must be positive integers")
         if bins < 2:
@@ -308,8 +298,8 @@ def surrogate_baseline(emb: SeriesEmbedding, n_surrogates: int, seed: int = 0) -
     Surrogate i shuffles the driver with the i-th `permutation` drawn from
     `np.random.default_rng(seed)`.
     """
-    n_surrogates = _integer(n_surrogates, "n_surrogates")
-    seed = _integer(seed, "seed")
+    n_surrogates = check_integer(n_surrogates, "n_surrogates")
+    seed = check_integer(seed, "seed")
     if n_surrogates < 1:
         raise InvalidInput(f"need at least one surrogate, got {n_surrogates}")
     if seed < 0:

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import commutator_front_norm, lr_velocity, xx_group_velocity
+from .causalscan import CROSSINGS, DEFAULT_DT, DEFAULT_T_MAX, DEFAULT_THRESHOLD, PROTOCOLS
 from .causalscan import ScanConfig, TimeGrid, arrival_scan, fit_velocity, qcmi_time_series
 from .ccmi import SeriesEmbedding, ccmi_asymmetric_series, surrogate_baseline
 from .exceptions import (
@@ -27,7 +28,7 @@ from .exceptions import (
 from .infomeasures import Partition, asymmetric_qcmi, mutual_information_sites, symmetric_qcmi
 from .instrument import apply_instrument, projective_z_instrument
 from .qstate import PAULI_X, PAULI_Y, PAULI_Z, ghz_state, partial_trace, von_neumann_entropy
-from .spinchain import ChainModel, build_model
+from .spinchain import MODEL_KINDS, ChainModel, build_model
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -63,16 +64,17 @@ _OPTION_TYPES = {
 }
 
 _OPTION_CHOICES = {
-    "model": ("tfim", "xx"),
-    "protocol": ("measure-at-t", "quench-at-zero"),
-    "crossing": ("first-sample", "interp"),
+    "model": MODEL_KINDS,
+    "protocol": PROTOCOLS,
+    "crossing": CROSSINGS,
     "op-a": ("x", "y", "z"),
     "op-b": ("x", "y", "z"),
 }
 
 _MODEL_DEFAULTS = {"model": "xx", "n": 8, "j": 1.0, "h": 0.0}
-_EVOLUTION_DEFAULTS = {"initial": "ground", "protocol": "measure-at-t", "dt": 0.02, "t-max": 5.0}
-_DETECT_DEFAULTS = {"threshold": 0.03, "crossing": "first-sample"}
+_GRID_DEFAULTS = {"dt": DEFAULT_DT, "t-max": DEFAULT_T_MAX}
+_EVOLUTION_DEFAULTS = {"initial": "ground", "protocol": "measure-at-t", **_GRID_DEFAULTS}
+_DETECT_DEFAULTS = {"threshold": DEFAULT_THRESHOLD, "crossing": "first-sample"}
 
 # Defaults of None are either required flags (checked in the handler) or
 # derived from the other options after resolution.
@@ -93,8 +95,7 @@ COMMAND_OPTIONS = {
         "site-b": None,
         "op-a": "z",
         "op-b": "z",
-        "dt": 0.02,
-        "t-max": 5.0,
+        **_GRID_DEFAULTS,
     },
     "ccmi": {
         "driver": None,
@@ -321,13 +322,8 @@ def cmd_arrival_scan(args, resolved) -> int:
     )
     table = arrival_scan(config)
     _emit(_csv_text("arrival-scan", resolved, ("d", "t_arr"), table.rows), args.out)
-
-    try:
-        fit = fit_velocity(table)
-    except InsufficientData as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT
-
+    # Fewer than two arrivals raises InsufficientData: main reports it, exit code 4.
+    fit = fit_velocity(table)
     summary = {
         "m": fit.slope,
         "b": fit.intercept,

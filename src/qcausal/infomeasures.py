@@ -4,7 +4,8 @@ The symmetric conditional mutual information is the four-entropy combination
 S(AC) + S(BC) - S(C) - S(ABC) and cannot tell A->B from B->A. The asymmetric
 variant measures A with a quantum instrument first and averages the B:C
 mutual information over the outcome branches, which is what makes it usable
-as a directional causal index. All values are in bits.
+as a directional causal index. All values are in bits. Site sets and split
+points follow the input rules of `qstate` (`check_sites`, `check_integer`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .exceptions import EmptyConditioner, InvalidInput, NumericalInstability
 from .instrument import Instrument, apply_instrument
-from .qstate import DensityMatrix, check_sites, partial_trace, von_neumann_entropy
+from .qstate import DensityMatrix, check_integer, check_sites, partial_trace, von_neumann_entropy
 
 # Strong subadditivity guarantees non-negativity analytically; anything in
 # (-NEGATIVITY_TOL, 0) is rounding and is clamped, anything below is a bug.
@@ -47,11 +48,8 @@ class Partition:
     c: tuple[int, ...] = ()
 
     def __post_init__(self):
-        a = check_sites(self.a, allow_empty=True)
-        b = check_sites(self.b, allow_empty=True)
+        a, b = check_sites(self.a), check_sites(self.b)
         c = check_sites(self.c, allow_empty=True)
-        if not a or not b:
-            raise InvalidInput("subsystems A and B must be non-empty")
         combined = a + b + c
         if len(set(combined)) != len(combined):
             raise InvalidInput(f"A, B, C must be pairwise disjoint, got {a}, {b}, {c}")
@@ -64,15 +62,9 @@ class Partition:
         return tuple(sorted(self.a + self.b + self.c))
 
 
-def _check_within(partition: Partition, n_sites: int) -> None:
-    if partition.sites and partition.sites[-1] >= n_sites:
-        raise InvalidInput(
-            f"partition uses site {partition.sites[-1]} outside a {n_sites}-site register"
-        )
-
-
 def mutual_information(rho: DensityMatrix, n_first: int) -> float:
     """I(first block : rest) for a state laid out as [block, rest]."""
+    n_first = check_integer(n_first, "split point")
     if not 1 <= n_first < rho.n_sites:
         raise InvalidInput(
             f"split point must lie strictly inside the register, got {n_first} of {rho.n_sites}"
@@ -85,14 +77,9 @@ def mutual_information(rho: DensityMatrix, n_first: int) -> float:
 def mutual_information_sites(
     rho: DensityMatrix, sites_b: Sequence[int], sites_c: Sequence[int]
 ) -> float:
-    """I(B:C) for arbitrary disjoint site sets of `rho`."""
-    sites_b = check_sites(sites_b, allow_empty=True)
-    sites_c = check_sites(sites_c, allow_empty=True)
-    if not sites_b or not sites_c:
-        raise InvalidInput("both parts of the mutual information must be non-empty")
-    if set(sites_b) & set(sites_c):
-        raise InvalidInput(f"parts must be disjoint, got {sites_b} and {sites_c}")
-    joint = tuple(sorted(sites_b + sites_c))
+    """I(B:C) for arbitrary disjoint site sets of `rho`, checked as a `Partition`."""
+    parts = Partition(sites_b, sites_c)
+    sites_b, sites_c, joint = parts.a, parts.b, parts.sites
     rho_bc = partial_trace(rho, joint)
     b_local = tuple(i for i, s in enumerate(joint) if s in sites_b)
     c_local = tuple(i for i, s in enumerate(joint) if s in sites_c)
@@ -107,7 +94,7 @@ def symmetric_qcmi(rho: DensityMatrix, partition: Partition) -> float:
         raise InvalidInput(
             "symmetric form needs a non-empty C; use mutual_information for I(A:B)"
         )
-    _check_within(partition, rho.n_sites)
+    check_sites(partition.sites, rho.n_sites)
     s_ac = von_neumann_entropy(partial_trace(rho, sorted(partition.a + partition.c)))
     s_bc = von_neumann_entropy(partial_trace(rho, sorted(partition.b + partition.c)))
     s_c = von_neumann_entropy(partial_trace(rho, partition.c))
@@ -133,7 +120,7 @@ def asymmetric_qcmi(
         raise InvalidInput(
             f"instrument targets {instrument.target_sites} but A is {partition.a}"
         )
-    _check_within(partition, rho.n_sites)
+    check_sites(partition.sites, rho.n_sites)
     if not partition.c:
         if allow_empty_c:
             return 0.0

@@ -87,12 +87,11 @@ class BranchEnsemble:
 
 
 def projective_z_instrument(site: int, n_sites: int) -> Instrument:
-    """Projectors |0><0|, |1><1| on one site of an n_sites chain."""
-    if not 0 <= site < n_sites:
-        raise InvalidInput(f"site {site} out of range for {n_sites} sites")
+    """Projectors |0><0|, |1><1| on one site of an n_sites chain (`check_sites` rule)."""
+    targets = check_sites((site,), n_sites)
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
-    return Instrument((site,), (p0, p1), name="projective-z")
+    return Instrument(targets, (p0, p1), name="projective-z")
 
 
 def validate_instrument(instrument: Instrument) -> float:

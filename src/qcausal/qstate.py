@@ -7,10 +7,15 @@ the bitstring q0 q1 ... q_{N-1} with site 0 as the most significant bit,
 
 so |1000> on four sites sits at index 8 and tensor factors follow np.kron
 order (site 0 leftmost).
+
+The package's input rules live here too: `check_integer`, `check_real`,
+`check_n_sites` and `check_sites`; a violation raises `InvalidInput`.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -42,26 +47,51 @@ PAULI_Z = _readonly([[1.0, 0.0], [0.0, -1.0]])
 IDENTITY_2 = _readonly(np.eye(2))
 
 
+def check_integer(value, name: str) -> int:
+    """`value` as a Python int, never rounded: bools, strings and floats (2.0 too) raise."""
+    if isinstance(value, (bool, np.bool_)):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_real(value, name: str) -> float:
+    """`value` as a finite Python float; bools, strings, NaN and +-inf raise `InvalidInput`."""
+    try:
+        if not isinstance(value, (bool, np.bool_)) and math.isfinite(value):
+            return float(value)
+    except TypeError:  # not a real number at all, e.g. a string
+        pass
+    raise InvalidInput(f"{name} must be a finite real number, got {value!r}")
+
+
 def check_sites(
     sites: Iterable[int], n_sites: int | None = None, *, allow_empty: bool = False
 ) -> tuple[int, ...]:
-    """Validate a strictly increasing site set; n_sites=None skips the upper bound."""
-    out = tuple(int(s) for s in sites)
+    """The one site-set rule: a strictly increasing tuple of integer sites in [0, n_sites).
+
+    Every public entry that takes sites validates them here; each site and
+    n_sites must pass `check_integer`. n_sites=None skips the upper bound.
+    """
+    out = tuple(check_integer(s, "site index") for s in sites)
     if not out:
         if allow_empty:
             return out
         raise InvalidInput("site set must not be empty")
     if any(s < 0 for s in out):
         raise InvalidInput(f"site indices must be >= 0, got {out}")
-    if n_sites is not None and max(out) >= n_sites:
+    if n_sites is not None and max(out) >= check_integer(n_sites, "n_sites"):
         raise InvalidInput(f"site indices must lie in [0, {n_sites}), got {out}")
     if any(a >= b for a, b in zip(out, out[1:])):
         raise InvalidInput(f"site indices must be strictly increasing, got {out}")
     return out
 
 
-def _check_n_sites(n_sites: int) -> int:
-    n = int(n_sites)
+def check_n_sites(n_sites: int) -> int:
+    """The register-size rule: an integer in [1, MAX_SITES]."""
+    n = check_integer(n_sites, "n_sites")
     if n < 1:
         raise InvalidInput("register needs at least one site")
     if n > MAX_SITES:
@@ -77,7 +107,7 @@ class Ket:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        n = _check_n_sites(self.n_sites)
+        n = check_n_sites(self.n_sites)
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.shape != (2**n,):
             raise InvalidInput(f"expected {2**n} amplitudes for {n} sites, got shape {amp.shape}")
@@ -104,7 +134,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        n = _check_n_sites(self.n_sites)
+        n = check_n_sites(self.n_sites)
         mat = np.asarray(self.matrix, dtype=complex)
         dim = 2**n
         if mat.shape != (dim, dim):
@@ -143,6 +173,7 @@ def basis_index(bits: Sequence[int]) -> int:
     """Index of the computational basis state for a bitstring, site 0 first."""
     idx = 0
     for q in bits:
+        q = check_integer(q, "bit")
         if q not in (0, 1):
             raise InvalidInput(f"bits must be 0 or 1, got {q!r}")
         idx = (idx << 1) | q
@@ -152,9 +183,7 @@ def basis_index(bits: Sequence[int]) -> int:
 def basis_ket(bits: Sequence[int]) -> Ket:
     """Computational basis state |q0 q1 ... q_{N-1}>."""
     bits = list(bits)
-    if not bits:
-        raise InvalidInput("bit sequence must not be empty")
-    n = _check_n_sites(len(bits))
+    n = check_n_sites(len(bits))
     amp = np.zeros(2**n, dtype=complex)
     amp[basis_index(bits)] = 1.0
     return Ket(n, amp)
@@ -162,10 +191,9 @@ def basis_ket(bits: Sequence[int]) -> Ket:
 
 def ghz_state(n_sites: int) -> Ket:
     """(|0...0> + |1...1>)/sqrt(2) on n_sites >= 2 qubits."""
-    n = int(n_sites)
+    n = check_n_sites(n_sites)
     if n < 2:
         raise InvalidInput(f"GHZ state needs at least 2 sites, got {n}")
-    n = _check_n_sites(n)
     amp = np.zeros(2**n, dtype=complex)
     amp[0] = amp[-1] = 1.0 / np.sqrt(2.0)
     return Ket(n, amp)
@@ -173,20 +201,12 @@ def ghz_state(n_sites: int) -> Ket:
 
 def embed_operator(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     """Embed a single-site operator at `site`, identity elsewhere."""
-    n = int(n_sites)
-    if not 0 <= site < n:
-        raise InvalidInput(f"site {site} out of range for {n} sites")
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (2, 2):
-        raise InvalidInput(f"single-site operator must be 2x2, got shape {op.shape}")
-    left = np.eye(2**site)
-    right = np.eye(2 ** (n - site - 1))
-    return np.kron(np.kron(left, op), right)
+    return embed_on_sites(op, (site,), n_sites)
 
 
 def embed_on_sites(op: np.ndarray, sites: Sequence[int], n_sites: int) -> np.ndarray:
     """Embed an operator on a strictly increasing site set, identity elsewhere."""
-    n = int(n_sites)
+    n = check_integer(n_sites, "n_sites")
     sites = check_sites(sites, n)
     k = len(sites)
     op = np.asarray(op, dtype=complex)
@@ -266,7 +286,10 @@ def validate_density_matrix(
         raise InvalidInput(f"dimension {dim} is not a power of two")
     herm = float(np.max(np.abs(mat - mat.conj().T)))
     trace = float(abs(np.trace(mat) - 1.0))
-    min_eig = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min())
+    # eigvalsh returns arbitrary numbers for non-finite input; NaN fails the check.
+    min_eig = math.nan
+    if np.all(np.isfinite(mat)):
+        min_eig = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min())
     return DensityMatrixReport(
         hermiticity_defect=herm,
         trace_defect=trace,

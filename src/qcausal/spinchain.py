@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import InvalidInput, NumericalInstability
-from .qstate import MAX_SITES, NORM_TOL, DensityMatrix, Ket
+from .qstate import MAX_SITES, NORM_TOL, DensityMatrix, Ket, check_n_sites, check_real
 
 BUILD_HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-9
@@ -37,10 +37,12 @@ class ChainModel:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise InvalidInput(f"model kind must be one of {MODEL_KINDS}, got {self.kind!r}")
-        if not 2 <= self.n_sites <= MAX_SITES:
-            raise InvalidInput(f"chain length must lie in [2, {MAX_SITES}], got {self.n_sites}")
-        if not (math.isfinite(self.coupling) and math.isfinite(self.field)):
-            raise InvalidInput("coupling and field must be finite")
+        n = check_n_sites(self.n_sites)
+        if n < 2:
+            raise InvalidInput(f"chain length must lie in [2, {MAX_SITES}], got {n}")
+        check_real(self.coupling, "coupling")
+        check_real(self.field, "field")
+        object.__setattr__(self, "n_sites", n)
 
 
 class Hamiltonian:
@@ -196,12 +198,11 @@ class Propagator:
 
 
 def propagator(hamiltonian: Hamiltonian, time: float) -> Propagator:
-    if not math.isfinite(time):
-        raise InvalidInput(f"time must be finite, got {time!r}")
+    time = check_real(time, "time")
     values, vectors = hamiltonian.spectrum
     phases = np.exp(-1j * values * time)
     matrix = (vectors * phases) @ vectors.conj().T
-    return Propagator(float(time), matrix)
+    return Propagator(time, matrix)
 
 
 def evolve(rho: DensityMatrix, prop: Propagator) -> DensityMatrix:
@@ -222,8 +223,7 @@ def evolve_ket(hamiltonian: Hamiltonian, ket: Ket, time: float) -> Ket:
         raise InvalidInput(
             f"dimension mismatch: state {ket.n_sites} sites, chain {hamiltonian.n_sites}"
         )
-    if not math.isfinite(time):
-        raise InvalidInput(f"time must be finite, got {time!r}")
+    time = check_real(time, "time")
     return Ket(ket.n_sites, _evolve_grid(hamiltonian, ket.amplitudes, np.array([time]))[0])
 
 
@@ -248,4 +248,5 @@ def _evolve_grid(hamiltonian: Hamiltonian, amplitudes: np.ndarray, times: np.nda
 
 def total_sigma_z(n_sites: int) -> np.ndarray:
     """Total magnetization operator, the conserved charge of the XX chain."""
+    n_sites = check_n_sites(n_sites)
     return np.diag(n_sites - 2 * _site_bits(n_sites).sum(axis=1)).astype(complex)

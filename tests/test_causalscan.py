@@ -146,6 +146,11 @@ class TestQcmiTimeSeries:
         with pytest.raises(InvalidInput):
             qcmi_time_series(xx_config(site_a=None, site_b=None))
 
+    def test_bad_sites_rejected_before_the_chain_is_built(self, monkeypatch):
+        monkeypatch.setattr(causalscan, "build_model", lambda model: pytest.fail("built"))
+        with pytest.raises(InvalidInput):
+            qcmi_time_series(xx_config(site_b=4))
+
 
 def dense_series(config):
     """The density-matrix path, one grid time at a time: the kernel's oracle."""
@@ -356,6 +361,13 @@ class TestArrivalTime:
     def test_positive_threshold_required(self):
         with pytest.raises(InvalidInput):
             arrival_time(np.array([0.0]), np.array([0.0]), 0.0)
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold_rejected_as_by_scan_config(self, threshold):
+        with pytest.raises(InvalidInput):
+            arrival_time(np.array([0.0, 0.1]), np.array([0.0, 1.0]), threshold)
+        with pytest.raises(InvalidInput):
+            xx_config(threshold=threshold)
 
 
 class TestArrivalScan:

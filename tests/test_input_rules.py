@@ -1,0 +1,150 @@
+"""One input rule at every public entry: integers, sites and register sizes
+are never rounded, real parameters must be finite numbers, and a violation is
+always `InvalidInput` (CLI exit code 2), never a raw `TypeError`."""
+
+import numpy as np
+import pytest
+
+from qcausal import (
+    PAULI_Z,
+    ChainModel,
+    DensityMatrix,
+    Instrument,
+    InvalidInput,
+    Ket,
+    Partition,
+    ScanConfig,
+    SeriesEmbedding,
+    TimeGrid,
+    arrival_scan,
+    arrival_time,
+    basis_ket,
+    build_model,
+    commutator_front_norm,
+    dispersion,
+    embed_on_sites,
+    embed_operator,
+    equiquantal_bins,
+    evolve_ket,
+    ghz_state,
+    mutual_information,
+    partial_trace,
+    projective_z_instrument,
+    propagator,
+    qcmi_time_series,
+    surrogate_baseline,
+    total_sigma_z,
+    xx_group_velocity,
+)
+
+CHAIN3 = ChainModel("xx", 3, 1.0, 0.3)
+H3 = build_model(CHAIN3)
+RHO3 = ghz_state(3).density_matrix()
+PROJECTORS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+GRID = TimeGrid(0.1, 0.05)
+
+
+def _series(site_a, site_b):
+    config = ScanConfig(CHAIN3, initial="basis:100", grid=GRID, site_a=site_a, site_b=site_b)
+    return qcmi_time_series(config, H3)
+
+
+def _scan(d_min, d_max):
+    model = ChainModel("xx", 4, 1.0, 0.3)
+    return arrival_scan(
+        ScanConfig(model, initial="basis:1000", grid=GRID, d_min=d_min, d_max=d_max)
+    )
+
+
+def _embedding(**params):
+    x = np.arange(20.0)
+    return SeriesEmbedding(x, x[::-1] % 7, **{"horizon": 1, "delay": 1, "bins": 2, **params})
+
+
+# entry -> (call with the value under test, a valid value for that slot)
+INTEGER_ENTRIES = {
+    "Ket-n_sites": (lambda v: Ket(v, [1.0, 0.0]), 1),
+    "DensityMatrix-n_sites": (lambda v: DensityMatrix(v, np.eye(2) / 2), 1),
+    "basis_ket-bit": (lambda v: basis_ket([v, 0]), 1),
+    "ghz_state-n_sites": (lambda v: ghz_state(v), 3),
+    "embed_operator-site": (lambda v: embed_operator(PAULI_Z, v, 3), 1),
+    "embed_operator-n_sites": (lambda v: embed_operator(PAULI_Z, 0, v), 3),
+    "embed_on_sites-sites": (lambda v: embed_on_sites(PAULI_Z, (v,), 3), 1),
+    "embed_on_sites-n_sites": (lambda v: embed_on_sites(PAULI_Z, (0,), v), 3),
+    "partial_trace-keep": (lambda v: partial_trace(RHO3, (v,)), 1),
+    "Partition-a": (lambda v: Partition((v,), (2,), (0,)), 1),
+    "Instrument-targets": (lambda v: Instrument((v,), PROJECTORS), 1),
+    "projective_z_instrument-site": (lambda v: projective_z_instrument(v, 3), 1),
+    "projective_z_instrument-n_sites": (lambda v: projective_z_instrument(0, v), 3),
+    "ChainModel-n_sites": (lambda v: ChainModel("xx", v, 1.0, 0.3), 3),
+    "total_sigma_z-n_sites": (lambda v: total_sigma_z(v), 3),
+    "qcmi_time_series-site_a": (lambda v: _series(v, 2), 0),
+    "qcmi_time_series-site_b": (lambda v: _series(0, v), 2),
+    "arrival_scan-d_min": (lambda v: _scan(v, 3), 2),
+    "arrival_scan-d_max": (lambda v: _scan(2, v), 3),
+    "mutual_information-split": (lambda v: mutual_information(RHO3, v), 1),
+    "commutator_front_norm-site_a": (
+        lambda v: commutator_front_norm(H3, v, PAULI_Z, 2, PAULI_Z, 0.1), 0
+    ),
+    "commutator_front_norm-site_b": (
+        lambda v: commutator_front_norm(H3, 0, PAULI_Z, v, PAULI_Z, 0.1), 2
+    ),
+    "SeriesEmbedding-horizon": (lambda v: _embedding(horizon=v), 1),
+    "SeriesEmbedding-delay": (lambda v: _embedding(delay=v), 1),
+    "SeriesEmbedding-bins": (lambda v: _embedding(bins=v), 2),
+    "equiquantal_bins-bins": (lambda v: equiquantal_bins(np.arange(5.0), v), 2),
+    "surrogate_baseline-n_surrogates": (lambda v: surrogate_baseline(_embedding(), v), 1),
+    "surrogate_baseline-seed": (lambda v: surrogate_baseline(_embedding(), 1, seed=v), 1),
+}
+
+REAL_ENTRIES = {
+    "ChainModel-coupling": lambda v: ChainModel("xx", 3, v, 0.3),
+    "ChainModel-field": lambda v: ChainModel("xx", 3, 1.0, v),
+    "TimeGrid-t_max": lambda v: TimeGrid(v, 0.05),
+    "TimeGrid-dt": lambda v: TimeGrid(1.0, v),
+    "ScanConfig-threshold": lambda v: ScanConfig(CHAIN3, threshold=v),
+    "arrival_time-threshold": lambda v: arrival_time([0.0, 0.1], [0.0, 1.0], v),
+    "propagator-time": lambda v: propagator(H3, v),
+    "evolve_ket-time": lambda v: evolve_ket(H3, basis_ket([1, 0, 0]), v),
+    "xx_group_velocity-coupling": lambda v: xx_group_velocity(v),
+    "dispersion-k": lambda v: dispersion(v, 1.0),
+    "dispersion-coupling": lambda v: dispersion(0.5, v),
+}
+
+
+@pytest.mark.parametrize("entry", INTEGER_ENTRIES.values(), ids=INTEGER_ENTRIES.keys())
+@pytest.mark.parametrize("bad", [0.7, 2.0, True, "1"], ids=repr)
+def test_non_integer_rejected(entry, bad):
+    call, _ = entry
+    with pytest.raises(InvalidInput):
+        call(bad)
+
+
+@pytest.mark.parametrize("entry", INTEGER_ENTRIES.values(), ids=INTEGER_ENTRIES.keys())
+def test_numpy_integer_accepted(entry):
+    call, good = entry
+    call(np.int64(good))
+
+
+@pytest.mark.parametrize("entry", REAL_ENTRIES.values(), ids=REAL_ENTRIES.keys())
+@pytest.mark.parametrize("bad", ["0.5", True, None, np.nan, np.inf, -np.inf], ids=repr)
+def test_non_finite_or_non_real_rejected(entry, bad):
+    with pytest.raises(InvalidInput):
+        entry(bad)
+
+
+@pytest.mark.parametrize("entry", REAL_ENTRIES.values(), ids=REAL_ENTRIES.keys())
+@pytest.mark.parametrize("good", [np.float64(0.5), 1], ids=repr)
+def test_real_numbers_accepted(entry, good):
+    entry(good)
+
+
+def test_validated_integers_are_stored_as_python_ints():
+    values = (
+        ChainModel("xx", np.int64(4), 1.0, 0.0).n_sites,
+        Ket(np.int64(1), [1.0, 0.0]).n_sites,
+        *Partition((np.int64(0),), (np.int64(2),), (np.int64(1),)).sites,
+        *Instrument((np.int64(1),), PROJECTORS).target_sites,
+        _embedding(horizon=np.int64(2)).horizon,
+    )
+    assert all(type(v) is int for v in values)

@@ -272,6 +272,13 @@ class TestValidateDensityMatrix:
         with pytest.raises(InvalidInput):
             validate_density_matrix(np.eye(3) / 3)
 
+    @pytest.mark.parametrize("mat", [[[np.nan, 0.0], [0.0, 1.0]], [[0.5, np.nan], [np.nan, 0.5]]])
+    def test_nan_entry_fails_positivity(self, mat):
+        report = validate_density_matrix(np.array(mat))
+        assert np.isnan(report.min_eigenvalue)
+        assert not report.positive_ok
+        assert not report.passed
+
 
 class TestConstructionGuards:
     def test_ket_norm_enforced(self):
