@@ -42,6 +42,10 @@ DEFAULT_DT = 0.02
 DEFAULT_T_MAX = 5.0
 DEFAULT_THRESHOLD = 0.03
 
+# Largest (grid points) x 2^N complex amplitude batch a scan may hold: 256 MiB.
+# A scan keeps a few arrays of this size alive at once.
+MAX_SCAN_AMPLITUDES = 2**24
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -57,11 +61,17 @@ class TimeGrid:
             raise InvalidInput(f"dt must be positive and finite, got {self.dt!r}")
         if self.dt > self.t_max:
             raise InvalidInput(f"dt={self.dt} exceeds t_max={self.t_max}")
+        if not math.isfinite(self.t_max / self.dt):
+            raise InvalidInput(f"t_max / dt overflows: t_max={self.t_max}, dt={self.dt}")
+
+    @property
+    def n_points(self) -> int:
+        """Number of grid times, counted without building them."""
+        return int(math.floor(self.t_max / self.dt + 1e-9)) + 1
 
     @cached_property
     def times(self) -> np.ndarray:
-        steps = int(math.floor(self.t_max / self.dt + 1e-9))
-        times = self.dt * np.arange(steps + 1)
+        times = self.dt * np.arange(self.n_points)
         times.setflags(write=False)
         return times
 
@@ -121,20 +131,38 @@ class FitResult:
     note: str | None = None
 
 
-def initial_ket(hamiltonian: Hamiltonian, spec: str) -> Ket:
-    """Resolve an initial-state spec: 'ground' or 'basis:<bits>'."""
+def _basis_bits(spec: str, n_sites: int) -> list[int] | None:
+    """The bits of a 'basis:<bits>' spec for `n_sites` sites; None for 'ground'."""
     if spec == "ground":
-        return ground_state(hamiltonian).state
-    if spec.startswith("basis:"):
+        return None
+    if isinstance(spec, str) and spec.startswith("basis:"):
         text = spec[len("basis:"):]
         if not text or any(ch not in "01" for ch in text):
             raise InvalidInput(f"basis spec must be a 0/1 string, got {spec!r}")
-        if len(text) != hamiltonian.n_sites:
-            raise InvalidInput(
-                f"basis spec has {len(text)} bits for a {hamiltonian.n_sites}-site chain"
-            )
-        return basis_ket([int(ch) for ch in text])
+        if len(text) != n_sites:
+            raise InvalidInput(f"basis spec has {len(text)} bits for a {n_sites}-site chain")
+        return [int(ch) for ch in text]
     raise InvalidInput(f"initial state must be 'ground' or 'basis:<bits>', got {spec!r}")
+
+
+def initial_ket(hamiltonian: Hamiltonian, spec: str) -> Ket:
+    """Resolve an initial-state spec: 'ground' or 'basis:<bits>'."""
+    bits = _basis_bits(spec, hamiltonian.n_sites)
+    if bits is None:
+        return ground_state(hamiltonian).state
+    return basis_ket(bits)
+
+
+def _check_scan_inputs(config: ScanConfig) -> None:
+    """The initial-state spec and the amplitude batch size, checked before any build."""
+    n = config.model.n_sites
+    _basis_bits(config.initial, n)
+    amplitudes = config.grid.n_points * 2**n
+    if amplitudes > MAX_SCAN_AMPLITUDES:
+        raise InvalidInput(
+            f"{config.grid.n_points} grid points x 2^{n} amplitudes = {amplitudes} exceeds "
+            f"the scan limit of {MAX_SCAN_AMPLITUDES}; raise dt or lower t_max"
+        )
 
 
 def _series_partition(config: ScanConfig, n_sites: int) -> Partition:
@@ -254,6 +282,7 @@ def _pure_series(
 def qcmi_time_series(config: ScanConfig, hamiltonian: Hamiltonian | None = None) -> QcmiSeries:
     """Directional QCMI over the configured time grid for one partition."""
     partition = _series_partition(config, config.model.n_sites)
+    _check_scan_inputs(config)
     h = _hamiltonian(config, hamiltonian)
     instrument = projective_z_instrument(partition.a[0], h.n_sites)
     values = _pure_series(h, config, partition.a[0], [(partition.b[0], partition.c)])[0]
@@ -302,6 +331,7 @@ def arrival_scan(config: ScanConfig, hamiltonian: Hamiltonian | None = None) -> 
         raise InvalidInput(f"distances must start at {min_distance}, got {lo}")
     if lo > hi or hi > n - 1:
         raise InvalidInput(f"distance range {lo}:{hi} invalid for {n} sites")
+    _check_scan_inputs(config)
 
     h = _hamiltonian(config, hamiltonian)
     distances = range(lo, hi + 1)

@@ -8,14 +8,20 @@ own present and past. Series are discretized with equiquantal (equal-count)
 bins; ties are broken by stable sample order, and an all-equal series
 collapses to a single bin carrying zero entropy.
 
+Ranks come from one unstable sort: a sample's rank is the number of strictly
+smaller samples, read off the start of its run of equal values in sorted
+order, plus, for tied samples only, the number of earlier samples of the same
+value.
+
 The series path never builds a bins^5 table. Everything that does not depend
 on the driver is computed once per embedding: the four response columns are
-binned, the rows of C and of BC are packed into dense ids, and H(C), H(BC)
-are taken from their counts. For each driver labelling, H(AC) and H(ABC)
-come from bincounts over at most (#distinct BC rows) * bins cells. The
-driver is sorted once; the labels of each shuffled window follow from that
-sort by gathers, one searchsorted over the excluded samples, and a sort of
-the tied samples only. The estimate is the identity shuffle.
+binned, the rows of C and of BC are packed into dense ids by a bincount over
+their codes, and H(C), H(BC) are taken from their counts. For each driver
+labelling, H(AC) and H(ABC) come from bincounts over at most
+(#distinct BC rows) * bins cells. The driver is ranked once; the labels of
+each shuffled window follow from those ranks by gathers, one comparison pass
+per excluded sample (2 * delay + horizon of them) and a sort of the tied
+samples only. The estimate is the identity shuffle.
 """
 
 from __future__ import annotations
@@ -150,10 +156,48 @@ def equiquantal_bins(values: Sequence[float], bins: int) -> np.ndarray:
         raise DegenerateSeries("series contains non-finite values; quantile bins undefined")
     if v.min() == v.max():
         return np.zeros(v.size, dtype=np.intp)
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=np.intp)
-    ranks[order] = np.arange(v.size)
-    return (ranks * bins) // v.size
+    ranks, tied = _value_ranks(v)
+    _add_tie_offsets(ranks, ranks, tied)
+    ranks *= bins
+    ranks //= v.size
+    return ranks
+
+
+def _value_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per sample: how many samples are strictly smaller, and whether another shares its value.
+
+    One unstable sort puts equal values in one run; every sample of a run
+    gets the run's start position, and a run longer than one is tied.
+    """
+    n = values.size
+    order = np.argsort(values)
+    ordered = values[order]
+    # new_run[i]: sorted position i starts a run; position n closes the last.
+    new_run = np.ones(n + 1, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new_run[1:n])
+    run_start = np.where(new_run[:n], np.arange(n), 0)
+    np.maximum.accumulate(run_start, out=run_start)
+    below = np.empty(n, dtype=np.intp)
+    below[order] = run_start
+    tied = np.empty(n, dtype=bool)
+    tied[order] = ~(new_run[:n] & new_run[1:])
+    return below, tied
+
+
+def _add_tie_offsets(ranks: np.ndarray, keys: np.ndarray, tied: np.ndarray) -> None:
+    """Add to each tied sample's rank the number of earlier samples with its key.
+
+    `keys` groups equal values (the `below` of `_value_ranks`); `tied` marks
+    the samples whose group has more than one member. `ranks` may be `keys`.
+    """
+    tied = np.flatnonzero(tied)
+    if not tied.size:
+        return
+    tied = tied[np.argsort(keys[tied], kind="stable")]  # by value, then position
+    groups = keys[tied]
+    run_starts = np.flatnonzero(np.diff(groups, prepend=-1))
+    run_lengths = np.diff(run_starts, append=groups.size)
+    ranks[tied] += np.arange(groups.size) - np.repeat(run_starts, run_lengths)
 
 
 @dataclass(frozen=True)
@@ -211,7 +255,7 @@ def _count_entropy(codes: np.ndarray) -> float:
 
 
 class _DriverRanker:
-    """Equiquantal labels of driver[perm][start:stop] from one global sort.
+    """Equiquantal labels of driver[perm][start:stop] from one ranking of the driver.
 
     The stable rank of a window sample is the number of samples of smaller
     value in the whole series, minus those among the excluded samples, plus
@@ -220,31 +264,34 @@ class _DriverRanker:
     """
 
     def __init__(self, driver: np.ndarray, start: int, stop: int, bins: int):
-        ordered = np.sort(driver)
-        # Per sample: how many samples are smaller (also the key of its value
-        # group), and whether another sample shares its value.
-        self.below = np.searchsorted(ordered, driver)
-        self.tied = np.searchsorted(ordered, driver, side="right") - self.below > 1
+        self.below, self.tied = _value_ranks(driver)
         self.start, self.stop, self.bins = start, stop, bins
 
     def labels(self, perm: np.ndarray) -> np.ndarray:
         start, stop = self.start, self.stop
         window = perm[start:stop]
-        rank = self.below[window]
-        if rank.min() == rank.max():
-            return np.zeros(rank.size, dtype=np.intp)
-        tied = np.flatnonzero(self.tied[window])
-        tied = tied[np.argsort(rank[tied], kind="stable")]  # by value, then position
-        groups = rank[tied]
-        excluded = np.sort(self.below[np.concatenate((perm[:start], perm[stop:]))])
-        rank -= np.searchsorted(excluded, rank)
-        if tied.size:
-            run_starts = np.flatnonzero(np.diff(groups, prepend=-1))
-            run_lengths = np.diff(run_starts, append=groups.size)
-            rank[tied] += np.arange(groups.size) - np.repeat(run_starts, run_lengths)
+        keys = self.below[window]
+        if keys.min() == keys.max():
+            return np.zeros(keys.size, dtype=np.intp)
+        rank = keys.copy()
+        for excluded in self.below[np.concatenate((perm[:start], perm[stop:]))]:
+            rank -= keys > excluded
+        _add_tie_offsets(rank, keys, self.tied[window])
         rank *= self.bins
         rank //= rank.size
         return rank
+
+
+def _dense_ids(codes: np.ndarray) -> np.ndarray:
+    """Each code's index among the distinct codes, in sorted order, without a sort.
+
+    The same integers as np.unique's inverse, from one int array over the
+    code range (below n_samples * bins), updated in place.
+    """
+    ids = np.bincount(codes)
+    np.minimum(ids, 1, out=ids)
+    np.cumsum(ids, out=ids)
+    return ids[codes] - 1
 
 
 class _SeriesCmi:
@@ -268,11 +315,11 @@ class _SeriesCmi:
         for lag in (eta, 2 * eta):
             codes *= bins
             codes += column(lag)
-            _, codes = np.unique(codes, return_inverse=True)
+            codes = _dense_ids(codes)
         self.c_id = codes
         codes = self.c_id * bins
         codes += column(-tau)
-        _, self.bc_id = np.unique(codes, return_inverse=True)
+        self.bc_id = _dense_ids(codes)
         del codes
         self.h_c = _count_entropy(self.c_id)
         self.h_bc = _count_entropy(self.bc_id)

@@ -15,7 +15,6 @@ from qcausal import (
     Ket,
     ccmi_symmetric,
     embed_operator,
-    equiquantal_bins,
 )
 
 
@@ -87,6 +86,20 @@ def brute_apply_instrument(matrix, n_sites, site, operators):
     return results
 
 
+def stable_rank_bins(values, bins):
+    """Equiquantal labels from a stable argsort and its inverse permutation.
+
+    Ties keep sample order; an all-equal series maps to bin 0.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.min() == values.max():
+        return np.zeros(values.size, dtype=np.intp)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.intp)
+    ranks[order] = np.arange(values.size)
+    return ranks * bins // values.size
+
+
 def dense_series_ccmi(driver, response, horizon, delay, bins):
     """Series CMI from a dense bins^5 probability table and ccmi_symmetric.
 
@@ -100,7 +113,7 @@ def dense_series_ccmi(driver, response, horizon, delay, bins):
         response[start - delay : stop - delay],
         response[start - 2 * delay : stop - 2 * delay],
     )
-    binned = [equiquantal_bins(column, bins) for column in columns]
+    binned = [stable_rank_bins(column, bins) for column in columns]
     counts = np.zeros([bins] * len(columns))
     np.add.at(counts, tuple(binned), 1.0)
     names = ("a", "b", "c_now", "c_past1", "c_past2")

@@ -57,6 +57,15 @@ class TestTimeGrid:
         with pytest.raises(InvalidInput):
             TimeGrid(0.0, 0.1)
 
+    def test_point_count_matches_times(self):
+        for t_max, dt in ((0.1, 0.02), (5.0, 0.01), (1.0, 0.3), (2.0, 2.0)):
+            grid = TimeGrid(t_max, dt)
+            assert grid.n_points == grid.times.size
+
+    def test_overflowing_step_count_rejected(self):
+        with pytest.raises(InvalidInput):
+            TimeGrid(1e300, 1e-300)
+
 
 class TestInitialKet:
     def test_ground_spec(self):
@@ -150,6 +159,46 @@ class TestQcmiTimeSeries:
         monkeypatch.setattr(causalscan, "build_model", lambda model: pytest.fail("built"))
         with pytest.raises(InvalidInput):
             qcmi_time_series(xx_config(site_b=4))
+
+
+class TestChecksBeforeTheBuild:
+    """Bad initial specs and oversized grids fail before any chain is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_build(self, monkeypatch):
+        monkeypatch.setattr(causalscan, "build_model", lambda model: pytest.fail("built"))
+
+    @staticmethod
+    def config(**overrides):
+        base = dict(model=ChainModel("xx", 12, 1.0, 0.3), initial="basis:1" + "0" * 11, site_b=11)
+        return xx_config(**{**base, **overrides})
+
+    def scans(self, **overrides):
+        series = self.config(**overrides)
+        scan = replace(series, site_a=None, site_b=None, d_min=2, d_max=11)
+        return (lambda: qcmi_time_series(series), lambda: arrival_scan(scan))
+
+    @pytest.mark.parametrize("spec", ["basis:1", "basis:" + "0" * 13, "basis:10x", "basis:", "excited", None])
+    def test_bad_basis_spec(self, spec):
+        for run in self.scans(initial=spec):
+            with pytest.raises(InvalidInput):
+                run()
+
+    def test_oversized_grid(self):
+        # 2^14 grid points x 2^12 amplitudes = 2^26 > MAX_SCAN_AMPLITUDES.
+        grid = TimeGrid(2.0**14 - 1, 1.0)
+        for run in self.scans(grid=grid):
+            with pytest.raises(InvalidInput, match="scan limit"):
+                run()
+        assert "times" not in vars(grid)  # rejected before the grid was built
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(causalscan, "MAX_SCAN_AMPLITUDES", 11 * 2**12)
+        fits = TimeGrid(1.0, 0.1)  # 11 points
+        too_many = TimeGrid(1.1, 0.1)  # 12 points
+        causalscan._check_scan_inputs(self.config(grid=fits))
+        with pytest.raises(InvalidInput):
+            causalscan._check_scan_inputs(self.config(grid=too_many))
 
 
 def dense_series(config):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import dense_series_ccmi
+from helpers import dense_series_ccmi, stable_rank_bins
 from qcausal import (
     DegenerateSeries,
     InsufficientData,
@@ -17,7 +17,7 @@ from qcausal import (
     shannon_entropy,
     surrogate_baseline,
 )
-from qcausal.ccmi import _DriverRanker
+from qcausal.ccmi import _DriverRanker, _dense_ids
 
 
 def random_table(rng, shape):
@@ -294,9 +294,25 @@ class TestOccupiedCellPath:
             ranker = _DriverRanker(x, start, stop, bins)
             for perm in (np.arange(n), rng.permutation(n)):
                 got = ranker.labels(perm)
-                want = equiquantal_bins(x[perm][start:stop], bins)
+                want = stable_rank_bins(x[perm][start:stop], bins)
                 assert got.dtype.kind == "i"
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_labels_and_dense_ids_match_sorting_oracles(self, seed):
+        # 20 seeds x 100 series: tie-heavy, with signed zeros mixed in.
+        rng = np.random.default_rng(700 + seed)
+        for _ in range(100):
+            n = int(rng.integers(1, 201))
+            x = tied_series(rng, n, int(rng.integers(1, 9))) * rng.choice([0.5, 1.0, 3.0])
+            zero = x == 0.0
+            x[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+            bins = int(rng.integers(2, 10))
+            got = equiquantal_bins(x, bins)
+            assert got.dtype.kind == "i"
+            assert np.array_equal(got, stable_rank_bins(x, bins))
+            codes = got * bins + np.roll(got, 1)
+            assert np.array_equal(_dense_ids(codes), np.unique(codes, return_inverse=True)[1])
 
     def test_many_bins_stay_small_in_memory(self):
         # The dense table for these inputs would be 32**5 * 8 B = 268 MB.

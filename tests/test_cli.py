@@ -88,6 +88,15 @@ class TestTimeseries:
         assert run_cli("timeseries", "--model", "xy") == 2
         capsys.readouterr()
 
+    def test_oversized_grid_is_usage_error(self, capsys):
+        # 1e8 grid points: rejected from the sizes, before any array is built.
+        code = run_cli(
+            "timeseries", "--model", "xx", "--n", "4", "--site-a", "0", "--site-b", "3",
+            "--initial", "basis:1000", "--t-max", "1e4", "--dt", "1e-4",
+        )
+        assert code == 2
+        assert "scan limit" in capsys.readouterr().err
+
 
 class TestArrivalScan:
     def test_small_scan_csv_and_json(self, tmp_path):
