@@ -192,6 +192,10 @@ class TestChecksBeforeTheBuild:
                 run()
         assert "times" not in vars(grid)  # rejected before the grid was built
 
+    def test_long_twelve_site_grid_is_allowed(self):
+        # 5001 points x 2^12 amplitudes: checked from the sizes, not run.
+        causalscan._check_scan_inputs(self.config(grid=TimeGrid(100.0, 0.02)))
+
     def test_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(causalscan, "MAX_SCAN_AMPLITUDES", 11 * 2**12)
         fits = TimeGrid(1.0, 0.1)  # 11 points

@@ -17,7 +17,7 @@ from qcausal import (
     shannon_entropy,
     surrogate_baseline,
 )
-from qcausal.ccmi import _DriverRanker, _dense_ids
+from qcausal.ccmi import _DriverRanker
 
 
 def random_table(rng, shape):
@@ -299,7 +299,7 @@ class TestOccupiedCellPath:
                 assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_labels_and_dense_ids_match_sorting_oracles(self, seed):
+    def test_labels_match_the_stable_sort_oracle(self, seed):
         # 20 seeds x 100 series: tie-heavy, with signed zeros mixed in.
         rng = np.random.default_rng(700 + seed)
         for _ in range(100):
@@ -311,8 +311,6 @@ class TestOccupiedCellPath:
             got = equiquantal_bins(x, bins)
             assert got.dtype.kind == "i"
             assert np.array_equal(got, stable_rank_bins(x, bins))
-            codes = got * bins + np.roll(got, 1)
-            assert np.array_equal(_dense_ids(codes), np.unique(codes, return_inverse=True)[1])
 
     def test_many_bins_stay_small_in_memory(self):
         # The dense table for these inputs would be 32**5 * 8 B = 268 MB.
