@@ -73,6 +73,15 @@ class TimeGrid:
         """Number of grid times, counted without building them."""
         return int(math.floor(self.t_max / self.dt + 1e-9)) + 1
 
+    def check_batch(self, n_sites: int) -> None:
+        """Refuse a grid whose (points x 2^n_sites) batch exceeds MAX_SCAN_AMPLITUDES."""
+        amplitudes = self.n_points * 2**n_sites
+        if amplitudes > MAX_SCAN_AMPLITUDES:
+            raise InvalidInput(
+                f"{self.n_points} grid points x 2^{n_sites} amplitudes = {amplitudes} exceeds "
+                f"the scan limit of {MAX_SCAN_AMPLITUDES}; raise dt or lower t_max"
+            )
+
     @cached_property
     def times(self) -> np.ndarray:
         times = self.dt * np.arange(self.n_points)
@@ -159,14 +168,8 @@ def initial_ket(hamiltonian: Hamiltonian, spec: str) -> Ket:
 
 def _check_scan_inputs(config: ScanConfig) -> None:
     """The initial-state spec and the amplitude batch size, checked before any build."""
-    n = config.model.n_sites
-    _basis_bits(config.initial, n)
-    amplitudes = config.grid.n_points * 2**n
-    if amplitudes > MAX_SCAN_AMPLITUDES:
-        raise InvalidInput(
-            f"{config.grid.n_points} grid points x 2^{n} amplitudes = {amplitudes} exceeds "
-            f"the scan limit of {MAX_SCAN_AMPLITUDES}; raise dt or lower t_max"
-        )
+    _basis_bits(config.initial, config.model.n_sites)
+    config.grid.check_batch(config.model.n_sites)
 
 
 def _series_partition(config: ScanConfig, n_sites: int) -> Partition:

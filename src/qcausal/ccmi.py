@@ -72,10 +72,6 @@ class JointDistribution:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "table", table)
 
-    @property
-    def alphabet_sizes(self) -> tuple[int, ...]:
-        return self.table.shape
-
     def _axes(self, variables: Sequence[str]) -> tuple[int, ...]:
         unknown = [v for v in variables if v not in self.names]
         if unknown:

@@ -1,9 +1,12 @@
 """Command-line frontend emitting reproducible CSV/JSON artifacts.
 
 Every command resolves its options as: built-in defaults, overridden by a
-``--config`` key-value file, overridden by explicit flags. The resolved
-configuration is echoed into every emitted file so a run can be reproduced
-from its output alone. Identical flags produce byte-identical output.
+``--config`` key-value file, overridden by explicit flags. argparse is the
+only converter and checker of option values: each ``key = value`` line of
+the file becomes a ``--key=value`` token placed ahead of the flags, and the
+last value argparse sees wins. The resolved configuration is echoed into
+every emitted file so a run can be reproduced from its output alone.
+Identical flags produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -37,25 +40,16 @@ EXIT_INSUFFICIENT = 4
 
 _PAULI = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
-# One converter per config-file/flag key; commands pick the subset they use.
+# The converter of each numeric option; every other option is a string.
 _OPTION_TYPES = {
-    "model": str,
     "n": int,
     "j": float,
     "h": float,
-    "initial": str,
-    "protocol": str,
     "dt": float,
     "t-max": float,
     "threshold": float,
-    "crossing": str,
     "site-a": int,
     "site-b": int,
-    "distances": str,
-    "op-a": str,
-    "op-b": str,
-    "driver": str,
-    "response": str,
     "tau": int,
     "eta0": int,
     "bins": int,
@@ -76,38 +70,6 @@ _GRID_DEFAULTS = {"dt": DEFAULT_DT, "t-max": DEFAULT_T_MAX}
 _EVOLUTION_DEFAULTS = {"initial": "ground", "protocol": "measure-at-t", **_GRID_DEFAULTS}
 _DETECT_DEFAULTS = {"threshold": DEFAULT_THRESHOLD, "crossing": "first-sample"}
 
-# Defaults of None are either required flags (checked in the handler) or
-# derived from the other options after resolution.
-COMMAND_OPTIONS = {
-    "ghz-demo": {},
-    "timeseries": {**_MODEL_DEFAULTS, **_EVOLUTION_DEFAULTS, "site-a": None, "site-b": None},
-    "arrival-scan": {
-        **_MODEL_DEFAULTS,
-        **_EVOLUTION_DEFAULTS,
-        **_DETECT_DEFAULTS,
-        "initial": None,
-        "distances": None,
-    },
-    "bounds": dict(_MODEL_DEFAULTS),
-    "commutator-front": {
-        **_MODEL_DEFAULTS,
-        "site-a": None,
-        "site-b": None,
-        "op-a": "z",
-        "op-b": "z",
-        **_GRID_DEFAULTS,
-    },
-    "ccmi": {
-        "driver": None,
-        "response": None,
-        "tau": 1,
-        "eta0": 1,
-        "bins": 4,
-        "surrogates": 0,
-        "seed": 0,
-    },
-}
-
 
 def _fmt(value) -> str:
     if value is None:
@@ -115,94 +77,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qcausal",
-        description="Directional QCMI diagnostics for exactly simulated spin chains.",
-    )
-    subparsers = parser.add_subparsers(dest="command", metavar="command")
-
-    handlers = {
-        "ghz-demo": cmd_ghz_demo,
-        "timeseries": cmd_timeseries,
-        "arrival-scan": cmd_arrival_scan,
-        "bounds": cmd_bounds,
-        "commutator-front": cmd_commutator_front,
-        "ccmi": cmd_ccmi,
-    }
-    help_text = {
-        "ghz-demo": "three-qubit worked example contrasting the two conditional forms",
-        "timeseries": "QCMI time series for a fixed sender/receiver pair (CSV)",
-        "arrival-scan": "per-distance arrival times and velocity fit (CSV + JSON)",
-        "bounds": "analytic interaction-norm and group-velocity bounds (JSON)",
-        "commutator-front": "exact commutator-norm light-cone probe (CSV)",
-        "ccmi": "classical asymmetric CMI of two recorded series",
-    }
-
-    for command, options in COMMAND_OPTIONS.items():
-        sub = subparsers.add_parser(command, help=help_text[command])
-        for key in options:
-            sub.add_argument(
-                f"--{key}",
-                dest=key.replace("-", "_"),
-                type=_OPTION_TYPES[key],
-                choices=_OPTION_CHOICES.get(key),
-                default=None,
-            )
-        if command != "ghz-demo":
-            sub.add_argument("--out", default=None, help="write primary output here")
-            sub.add_argument("--config", default=None, help="key = value file of option defaults")
-        if command == "arrival-scan":
-            sub.add_argument("--json-out", dest="json_out", default=None,
-                             help="write the JSON summary here")
-        sub.set_defaults(handler=handlers[command])
-    return parser
-
-
-def _read_config_file(path: str, options: dict) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InvalidInput(f"cannot read config file {path}: {exc}") from exc
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InvalidInput(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in options:
-            raise InvalidInput(f"{path}:{lineno}: unknown option {key!r}")
-        try:
-            values[key] = _OPTION_TYPES[key](value)
-        except ValueError as exc:
-            raise InvalidInput(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-        choices = _OPTION_CHOICES.get(key)
-        if choices and values[key] not in choices:
-            raise InvalidInput(f"{path}:{lineno}: {key} must be one of {choices}")
-    return values
-
-
-def _resolve_options(args: argparse.Namespace) -> dict:
-    options = COMMAND_OPTIONS[args.command]
-    from_file = {}
-    if getattr(args, "config", None):
-        from_file = _read_config_file(args.config, options)
-    resolved = {}
-    for key, default in options.items():
-        flag_value = getattr(args, key.replace("-", "_"))
-        if flag_value is not None:
-            resolved[key] = flag_value
-        elif key in from_file:
-            resolved[key] = from_file[key]
-        else:
-            resolved[key] = default
-    return resolved
 
 
 def _require(resolved: dict, *keys: str) -> None:
@@ -217,6 +91,16 @@ def _chain_model(resolved: dict) -> ChainModel:
         n_sites=resolved["n"],
         coupling=resolved["j"],
         field=resolved["h"],
+    )
+
+
+def _scan_config(resolved: dict, **fields) -> ScanConfig:
+    return ScanConfig(
+        model=_chain_model(resolved),
+        initial=resolved["initial"],
+        protocol=resolved["protocol"],
+        grid=TimeGrid(resolved["t-max"], resolved["dt"]),
+        **fields,
     )
 
 
@@ -273,14 +157,7 @@ def cmd_ghz_demo(args, resolved) -> int:
 
 def cmd_timeseries(args, resolved) -> int:
     _require(resolved, "site-a", "site-b")
-    config = ScanConfig(
-        model=_chain_model(resolved),
-        initial=resolved["initial"],
-        protocol=resolved["protocol"],
-        grid=TimeGrid(resolved["t-max"], resolved["dt"]),
-        site_a=resolved["site-a"],
-        site_b=resolved["site-b"],
-    )
+    config = _scan_config(resolved, site_a=resolved["site-a"], site_b=resolved["site-b"])
     series = qcmi_time_series(config)
     text = _csv_text(
         "timeseries",
@@ -310,15 +187,9 @@ def cmd_arrival_scan(args, resolved) -> int:
     if resolved["distances"] is None:
         resolved["distances"] = f"2:{n - 1}"
     lo, hi = _parse_distances(resolved["distances"])
-    config = ScanConfig(
-        model=_chain_model(resolved),
-        initial=resolved["initial"],
-        protocol=resolved["protocol"],
-        grid=TimeGrid(resolved["t-max"], resolved["dt"]),
-        threshold=resolved["threshold"],
-        crossing=resolved["crossing"],
-        d_min=lo,
-        d_max=hi,
+    config = _scan_config(
+        resolved, threshold=resolved["threshold"], crossing=resolved["crossing"],
+        d_min=lo, d_max=hi,
     )
     table = arrival_scan(config)
     _emit(_csv_text("arrival-scan", resolved, ("d", "t_arr"), table.rows), args.out)
@@ -359,12 +230,14 @@ def cmd_bounds(args, resolved) -> int:
 
 def cmd_commutator_front(args, resolved) -> int:
     _require(resolved, "site-a", "site-b")
-    hamiltonian = build_model(_chain_model(resolved))
+    model = _chain_model(resolved)
+    grid = TimeGrid(resolved["t-max"], resolved["dt"])
+    grid.check_batch(model.n_sites)
+    hamiltonian = build_model(model)
     op_a = _PAULI[resolved["op-a"]]
     op_b = _PAULI[resolved["op-b"]]
-    times = TimeGrid(resolved["t-max"], resolved["dt"]).times
     rows = []
-    for t in times:
+    for t in grid.times:
         norm = commutator_front_norm(
             hamiltonian, resolved["site-a"], op_a, resolved["site-b"], op_b, float(t)
         )
@@ -422,18 +295,104 @@ def cmd_ccmi(args, resolved) -> int:
     return EXIT_OK
 
 
+# command: (handler, help text, option defaults). A default of None marks an
+# option that is either required (checked in the handler) or derived from the
+# other options.
+COMMANDS = {
+    "ghz-demo": (
+        cmd_ghz_demo, "three-qubit worked example contrasting the two conditional forms", {},
+    ),
+    "timeseries": (
+        cmd_timeseries, "QCMI time series for a fixed sender/receiver pair (CSV)",
+        {**_MODEL_DEFAULTS, **_EVOLUTION_DEFAULTS, "site-a": None, "site-b": None},
+    ),
+    "arrival-scan": (
+        cmd_arrival_scan, "per-distance arrival times and velocity fit (CSV + JSON)",
+        {**_MODEL_DEFAULTS, **_EVOLUTION_DEFAULTS, **_DETECT_DEFAULTS,
+         "initial": None, "distances": None},
+    ),
+    "bounds": (
+        cmd_bounds, "analytic interaction-norm and group-velocity bounds (JSON)", _MODEL_DEFAULTS,
+    ),
+    "commutator-front": (
+        cmd_commutator_front, "exact commutator-norm light-cone probe (CSV)",
+        {**_MODEL_DEFAULTS, "site-a": None, "site-b": None, "op-a": "z", "op-b": "z",
+         **_GRID_DEFAULTS},
+    ),
+    "ccmi": (
+        cmd_ccmi, "classical asymmetric CMI of two recorded series",
+        {"driver": None, "response": None, "tau": 1, "eta0": 1, "bins": 4, "surrogates": 0,
+         "seed": 0},
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="qcausal",
+        description="Directional QCMI diagnostics for exactly simulated spin chains.",
+    )
+    subparsers = parser.add_subparsers(dest="command", metavar="command")
+    for command, (_, help_text, options) in COMMANDS.items():
+        sub = subparsers.add_parser(command, help=help_text)
+        for key, default in options.items():
+            sub.add_argument(
+                f"--{key}",
+                type=_OPTION_TYPES.get(key, str),
+                choices=_OPTION_CHOICES.get(key),
+                default=default,
+            )
+        if command != "ghz-demo":
+            sub.add_argument("--out", default=None, help="write primary output here")
+            sub.add_argument("--config", default=None, help="key = value file of option defaults")
+        if command == "arrival-scan":
+            sub.add_argument("--json-out", dest="json_out", default=None,
+                             help="write the JSON summary here")
+    return parser
+
+
+def _read_config_file(path: str, options: dict) -> list[str]:
+    """The `key = value` lines of `path` as `--key=value` tokens for argparse."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise InvalidInput(f"cannot read config file {path}: {exc}") from exc
+    tokens = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InvalidInput(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in options:
+            raise InvalidInput(f"{path}:{lineno}: unknown option {key!r}")
+        tokens.append(f"--{key}={value.strip()}")
+    return tokens
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # The file's entries go ahead of the flags: argparse keeps the last value.
+            at = argv.index(args.command) + 1
+            file_tokens = _read_config_file(args.config, COMMANDS[args.command][2])
+            args = parser.parse_args([*argv[:at], *file_tokens, *argv[at:]])
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "handler", None) is None:
+    except InvalidInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.command is None:
         parser.print_help(sys.stderr)
         return EXIT_USAGE
+    handler, _, options = COMMANDS[args.command]
     try:
-        resolved = _resolve_options(args)
-        return args.handler(args, resolved)
+        return handler(args, {key: getattr(args, key.replace("-", "_")) for key in options})
     except (InvalidInput, EmptyConditioner) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

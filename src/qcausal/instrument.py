@@ -33,7 +33,6 @@ class Instrument:
 
     target_sites: tuple[int, ...]
     operators: tuple[np.ndarray, ...]
-    labels: tuple[int, ...] = ()
     name: str = "instrument"
 
     def __post_init__(self):
@@ -49,12 +48,8 @@ class Instrument:
                     f"got shape {op.shape}"
                 )
             op.setflags(write=False)
-        labels = self.labels if self.labels else tuple(range(len(ops)))
-        if len(labels) != len(ops):
-            raise InvalidInput("one label per operator required")
         object.__setattr__(self, "target_sites", targets)
         object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "labels", tuple(labels))
 
     @property
     def describe(self) -> str:
@@ -147,7 +142,7 @@ def apply_instrument(
             "instrument covers the whole register; nothing remains after tracing the target"
         )
     raw = []
-    for op, label in zip(instrument.operators, instrument.labels):
+    for label, op in enumerate(instrument.operators):
         hit = _sandwich(rho.matrix, op, targets, n)
         trace = complex(np.trace(hit))
         if abs(trace.imag) > IMAGINARY_TOL:

@@ -29,6 +29,8 @@ MAX_SITES = 12
 NORM_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
+# `validate_density_matrix` counts eigenvalues down to -POSITIVITY_TOL as positive.
+POSITIVITY_TOL = 1e-10
 # Eigenvalues below EIG_CLAMP contribute nothing to entropies; anything below
 # EIG_NEGATIVE_LIMIT is treated as a genuinely invalid state, not drift.
 EIG_CLAMP = 1e-12
@@ -44,7 +46,6 @@ def _readonly(array: np.ndarray) -> np.ndarray:
 PAULI_X = _readonly([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Y = _readonly([[0.0, -1.0j], [1.0j, 0.0]])
 PAULI_Z = _readonly([[1.0, 0.0], [0.0, -1.0]])
-IDENTITY_2 = _readonly(np.eye(2))
 
 
 def check_integer(value, name: str) -> int:
@@ -269,12 +270,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return entropy_from_eigenvalues(np.linalg.eigvalsh(rho.matrix))
 
 
-def validate_density_matrix(
-    matrix: np.ndarray | DensityMatrix,
-    hermiticity_tol: float = HERMITICITY_TOL,
-    trace_tol: float = TRACE_TOL,
-    positivity_tol: float = 1e-10,
-) -> DensityMatrixReport:
+def validate_density_matrix(matrix: np.ndarray | DensityMatrix) -> DensityMatrixReport:
     """Report hermiticity, trace and positivity defects of a candidate state."""
     if isinstance(matrix, DensityMatrix):
         matrix = matrix.matrix
@@ -294,7 +290,7 @@ def validate_density_matrix(
         hermiticity_defect=herm,
         trace_defect=trace,
         min_eigenvalue=min_eig,
-        hermitian_ok=herm <= hermiticity_tol,
-        trace_ok=trace <= trace_tol,
-        positive_ok=min_eig >= -positivity_tol,
+        hermitian_ok=herm <= HERMITICITY_TOL,
+        trace_ok=trace <= TRACE_TOL,
+        positive_ok=min_eig >= -POSITIVITY_TOL,
     )

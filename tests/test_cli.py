@@ -177,6 +177,15 @@ class TestCommutatorFront:
         assert abs(float(rows[0][1])) < 1e-12
         assert all(float(r[1]) <= 2.0 + 1e-9 for r in rows)
 
+    def test_oversized_grid_is_usage_error(self, capsys):
+        # 1e7 grid points x 2^4: the scans' amplitude rule, applied before any time is built.
+        code = run_cli(
+            "commutator-front", "--model", "xx", "--n", "4", "--site-a", "0", "--site-b", "3",
+            "--t-max", "1e3", "--dt", "1e-4",
+        )
+        assert code == 2
+        assert "scan limit" in capsys.readouterr().err
+
     def test_coincident_sites_usage_error(self, capsys):
         code = run_cli(
             "commutator-front", "--model", "xx", "--n", "4",
@@ -269,6 +278,57 @@ class TestConfigFile:
         comments, _, _ = read_csv(out)
         config_line = next(c for c in comments if "config:" in c)
         assert "n=3" in config_line and "j=0" in config_line and "site-a=0" in config_line
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("model = xy", "argument --model: invalid choice: 'xy'"),
+            ("n = 2.0", "argument --n: invalid int value: '2.0'"),
+            ("j = abc", "argument --j: invalid float value: 'abc'"),
+            ("site-a 0", "run.cfg:2: expected 'key = value'"),
+            ("out = x.csv", "run.cfg:2: unknown option 'out'"),
+        ],
+    )
+    def test_bad_entry_is_usage_error(self, tmp_path, capsys, line, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# timeseries setup\n{line}\n")
+        code = run_cli(
+            "timeseries", "--config", str(config), "--n", "3", "--initial", "basis:100",
+            "--site-a", "0", "--site-b", "2", "--t-max", "0.5", "--dt", "0.25",
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_file_supplies_sites_and_flag_overrides_protocol(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "n = 3\ninitial = basis:100\nsite-a = 0\nsite-b = 2\nprotocol = quench-at-zero\n"
+        )
+        outputs = {}
+        for tag, flags in (("file", ()), ("flag", ("--protocol", "measure-at-t"))):
+            out = tmp_path / f"{tag}.csv"
+            code = run_cli(
+                "timeseries", "--config", str(config), "--t-max", "0.5", "--dt", "0.25",
+                *flags, "--out", str(out),
+            )
+            assert code == 0
+            comments, _, rows = read_csv(out)
+            config_line = next(c for c in comments if "config:" in c)
+            assert "site-a=0" in config_line and "site-b=2" in config_line
+            outputs[tag] = config_line
+            assert len(rows) == 3
+        assert "protocol=quench-at-zero" in outputs["file"]
+        assert "protocol=measure-at-t" in outputs["flag"]
+
+
+@pytest.mark.parametrize(
+    "command", ["ghz-demo", "timeseries", "arrival-scan", "bounds", "commutator-front", "ccmi"]
+)
+def test_help_exits_0(command, capsys):
+    assert run_cli(command, "--help") == 0
+    assert capsys.readouterr().out.startswith(f"usage: qcausal {command}")
 
 
 class TestNoCommand:
