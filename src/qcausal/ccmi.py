@@ -11,7 +11,8 @@ collapses to a single bin carrying zero entropy.
 Ranks come from one unstable sort: a sample's rank is the number of strictly
 smaller samples, read off the start of its run of equal values in sorted
 order, plus, for tied samples only, the number of earlier samples of the same
-value.
+value. `_DriverRanker` is the only labeller: `equiquantal_bins` is the ranker
+on the identity window, the whole series in sample order.
 
 The series path never builds a bins^5 table. Everything that does not depend
 on the driver is computed once per embedding: the four response columns are
@@ -141,23 +142,23 @@ def _checked_cmi(h_ac: float, h_bc: float, h_c: float, h_abc: float) -> float:
     return value if value > 0.0 else 0.0
 
 
+def _check_bins(bins: int) -> int:
+    """The bin-count rule of `equiquantal_bins` and `SeriesEmbedding`: an integer >= 2."""
+    bins = check_integer(bins, "bins")
+    if bins < 2:
+        raise InvalidInput(f"need at least 2 bins, got {bins}")
+    return bins
+
+
 def equiquantal_bins(values: Sequence[float], bins: int) -> np.ndarray:
     """Equal-count bin labels; stable-order tie break; all-equal -> one bin."""
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise InvalidInput("binning expects a non-empty 1-d series")
-    bins = check_integer(bins, "bins")
-    if bins < 2:
-        raise InvalidInput(f"need at least 2 bins, got {bins}")
+    bins = _check_bins(bins)
     if not np.all(np.isfinite(v)):
         raise DegenerateSeries("series contains non-finite values; quantile bins undefined")
-    if v.min() == v.max():
-        return np.zeros(v.size, dtype=np.intp)
-    ranks, tied = _value_ranks(v)
-    _add_tie_offsets(ranks, ranks, tied)
-    ranks *= bins
-    ranks //= v.size
-    return ranks
+    return _DriverRanker(v, 0, v.size, bins).labels(np.arange(v.size))
 
 
 def _value_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,7 +186,7 @@ def _add_tie_offsets(ranks: np.ndarray, keys: np.ndarray, tied: np.ndarray) -> N
     """Add to each tied sample's rank the number of earlier samples with its key.
 
     `keys` groups equal values (the `below` of `_value_ranks`); `tied` marks
-    the samples whose group has more than one member. `ranks` may be `keys`.
+    the samples whose group has more than one member.
     """
     tied = np.flatnonzero(tied)
     if not tied.size:
@@ -218,11 +219,9 @@ class SeriesEmbedding:
             )
         horizon = check_integer(self.horizon, "horizon")
         delay = check_integer(self.delay, "delay")
-        bins = check_integer(self.bins, "bins")
+        bins = _check_bins(self.bins)
         if horizon < 1 or delay < 1:
             raise InvalidInput("horizon and delay must be positive integers")
-        if bins < 2:
-            raise InvalidInput(f"need at least 2 bins, got {bins}")
         if not (np.all(np.isfinite(driver)) and np.all(np.isfinite(response))):
             raise DegenerateSeries("series contain non-finite values")
         if driver.size <= horizon + 2 * delay:

@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -246,16 +247,22 @@ def cmd_commutator_front(args, resolved) -> int:
     return EXIT_OK
 
 
-def _read_series(path: str) -> np.ndarray:
+def _content_lines(path: str, kind: str) -> Iterator[tuple[int, str]]:
+    """Number and text of each line of the `kind` file `path` that is not blank or a `#` comment."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise InvalidInput(f"cannot read series file {path}: {exc}") from exc
-    values = []
+        raise InvalidInput(f"cannot read {kind} file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+        if line and not line.startswith("#"):
+            yield lineno, raw
+
+
+def _read_series(path: str) -> np.ndarray:
+    values = []
+    for lineno, raw in _content_lines(path, "series"):
+        line = raw.strip()
         try:
             values.append(float(line))
         except ValueError as exc:
@@ -353,18 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_config_file(path: str, options: dict) -> list[str]:
     """The `key = value` lines of `path` as `--key=value` tokens for argparse."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InvalidInput(f"cannot read config file {path}: {exc}") from exc
     tokens = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
+    for lineno, raw in _content_lines(path, "config"):
+        if "=" not in raw:
             raise InvalidInput(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
+        key, _, value = raw.partition("=")
         key = key.strip()
         if key not in options:
             raise InvalidInput(f"{path}:{lineno}: unknown option {key!r}")

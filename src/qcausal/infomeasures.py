@@ -69,9 +69,7 @@ def mutual_information(rho: DensityMatrix, n_first: int) -> float:
         raise InvalidInput(
             f"split point must lie strictly inside the register, got {n_first} of {rho.n_sites}"
         )
-    s_first = von_neumann_entropy(partial_trace(rho, range(n_first)))
-    s_rest = von_neumann_entropy(partial_trace(rho, range(n_first, rho.n_sites)))
-    return _clamped(s_first + s_rest - von_neumann_entropy(rho))
+    return mutual_information_sites(rho, range(n_first), range(n_first, rho.n_sites))
 
 
 def mutual_information_sites(

@@ -122,7 +122,6 @@ def apply_instrument(
     instrument: Instrument,
     *,
     keep_target: bool = False,
-    probability_floor: float = PROBABILITY_FLOOR,
 ) -> BranchEnsemble:
     """Outcome probabilities and normalized post-measurement states.
 
@@ -149,7 +148,7 @@ def apply_instrument(
             raise NumericalInstability(f"outcome probability has imaginary part {trace.imag:.3e}")
         raw.append((trace.real, label, hit))
 
-    surviving = [(p, label, hit) for p, label, hit in raw if p >= probability_floor]
+    surviving = [(p, label, hit) for p, label, hit in raw if p >= PROBABILITY_FLOOR]
     if not surviving:
         raise DegenerateMeasurement("every outcome fell below the probability floor")
 

@@ -14,6 +14,7 @@ from qcausal import (
     projective_z_instrument,
     validate_instrument,
 )
+from qcausal import instrument
 from helpers import brute_apply_instrument, random_density, random_ket, random_unitary
 
 
@@ -132,13 +133,14 @@ class TestApplyInstrument:
         assert [b.label for b in ensemble] == [0]
         assert abs(ensemble.branches[0].probability - 1.0) < 1e-12
 
-    def test_all_outcomes_below_floor_rejected(self):
+    def test_all_outcomes_below_floor_rejected(self, monkeypatch):
         rho = basis_ket([0, 1]).density_matrix()
         instr = projective_z_instrument(0, 2)
         ensemble = apply_instrument(rho, instr)
         assert len(ensemble) == 1
+        monkeypatch.setattr(instrument, "PROBABILITY_FLOOR", 1.5)
         with pytest.raises(DegenerateMeasurement):
-            apply_instrument(rho, instr, probability_floor=1.5)
+            apply_instrument(rho, instr)
 
     def test_whole_register_target_rejected(self):
         rho = basis_ket([0]).density_matrix()
