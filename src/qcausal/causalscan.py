@@ -302,16 +302,30 @@ def qcmi_time_series(config: ScanConfig, hamiltonian: Hamiltonian | None = None)
     )
 
 
+def _real_series(values, name: str) -> np.ndarray:
+    """`values` as a float array if it is a 1-d array of finite reals; else `InvalidInput`."""
+    message = f"{name} must be a 1-d array of finite reals"
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged nested sequence
+        raise InvalidInput(message) from None
+    if array.ndim != 1 or array.dtype.kind not in "iuf" or not np.all(np.isfinite(array)):
+        raise InvalidInput(message)
+    return array.astype(float, copy=False)
+
+
 def arrival_time(
     times: np.ndarray,
     values: np.ndarray,
     threshold: float,
     crossing: str = "first-sample",
 ) -> float | None:
-    """First time the series reaches the threshold; None if it never does."""
+    """First time the series reaches the threshold; None if it never does.
+
+    `times` and `values` must be 1-d arrays of finite reals of one shape.
+    """
     _check_detection(threshold, crossing)
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
+    times, values = _real_series(times, "times"), _real_series(values, "values")
     if times.shape != values.shape:
         raise InvalidInput("times and values must have matching shapes")
     hits = np.nonzero(values >= threshold)[0]
@@ -351,14 +365,26 @@ def arrival_scan(config: ScanConfig, hamiltonian: Hamiltonian | None = None) -> 
 
 
 def fit_velocity(table: ArrivalTable) -> FitResult:
-    """Ordinary least squares of arrival time on distance; v_eff = 1/slope."""
-    usable = [(d, t) for d, t in table.rows if t is not None]
+    """Ordinary least squares of arrival time on distance; v_eff = 1/slope.
+
+    Distances must be integers and arrival times finite reals; the rows with
+    an arrival must span at least two distinct distances.
+    """
+    usable = [
+        (check_integer(d, "distance"), check_real(t, "arrival time"))
+        for d, t in table.rows
+        if t is not None
+    ]
     if len(usable) < 2:
         raise InsufficientData(
             f"velocity fit needs at least 2 arrival times, got {len(usable)}"
         )
     d = np.array([row[0] for row in usable], dtype=float)
     t = np.array([row[1] for row in usable], dtype=float)
+    if np.unique(d).size < 2:
+        raise InsufficientData(
+            f"velocity fit needs at least 2 distinct distances, all arrivals are at d={d[0]:g}"
+        )
     d_mean = d.mean()
     t_mean = t.mean()
     slope = float(np.sum((d - d_mean) * (t - t_mean)) / np.sum((d - d_mean) ** 2))

@@ -44,6 +44,13 @@ from .qstate import check_integer
 TABLE_SUM_TOL = 1e-12
 EQUIVALENCE_TOL = 1e-12
 
+# Largest (distinct BC rows) x bins span of the two per-labelling bincounts:
+# 2^26 cells, 512 MiB of int64 counters. `qcausal ccmi` on 100k samples peaks
+# at about 48 MiB plus 9 bytes per cell (the counter and its `counts > 0`
+# mask): 488 MiB at 512 bins, 928 MiB at 1024, so a run at the limit stays
+# near 0.6 GiB. On 100k samples 512 bins pass and 1024 bins are refused.
+MAX_COUNTER_CELLS = 2**26
+
 
 @dataclass(frozen=True)
 class JointDistribution:
@@ -288,7 +295,8 @@ class _SeriesCmi:
 
     C = (response now, past1, past2) and BC = (response future, C) are binned
     and packed into dense row ids, and H(C), H(BC) taken here; each driver
-    labelling then costs two bincounts over occupied cells only.
+    labelling then costs two bincounts over occupied cells only. A span of
+    more than MAX_COUNTER_CELLS cells is refused before any bincount.
     """
 
     def __init__(self, emb: SeriesEmbedding):
@@ -308,8 +316,14 @@ class _SeriesCmi:
         self.c_id = codes
         codes = self.c_id * bins
         codes += column(-tau)
-        _, self.bc_id = np.unique(codes, return_inverse=True)
+        bc_rows, self.bc_id = np.unique(codes, return_inverse=True)
         del codes
+        cells = bc_rows.size * bins
+        if cells > MAX_COUNTER_CELLS:
+            raise InvalidInput(
+                f"{bc_rows.size} distinct response rows x {bins} bins = {cells} counter cells "
+                f"exceeds the ccmi limit of {MAX_COUNTER_CELLS}; lower the bin count"
+            )
         self.h_c = _count_entropy(self.c_id)
         self.h_bc = _count_entropy(self.bc_id)
         self.ranker = _DriverRanker(emb.driver, start, stop, bins)

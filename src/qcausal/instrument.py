@@ -125,9 +125,12 @@ def apply_instrument(
 ) -> BranchEnsemble:
     """Outcome probabilities and normalized post-measurement states.
 
-    By default the target subsystem is traced out of each branch; with
-    ``keep_target=True`` branches stay on the full register so they can be
-    evolved further (used by the quench-at-zero protocol).
+    Outcomes whose probability falls below `PROBABILITY_FLOOR` are dropped
+    and the kept probabilities renormalized to sum to one; if none is kept,
+    `DegenerateMeasurement` is raised. By default the target subsystem is
+    traced out of each branch; with ``keep_target=True`` branches stay on
+    the full register so they can be evolved further (used by the
+    quench-at-zero protocol).
     """
     n = rho.n_sites
     targets = check_sites(instrument.target_sites, n)

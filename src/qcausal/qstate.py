@@ -242,6 +242,8 @@ def partial_trace_matrix(matrix: np.ndarray, n_sites: int, keep: Sequence[int]) 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     """Reduce `rho` to the subsystem `keep`, relabeling sites 0..len(keep)-1."""
     keep = check_sites(keep, rho.n_sites)
+    if len(keep) == rho.n_sites:  # the whole register: nothing to trace, and rho is immutable
+        return rho
     reduced = partial_trace_matrix(rho.matrix, rho.n_sites, keep)
     return DensityMatrix(len(keep), reduced)
 

@@ -17,7 +17,8 @@ from qcausal import (
     shannon_entropy,
     surrogate_baseline,
 )
-from qcausal.ccmi import _DriverRanker
+from qcausal import ccmi
+from qcausal.ccmi import _DriverRanker, _SeriesCmi
 
 
 def random_table(rng, shape):
@@ -226,6 +227,51 @@ class TestAsymmetricSeries:
         )
         assert (emb.horizon, emb.delay, emb.bins) == (1, 2, 3)
         assert all(type(v) is int for v in (emb.horizon, emb.delay, emb.bins))
+
+
+class TestCounterLimit:
+    @staticmethod
+    def lagged_pair(n, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n)
+        return x, np.roll(x, 1) + 0.1 * rng.standard_normal(n)
+
+    @staticmethod
+    def no_counters(codes):
+        raise AssertionError("a bincount ran")
+
+    def test_100k_samples_refused_from_1024_bins_before_any_bincount(self, monkeypatch):
+        # About 1e5 distinct BC rows x 1024 bins = 1e8 cells, 781 MiB of counters.
+        x, y = self.lagged_pair(100_000, 66)
+        monkeypatch.setattr(ccmi, "_count_entropy", self.no_counters)
+        for bins in (1024, 4096):
+            emb = SeriesEmbedding(x, y, horizon=1, delay=1, bins=bins)
+            with pytest.raises(InvalidInput, match="counter cells exceeds the ccmi limit"):
+                ccmi_asymmetric_series(emb)
+            with pytest.raises(InvalidInput, match="counter cells exceeds the ccmi limit"):
+                surrogate_baseline(emb, 1)
+
+    def test_100k_samples_admitted_at_512_bins(self):
+        x, y = self.lagged_pair(100_000, 66)
+        cmi = _SeriesCmi(SeriesEmbedding(x, y, horizon=1, delay=1, bins=512))
+        assert (int(cmi.bc_id.max()) + 1) * 512 <= ccmi.MAX_COUNTER_CELLS
+
+    def test_limit_counts_cells_not_bins(self):
+        # At most 1997 rows x 1024 bins = 2.0e6 cells: allowed, though 1024 bins are
+        # refused on 100k samples.
+        x, y = self.lagged_pair(2_000, 67)
+        emb = SeriesEmbedding(x, y, horizon=1, delay=1, bins=1024)
+        assert ccmi_asymmetric_series(emb) >= 0.0
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        # 1000 samples at 2 bins fill all 16 BC rows: 32 cells.
+        x, y = self.lagged_pair(1_000, 68)
+        emb = SeriesEmbedding(x, y, horizon=1, delay=1, bins=2)
+        monkeypatch.setattr(ccmi, "MAX_COUNTER_CELLS", 32)
+        ccmi_asymmetric_series(emb)
+        monkeypatch.setattr(ccmi, "MAX_COUNTER_CELLS", 31)
+        with pytest.raises(InvalidInput, match="16 distinct response rows x 2 bins = 32"):
+            ccmi_asymmetric_series(emb)
 
 
 def tied_series(rng, n, levels):

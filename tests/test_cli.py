@@ -4,11 +4,21 @@ import math
 import numpy as np
 import pytest
 
+from qcausal import ccmi
 from qcausal.cli import main
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def read_error(path):
+    """The OSError that reading `path` raises, as the CLI quotes it."""
+    try:
+        path.read_text()
+    except OSError as exc:
+        return str(exc)
+    raise AssertionError(f"{path} is readable")
 
 
 class TestGhzDemo:
@@ -243,9 +253,24 @@ class TestCcmi:
         assert captured.err.startswith("error: ")
 
     def test_unreadable_file_exits_2(self, tmp_path, capsys):
-        assert run_cli("ccmi", "--driver", str(tmp_path / "no.txt"),
-                       "--response", str(tmp_path / "no.txt")) == 2
-        capsys.readouterr()
+        missing = tmp_path / "no.txt"
+        assert run_cli("ccmi", "--driver", str(missing), "--response", str(missing)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read series file {missing}: {read_error(missing)}\n"
+
+    def test_counter_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(74)
+        driver = self.write_series(tmp_path, "x.txt", rng.standard_normal(500))
+        response = self.write_series(tmp_path, "y.txt", rng.standard_normal(500))
+        monkeypatch.setattr(ccmi, "MAX_COUNTER_CELLS", 100)
+        code = run_cli("ccmi", "--driver", str(driver), "--response", str(response))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "counter cells exceeds the ccmi limit of 100; lower the bin count\n"
+        )
 
 
 class TestConfigFile:
@@ -258,6 +283,16 @@ class TestConfigFile:
         assert run_cli("bounds", "--config", str(config), "--j", "1", "--h", "0") == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["g"] == 2.0
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_file_message(self, tmp_path, capsys, kind):
+        config = tmp_path / "run.cfg"
+        if kind == "directory":
+            config.mkdir()
+        assert run_cli("bounds", "--config", str(config)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read config file {config}: {read_error(config)}\n"
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

@@ -82,6 +82,14 @@ class TestMutualInformation:
             joint = DensityMatrix(3, np.kron(rho_b.matrix, rho_c.matrix))
             assert mutual_information(joint, 1) <= 1e-9
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_equals_the_sites_variant_bit_for_bit(self, n):
+        rng = np.random.default_rng(40 + n)
+        for rho in (random_density(n, rng), random_ket(n, rng).density_matrix()):
+            for split in range(1, n):
+                want = mutual_information_sites(rho, range(split), range(split, n))
+                assert mutual_information(rho, split) == want
+
     def test_split_point_validated(self):
         rho = ghz_state(2).density_matrix()
         with pytest.raises(InvalidInput):

@@ -1,15 +1,18 @@
 """One input rule at every public entry: integers, sites and register sizes
 are never rounded, real parameters must be finite numbers, and a violation is
-always `InvalidInput` (CLI exit code 2), never a raw `TypeError`."""
+always `InvalidInput` (CLI exit code 2), never a raw `TypeError`. Series of
+reals must be 1-d arrays of finite numbers."""
 
 import numpy as np
 import pytest
 
 from qcausal import (
     PAULI_Z,
+    ArrivalTable,
     ChainModel,
     DensityMatrix,
     Instrument,
+    InsufficientData,
     InvalidInput,
     Ket,
     Partition,
@@ -26,6 +29,7 @@ from qcausal import (
     embed_operator,
     equiquantal_bins,
     evolve_ket,
+    fit_velocity,
     ghz_state,
     mutual_information,
     partial_trace,
@@ -148,3 +152,53 @@ def test_validated_integers_are_stored_as_python_ints():
         _embedding(horizon=np.int64(2)).horizon,
     )
     assert all(type(v) is int for v in values)
+
+
+# None of these is a 1-d array of finite reals.
+NOT_REAL_SERIES = {
+    "2-d": np.zeros((2, 2)),
+    "0-d": np.array(0.5),
+    "strings": ["a", "b"],
+    "numeric strings": ["0", "1"],
+    "bools": [False, True],
+    "ragged": [[0.0], [1.0, 2.0]],
+    "nan": [0.0, np.nan],
+    "inf": [0.0, np.inf],
+}
+
+
+@pytest.mark.parametrize("crossing", ["first-sample", "interp"])
+@pytest.mark.parametrize("bad", NOT_REAL_SERIES.values(), ids=NOT_REAL_SERIES.keys())
+def test_arrival_time_needs_1d_finite_real_series(bad, crossing):
+    for times, values in ((bad, bad), (bad, [0.0, 1.0]), ([0.0, 1.0], bad)):
+        with pytest.raises(InvalidInput):
+            arrival_time(times, values, 0.5, crossing)
+
+
+def test_arrival_time_rejects_a_nan_value_it_would_interpolate():
+    with pytest.raises(InvalidInput):
+        arrival_time([0.0, 0.1, 0.2], [0.0, np.nan, 1.0], 0.5, "interp")
+
+
+def test_arrival_time_accepts_integer_series():
+    assert arrival_time(np.arange(3), [0, 0, 1], 0.5) == 2.0
+
+
+@pytest.mark.parametrize("bad", ["0.5", True, np.nan, np.inf, -np.inf], ids=repr)
+def test_fit_velocity_rejects_a_non_finite_arrival_time(bad):
+    with pytest.raises(InvalidInput):
+        fit_velocity(ArrivalTable(((2, 0.5), (3, bad), (4, 1.5))))
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, np.nan, True, "3"], ids=repr)
+def test_fit_velocity_rejects_a_non_integer_distance(bad):
+    with pytest.raises(InvalidInput):
+        fit_velocity(ArrivalTable(((2, 0.5), (bad, 1.0), (4, 1.5))))
+
+
+@pytest.mark.parametrize(
+    "rows", [((2, 0.5), (2, 0.7)), ((2, 0.5), (3, None), (2, 0.6))], ids=["two", "missing"]
+)
+def test_fit_velocity_needs_two_distinct_distances(rows):
+    with pytest.raises(InsufficientData, match="2 distinct distances"):
+        fit_velocity(ArrivalTable(rows))

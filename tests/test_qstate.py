@@ -122,6 +122,11 @@ class TestPartialTrace:
         expected[0, 0] = expected[3, 3] = 0.5
         assert np.allclose(reduced.matrix, expected, atol=1e-12)
 
+    def test_whole_register_returns_the_state_without_a_copy(self):
+        # mutual_information reduces to the whole register on every call.
+        rho = random_density(3, np.random.default_rng(4))
+        assert partial_trace(rho, (0, 1, 2)) is rho
+
     def test_empty_keep_rejected(self):
         rho = ghz_state(2).density_matrix()
         with pytest.raises(InvalidInput):
