@@ -2,9 +2,12 @@
 
 Both models are open-boundary, dense and real symmetric: the builders fill a
 float64 matrix straight from the bits of the basis indices. The spectrum is
-taken per conserved sector that the matrix itself shows (total magnetization,
-else spin-flip parity, else one block) and cached, so evolution to many times
-is cheap. Units: hbar = 1, couplings dimensionless, time in units of 1/J.
+kept as one block per conserved sector that the matrix itself shows (total
+magnetization, else spin-flip parity, else one block), each diagonalized on
+first use and cached. Pure states evolve block by block, only in the sectors
+they occupy; the dense dim x dim eigenvector matrix is formed only for the
+public `spectrum`. Units: hbar = 1, couplings dimensionless, time in units of
+1/J.
 """
 
 from __future__ import annotations
@@ -46,8 +49,10 @@ class ChainModel:
 
 
 class Hamiltonian:
-    """Dense Hermitian chain Hamiltonian (real for the built models) with a
-    cached eigendecomposition taken per verified sector (`_sectors`)."""
+    """Dense Hermitian chain Hamiltonian (real for the built models).
+
+    Its eigendecomposition is kept per verified sector (`_sectors`), one
+    `_Block` each, and each block is diagonalized on first use."""
 
     def __init__(self, model: ChainModel, matrix: np.ndarray):
         matrix = np.asarray(matrix)
@@ -70,59 +75,111 @@ class Hamiltonian:
         return 2**self.n_sites
 
     @cached_property
+    def _blocks(self) -> list[_Block]:
+        """One `_Block` per sector of `_sectors`, in its order; none diagonalized yet."""
+        return [_Block(self.matrix, rows, mirror) for rows, mirror in _sectors(self.matrix)]
+
+    @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and phase-fixed orthonormal eigenvectors.
 
+        The blocks scattered into one dense dim x dim matrix, for the public
+        API (`propagator`, `evolve`); scans and `ground_state` read the blocks.
         Equal eigenvalues keep the sector order of `_sectors` (stable sort).
         """
-        blocks = [(rows, mirror, *np.linalg.eigh(block)) for rows, mirror, block in _sectors(self.matrix)]
-        values = np.concatenate([block_values for _, _, block_values, _ in blocks])
+        blocks = self._blocks
+        values = np.concatenate([block.eigen[0] for block in blocks])
         order = np.argsort(values, kind="stable")
         column = np.empty_like(order)
         column[order] = np.arange(order.size)
         vectors = np.zeros_like(self.matrix)
         start = 0
-        for rows, mirror, _, block_vectors in blocks:
-            cols = column[start : start + rows.size]
-            start += rows.size
-            if mirror:
-                block_vectors /= math.sqrt(2.0)
-                vectors[np.ix_(rows ^ (self.dim - 1), cols)] = mirror * block_vectors
-            vectors[np.ix_(rows, cols)] = block_vectors
+        for block in blocks:
+            cols = column[start : start + block.rows.size]
+            start += block.rows.size
+            block_vectors = block.eigen[1]
+            if block.mirror:
+                vectors[np.ix_(block.rows ^ (self.dim - 1), cols)] = block.mirror * block_vectors
+            vectors[np.ix_(block.rows, cols)] = block_vectors
         values = values[order]
-        _fix_phases(vectors)
         values.setflags(write=False)
         vectors.setflags(write=False)
         return values, vectors
 
 
-def _sectors(matrix: np.ndarray):
-    """(rows, mirror, block) for each conserved sector the matrix verifies.
+class _Block:
+    """One verified sector of a Hamiltonian, eigendecomposed on first use.
+
+    mirror 0: the basis states `rows`. mirror +1 or -1: the states
+    (|s> + mirror |s~>)/sqrt(2) for s in `rows` (the lower half of the
+    basis), s~ = s with every bit flipped.
+    """
+
+    def __init__(self, matrix: np.ndarray, rows: np.ndarray, mirror: int):
+        self.matrix = matrix
+        self.rows = rows
+        self.mirror = mirror
+
+    @cached_property
+    def eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending values and phase-fixed vectors of the block.
+
+        Each vector holds its column's entries at `rows` exactly as they sit
+        in the dense `spectrum`: a mirror vector is scaled by 1/sqrt(2) before
+        its phase is fixed (fixing first can flip a sign where two lead
+        magnitudes nearly tie), and its entries at the flipped rows are
+        mirror times these.
+        """
+        if self.mirror:
+            half = self.rows.size
+            top, flipped = self.matrix[:half, :half], self.matrix[:half, half:][:, ::-1]
+            block = top + flipped if self.mirror > 0 else top - flipped
+        else:
+            block = self.matrix[np.ix_(self.rows, self.rows)]
+        values, vectors = np.linalg.eigh(block)
+        if self.mirror:
+            vectors /= math.sqrt(2.0)
+        _fix_phases(vectors)
+        values.setflags(write=False)
+        vectors.setflags(write=False)
+        return values, vectors
+
+    def project(self, amplitudes: np.ndarray) -> np.ndarray:
+        """Coordinates of a 2^N ket on the block's basis, up to the 1/sqrt(2)
+        that `eigen` folds into mirror vectors."""
+        inside = amplitudes[self.rows]
+        if self.mirror:
+            inside = inside + self.mirror * amplitudes[self.rows ^ (amplitudes.size - 1)]
+        return inside
+
+    def scatter(self, out: np.ndarray, part: np.ndarray) -> None:
+        """Add a block-basis `part` (scaled as `eigen`'s vectors) into `out`."""
+        out[..., self.rows] += part
+        if self.mirror:
+            out[..., self.rows ^ (out.shape[-1] - 1)] += self.mirror * part
+
+
+def _sectors(matrix: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """(rows, mirror) of each conserved sector the matrix verifies; see `_Block`.
 
     Magnetization sectors (basis states of one popcount, in ascending
     popcount) when no entry couples two popcounts; else the spin-flip parity
-    sectors (|s> + mirror |s~>)/sqrt(2), s~ = s with every bit flipped, even
-    first, when H equals H[::-1, ::-1]; else the whole space as one block.
+    sectors, even first, when H equals H[::-1, ::-1]; else the whole space
+    as one block.
     """
     dim = matrix.shape[0]
     popcount = _site_bits(dim.bit_length() - 1).sum(axis=1)
     if np.max(np.abs(matrix[popcount[:, None] != popcount])) <= BUILD_HERMITICITY_TOL:
-        for count in np.unique(popcount):
-            rows = np.flatnonzero(popcount == count)
-            yield rows, 0, matrix[np.ix_(rows, rows)]
-    elif np.max(np.abs(matrix - matrix[::-1, ::-1])) <= BUILD_HERMITICITY_TOL:
-        half = dim // 2
-        rows = np.arange(half)
-        flipped = matrix[:half, half:][:, ::-1]
-        yield rows, 1, matrix[:half, :half] + flipped
-        yield rows, -1, matrix[:half, :half] - flipped
-    else:
-        yield np.arange(dim), 0, matrix
+        return [(np.flatnonzero(popcount == count), 0) for count in np.unique(popcount)]
+    if np.max(np.abs(matrix - matrix[::-1, ::-1])) <= BUILD_HERMITICITY_TOL:
+        rows = np.arange(dim // 2)
+        return [(rows, 1), (rows, -1)]
+    return [(np.arange(dim), 0)]
 
 
 def _fix_phases(vectors: np.ndarray) -> None:
-    # Reproducibility: make the largest-magnitude amplitude of each column
-    # real and positive (in place).
+    # Reproducibility: make the first largest-magnitude amplitude of each
+    # column real and positive (in place).
     lead = np.argmax(np.abs(vectors), axis=0)
     pivots = vectors[lead, np.arange(vectors.shape[1])]
     vectors *= pivots.conj() / np.abs(pivots)
@@ -172,12 +229,23 @@ class GroundState:
 def ground_state(hamiltonian: Hamiltonian) -> GroundState:
     """Lowest-energy eigenvector; flags (near-)degeneracy instead of failing.
 
-    An exact tie across sectors goes to the first in the fixed order of
-    `_sectors`, on every build: TFIM with h = 0 gives |0...0>."""
-    values, vectors = hamiltonian.spectrum
-    degenerate = values.size > 1 and values[1] - values[0] < DEGENERACY_GAP
-    ket = Ket(hamiltonian.n_sites, vectors[:, 0])
-    return GroundState(state=ket, energy=float(values[0]), degenerate=degenerate)
+    Diagonalizes every sector and takes the lowest value across the blocks.
+    An exact tie goes to the first sector in the fixed order of `_sectors`,
+    on every build: TFIM with h = 0 gives |0...0>. Energy and ket equal
+    column 0 of `spectrum`, which is not formed."""
+    blocks = hamiltonian._blocks
+    values = np.concatenate([block.eigen[0] for block in blocks])
+    lowest = int(np.argmin(values))  # the first minimum: sector order on ties
+    ordered = np.sort(values)
+    degenerate = values.size > 1 and ordered[1] - ordered[0] < DEGENERACY_GAP
+    for block in blocks:
+        if lowest < block.rows.size:
+            break
+        lowest -= block.rows.size
+    amplitudes = np.zeros(hamiltonian.dim, dtype=block.eigen[1].dtype)
+    block.scatter(amplitudes, block.eigen[1][:, lowest])
+    ket = Ket(hamiltonian.n_sites, amplitudes)
+    return GroundState(state=ket, energy=float(block.eigen[0][lowest]), degenerate=degenerate)
 
 
 @dataclass(frozen=True)
@@ -230,15 +298,22 @@ def evolve_ket(hamiltonian: Hamiltonian, ket: Ket, time: float) -> Ket:
 def _evolve_grid(hamiltonian: Hamiltonian, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Rows psi(t) = V exp(-iEt) V^dagger psi for every t, as one (T, dim) array.
 
-    The norm of every row is checked once here, so callers that consume the
-    rows directly need no per-time `Ket`.
+    Block by block: psi is projected onto each sector, a sector where the
+    projection is exactly zero is skipped (and never diagonalized), and each
+    other sector is evolved in its own eigenbasis and scattered back. The
+    norm of every row is checked once here, so callers that consume the rows
+    directly need no per-time `Ket`.
     """
-    values, vectors = hamiltonian.spectrum
-    coeffs = vectors.conj().T @ amplitudes
-    phases = np.outer(times, -1j * values)
-    np.exp(phases, out=phases)
-    phases *= coeffs
-    grid = phases @ vectors.T
+    grid = np.zeros((times.size, hamiltonian.dim), dtype=complex)
+    for block in hamiltonian._blocks:
+        inside = block.project(amplitudes)
+        if not np.any(inside):
+            continue
+        values, vectors = block.eigen
+        phases = np.outer(times, -1j * values)
+        np.exp(phases, out=phases)
+        phases *= vectors.conj().T @ inside
+        block.scatter(grid, phases @ vectors.T)
     parts = grid.view(float)  # squared row norms without a complex temporary
     defect = np.max(np.abs(np.sqrt(np.einsum("ij,ij->i", parts, parts)) - 1.0))
     if not defect <= NORM_TOL:

@@ -149,3 +149,16 @@ def dense_xx(n_sites, coupling, field):
     for k in range(n_sites):
         matrix += field * embed_operator(PAULI_Z, k, n_sites)
     return matrix
+
+
+def count_eigh(monkeypatch):
+    """Record the shape of every matrix passed to `np.linalg.eigh` from now on."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(matrix):
+        shapes.append(matrix.shape)
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return shapes

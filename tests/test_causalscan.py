@@ -7,6 +7,7 @@ from qcausal import (
     ArrivalTable,
     ChainModel,
     EmptyConditioner,
+    Hamiltonian,
     InsufficientData,
     InvalidInput,
     NumericalInstability,
@@ -29,6 +30,7 @@ from qcausal import (
 )
 from qcausal import causalscan
 from qcausal.infomeasures import NEGATIVITY_TOL, _clamped
+from helpers import count_eigh
 
 
 def xx_config(**overrides):
@@ -260,20 +262,48 @@ class TestPureStateKernel:
 
     def test_evolved_norms_are_checked(self):
         h = build_model(ChainModel("xx", 4, 1.0, 0.5))
-        values, vectors = h.spectrum
-        h.__dict__["spectrum"] = (values, 1.01 * vectors)  # a non-unitary eigenbasis
+        for block in h._blocks:
+            values, vectors = block.eigen
+            block.__dict__["eigen"] = (values, 1.01 * vectors)  # a non-unitary eigenbasis
         for protocol in ("measure-at-t", "quench-at-zero"):
             with pytest.raises(NumericalInstability):
                 qcmi_time_series(xx_config(protocol=protocol, grid=TimeGrid(0.2, 0.1)), h)
 
     def test_nan_evolution_is_rejected(self):
         h = build_model(ChainModel("xx", 4, 1.0, 0.5))
-        values, vectors = h.spectrum
-        h.__dict__["spectrum"] = (values, np.where(vectors == vectors[0, 0], np.nan, vectors))
+        for block in h._blocks:
+            values, vectors = block.eigen
+            block.__dict__["eigen"] = (values, np.where(vectors == vectors[0, 0], np.nan, vectors))
         with pytest.raises(NumericalInstability):
             evolve_ket(h, initial_ket(h, "basis:1000"), 0.3)
         with pytest.raises(NumericalInstability):
             qcmi_time_series(xx_config(grid=TimeGrid(0.2, 0.1)), h)
+
+    @pytest.mark.parametrize("protocol", ["measure-at-t", "quench-at-zero"])
+    @pytest.mark.parametrize(
+        "kind, initial", [("xx", "basis:100000"), ("xx", "ground"), ("tfim", "ground")]
+    )
+    def test_scans_never_form_the_dense_spectrum(self, monkeypatch, protocol, kind, initial):
+        def refuse(hamiltonian):
+            raise AssertionError("a scan formed the dense spectrum")
+
+        monkeypatch.setattr(Hamiltonian, "spectrum", property(refuse))
+        config = xx_config(
+            model=ChainModel(kind, 6, 1.0, 0.3), initial=initial, protocol=protocol,
+            grid=TimeGrid(0.4, 0.2), site_a=0, site_b=3,
+        )
+        qcmi_time_series(config)
+        arrival_scan(replace(config, site_a=None, site_b=None, d_min=2, d_max=5))
+
+    @pytest.mark.parametrize("protocol", ["measure-at-t", "quench-at-zero"])
+    def test_basis_state_scan_diagonalizes_one_sector(self, monkeypatch, protocol):
+        calls = count_eigh(monkeypatch)
+        config = xx_config(
+            model=ChainModel("xx", 8, 1.0, 0.3), initial="basis:10000000", protocol=protocol,
+            grid=TimeGrid(1.0, 0.1), site_a=None, site_b=None, d_min=2, d_max=7,
+        )
+        arrival_scan(config)
+        assert calls == [(8, 8)]  # the popcount-1 sector, shared by every distance
 
     def test_empty_c_is_zero_for_an_inner_pair(self):
         for protocol in ("measure-at-t", "quench-at-zero"):

@@ -21,8 +21,8 @@ from qcausal import (
     total_sigma_z,
     von_neumann_entropy,
 )
-from qcausal.spinchain import _sectors
-from helpers import dense_tfim, dense_xx, random_density, random_ket
+from qcausal.spinchain import DEGENERACY_GAP, _evolve_grid, _sectors
+from helpers import count_eigh, dense_tfim, dense_xx, random_density, random_ket
 
 ORACLES = {"tfim": dense_tfim, "xx": dense_xx}
 PARAMETERS = (0.0, 0.7, -0.7, 1.0, 1.3)
@@ -162,10 +162,10 @@ class TestSectorSpectrum:
     def test_sectors_are_verified_from_the_matrix(self):
         n = 6
         xx = build_xx(n, 1.0, 0.3).matrix
-        sizes = [rows.size for rows, _, _ in _sectors(xx)]
+        sizes = [rows.size for rows, _ in _sectors(xx)]
         assert sizes == [math.comb(n, m) for m in range(n + 1)]
         tfim = build_tfim(n, 1.0, 0.7).matrix
-        assert [(rows.size, mirror) for rows, mirror, _ in _sectors(tfim)] == [(32, 1), (32, -1)]
+        assert [(rows.size, mirror) for rows, mirror in _sectors(tfim)] == [(32, 1), (32, -1)]
 
     def test_complex_matrix_without_symmetry_is_one_block(self):
         rng = np.random.default_rng(31)
@@ -183,7 +183,7 @@ class TestSectorSpectrum:
         hamiltonian = Hamiltonian(ChainModel("tfim", 5, 1.0, 0.7), matrix)
         self.assert_exact_spectrum(hamiltonian, matrix)
 
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_degenerate_ground_state_is_the_first_sector_pick(self, n):
         # h = 0 is diagonal, so the popcount sectors apply and |0...0> comes
         # first among the two degenerate ferromagnetic states.
@@ -192,6 +192,80 @@ class TestSectorSpectrum:
         assert first.degenerate and again.degenerate
         assert np.array_equal(first.state.amplitudes, again.state.amplitudes)
         assert np.array_equal(first.state.amplitudes, basis_ket([0] * n).amplitudes)
+
+
+def dense_evolution(hamiltonian, amplitudes, times):
+    """Rows V diag(exp(-iEt)) V^dagger psi from the dense `spectrum`."""
+    values, vectors = hamiltonian.spectrum
+    return (np.exp(-1j * np.outer(times, values)) * (vectors.conj().T @ amplitudes)) @ vectors.T
+
+
+def normalized(amplitudes):
+    return amplitudes / np.linalg.norm(amplitudes)
+
+
+def block_case(kind, n, rng):
+    """A Hamiltonian and states in one of its sectors and spread over all of them.
+
+    xx: popcount sectors; tfim: parity sectors, a state in the even and one in
+    the odd sector; random: a complex Hermitian matrix, one block.
+    """
+    dim = 2**n
+    spread = normalized(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    if kind == "xx":
+        rows = np.flatnonzero(np.array([bin(i).count("1") for i in range(dim)]) == n // 2)
+        one_sector = np.zeros(dim, dtype=complex)
+        one_sector[rows] = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
+        return build_xx(n, 1.0, 0.3), [normalized(one_sector), spread]
+    if kind == "tfim":
+        half = rng.standard_normal(dim // 2) + 1j * rng.standard_normal(dim // 2)
+        parities = [normalized(np.concatenate([half, mirror * half[::-1]])) for mirror in (1, -1)]
+        return build_tfim(n, 1.0, 0.7), parities + [spread]
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return Hamiltonian(ChainModel("xx", n, 1.0, 0.0), g + g.conj().T), [spread]
+
+
+class TestSectorBlocks:
+    @pytest.mark.parametrize("kind", ["xx", "tfim", "random"])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_block_evolution_matches_dense_spectrum(self, kind, n):
+        hamiltonian, states = block_case(kind, n, np.random.default_rng(41 + n))
+        times = np.linspace(0.0, 3.0, 7)
+        for psi in states:
+            grid = _evolve_grid(hamiltonian, psi, times)
+            assert np.max(np.abs(grid - dense_evolution(hamiltonian, psi, times))) <= 1e-12
+
+    def test_parity_sectors_split_only_where_the_state_lies(self):
+        tfim = build_tfim(6, 1.0, 0.7)
+        assert [(block.rows.size, block.mirror) for block in tfim._blocks] == [(32, 1), (32, -1)]
+        even = normalized(np.concatenate([np.arange(1.0, 33.0), np.arange(32.0, 0.0, -1.0)]))
+        assert not np.any(tfim._blocks[1].project(even))
+        _evolve_grid(tfim, even, np.array([0.5]))
+        assert ["eigen" in vars(block) for block in tfim._blocks] == [True, False]
+
+    @pytest.mark.parametrize("n, h", [(8, 1.0), (10, 0.3)])
+    def test_every_column_leads_with_a_positive_real_entry(self, n, h):
+        # Mirror vectors are scaled before their phases are fixed; fixing them
+        # first flipped a column's sign here, where two lead magnitudes nearly tie.
+        _, vectors = build_tfim(n, 1.0, h).spectrum
+        leads = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+        assert np.all(leads > 0.0)
+
+    @pytest.mark.parametrize("kind", sorted(ORACLES))
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_ground_state_is_column_zero_of_the_spectrum(self, kind, n):
+        for h in PARAMETERS:
+            hamiltonian = build_model(ChainModel(kind, n, 1.0, h))
+            gs = ground_state(hamiltonian)
+            values, vectors = hamiltonian.spectrum
+            assert gs.energy == values[0]
+            assert np.array_equal(gs.state.amplitudes, vectors[:, 0])
+            assert gs.degenerate == (values[1] - values[0] < DEGENERACY_GAP)
+
+    def test_ground_state_diagonalizes_every_sector(self, monkeypatch):
+        calls = count_eigh(monkeypatch)
+        ground_state(build_xx(6, 1.0, 0.3))
+        assert sorted(calls) == sorted((math.comb(6, m),) * 2 for m in range(7))
 
 
 class TestGroundState:
