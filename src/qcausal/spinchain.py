@@ -5,9 +5,9 @@ float64 matrix straight from the bits of the basis indices. The spectrum is
 kept as one block per conserved sector that the matrix itself shows (total
 magnetization, else spin-flip parity, else one block), each diagonalized on
 first use and cached. Pure states evolve block by block, only in the sectors
-they occupy; the dense dim x dim eigenvector matrix is formed only for the
-public `spectrum`. Units: hbar = 1, couplings dimensionless, time in units of
-1/J.
+they occupy; the dense dim x dim eigenvector matrix is formed only for
+`spectrum`, which `ground_state`, `propagator` and `evolve` read. Units:
+hbar = 1, couplings dimensionless, time in units of 1/J.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ class Hamiltonian:
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and phase-fixed orthonormal eigenvectors.
 
-        The blocks scattered into one dense dim x dim matrix, for the public
-        API (`propagator`, `evolve`); scans and `ground_state` read the blocks.
+        The blocks placed into one dense dim x dim matrix, for `ground_state`,
+        `propagator` and `evolve`; pure-state evolution reads the blocks.
         Equal eigenvalues keep the sector order of `_sectors` (stable sort).
         """
         blocks = self._blocks
@@ -95,12 +95,8 @@ class Hamiltonian:
         vectors = np.zeros_like(self.matrix)
         start = 0
         for block in blocks:
-            cols = column[start : start + block.rows.size]
+            block.place(vectors, column[start : start + block.rows.size])
             start += block.rows.size
-            block_vectors = block.eigen[1]
-            if block.mirror:
-                vectors[np.ix_(block.rows ^ (self.dim - 1), cols)] = block.mirror * block_vectors
-            vectors[np.ix_(block.rows, cols)] = block_vectors
         values = values[order]
         values.setflags(write=False)
         vectors.setflags(write=False)
@@ -144,19 +140,27 @@ class _Block:
         vectors.setflags(write=False)
         return values, vectors
 
+    def _targets(self, dim: int) -> tuple[tuple[np.ndarray, int], ...]:
+        """(basis rows, factor) pairs: where the block's coordinates sit in a
+        length-dim vector, and the factor they carry there."""
+        if self.mirror:
+            return (self.rows, 1), (self.rows ^ (dim - 1), self.mirror)
+        return ((self.rows, 1),)
+
     def project(self, amplitudes: np.ndarray) -> np.ndarray:
         """Coordinates of a 2^N ket on the block's basis, up to the 1/sqrt(2)
         that `eigen` folds into mirror vectors."""
-        inside = amplitudes[self.rows]
-        if self.mirror:
-            inside = inside + self.mirror * amplitudes[self.rows ^ (amplitudes.size - 1)]
-        return inside
+        return sum(factor * amplitudes[rows] for rows, factor in self._targets(amplitudes.size))
 
     def scatter(self, out: np.ndarray, part: np.ndarray) -> None:
         """Add a block-basis `part` (scaled as `eigen`'s vectors) into `out`."""
-        out[..., self.rows] += part
-        if self.mirror:
-            out[..., self.rows ^ (out.shape[-1] - 1)] += self.mirror * part
+        for rows, factor in self._targets(out.shape[-1]):
+            out[..., rows] += factor * part
+
+    def place(self, out: np.ndarray, columns: np.ndarray) -> None:
+        """Write the block's vectors into `columns` of the zero dim x dim `out`."""
+        for rows, factor in self._targets(out.shape[0]):
+            out[np.ix_(rows, columns)] = factor * self.eigen[1]
 
 
 def _sectors(matrix: np.ndarray) -> list[tuple[np.ndarray, int]]:
@@ -229,23 +233,13 @@ class GroundState:
 def ground_state(hamiltonian: Hamiltonian) -> GroundState:
     """Lowest-energy eigenvector; flags (near-)degeneracy instead of failing.
 
-    Diagonalizes every sector and takes the lowest value across the blocks.
-    An exact tie goes to the first sector in the fixed order of `_sectors`,
-    on every build: TFIM with h = 0 gives |0...0>. Energy and ket equal
-    column 0 of `spectrum`, which is not formed."""
-    blocks = hamiltonian._blocks
-    values = np.concatenate([block.eigen[0] for block in blocks])
-    lowest = int(np.argmin(values))  # the first minimum: sector order on ties
-    ordered = np.sort(values)
-    degenerate = values.size > 1 and ordered[1] - ordered[0] < DEGENERACY_GAP
-    for block in blocks:
-        if lowest < block.rows.size:
-            break
-        lowest -= block.rows.size
-    amplitudes = np.zeros(hamiltonian.dim, dtype=block.eigen[1].dtype)
-    block.scatter(amplitudes, block.eigen[1][:, lowest])
-    ket = Ket(hamiltonian.n_sites, amplitudes)
-    return GroundState(state=ket, energy=float(block.eigen[0][lowest]), degenerate=degenerate)
+    Column 0 of `spectrum`, so every sector is diagonalized. An exact tie
+    across sectors goes to the first in the fixed order of `_sectors`, on
+    every build: TFIM with h = 0 gives |0...0>."""
+    values, vectors = hamiltonian.spectrum
+    degenerate = values.size > 1 and values[1] - values[0] < DEGENERACY_GAP
+    ket = Ket(hamiltonian.n_sites, vectors[:, 0])
+    return GroundState(state=ket, energy=float(values[0]), degenerate=degenerate)
 
 
 @dataclass(frozen=True)

@@ -279,21 +279,36 @@ class TestPureStateKernel:
         with pytest.raises(NumericalInstability):
             qcmi_time_series(xx_config(grid=TimeGrid(0.2, 0.1)), h)
 
-    @pytest.mark.parametrize("protocol", ["measure-at-t", "quench-at-zero"])
-    @pytest.mark.parametrize(
-        "kind, initial", [("xx", "basis:100000"), ("xx", "ground"), ("tfim", "ground")]
-    )
-    def test_scans_never_form_the_dense_spectrum(self, monkeypatch, protocol, kind, initial):
-        def refuse(hamiltonian):
-            raise AssertionError("a scan formed the dense spectrum")
-
-        monkeypatch.setattr(Hamiltonian, "spectrum", property(refuse))
+    @staticmethod
+    def run_scans(kind, initial, protocol):
         config = xx_config(
             model=ChainModel(kind, 6, 1.0, 0.3), initial=initial, protocol=protocol,
             grid=TimeGrid(0.4, 0.2), site_a=0, site_b=3,
         )
         qcmi_time_series(config)
         arrival_scan(replace(config, site_a=None, site_b=None, d_min=2, d_max=5))
+
+    @pytest.mark.parametrize("protocol", ["measure-at-t", "quench-at-zero"])
+    def test_basis_state_scans_never_form_the_dense_spectrum(self, monkeypatch, protocol):
+        def refuse(hamiltonian):
+            raise AssertionError("a scan formed the dense spectrum")
+
+        monkeypatch.setattr(Hamiltonian, "spectrum", property(refuse))
+        self.run_scans("xx", "basis:100000", protocol)
+
+    @pytest.mark.parametrize("protocol", ["measure-at-t", "quench-at-zero"])
+    @pytest.mark.parametrize("kind", ["xx", "tfim"])
+    def test_ground_state_scans_read_the_spectrum_once(self, monkeypatch, protocol, kind):
+        form = vars(Hamiltonian)["spectrum"].func
+        reads = []
+
+        def counted(hamiltonian):
+            reads.append(hamiltonian.n_sites)
+            return form(hamiltonian)
+
+        monkeypatch.setattr(Hamiltonian, "spectrum", property(counted))
+        self.run_scans(kind, "ground", protocol)
+        assert reads == [6, 6]  # ground_state, once per scan; the evolution reads blocks
 
     @pytest.mark.parametrize("protocol", ["measure-at-t", "quench-at-zero"])
     def test_basis_state_scan_diagonalizes_one_sector(self, monkeypatch, protocol):
