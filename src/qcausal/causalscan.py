@@ -3,8 +3,8 @@
 Two intervention protocols are supported. ``measure-at-t`` evolves the
 initial state to each grid time and measures A there; this is the protocol
 behind arrival times. ``quench-at-zero`` measures A once at t=0 and evolves
-every outcome branch separately. Distances start at d=2 because at d=1 the
-conditioning set C between sender and receiver is empty.
+every outcome branch separately. Distances start at d=2: at d=1 the
+conditioning set C is empty and every scan raises `EmptyConditioner`.
 
 Every initial state is pure and a projective-z measurement keeps it pure, so
 scans run on amplitudes: psi(t) is evolved once for the whole grid, A is
@@ -28,7 +28,7 @@ from .exceptions import DegenerateMeasurement, EmptyConditioner, InsufficientDat
 from .infomeasures import Partition, _clamped_values
 from .instrument import PROBABILITY_FLOOR, projective_z_instrument
 from .qstate import Ket, basis_ket, entropies_from_eigenvalues
-from .qstate import check_integer, check_real, check_sites
+from .qstate import check_integer, check_real, check_site_pair
 from .spinchain import ChainModel, Hamiltonian, _evolve_grid, build_model, ground_state
 
 # Unused here since scans run on amplitudes; perfbench/test_perfbench.py
@@ -91,7 +91,12 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Everything needed to reproduce a series or a distance scan."""
+    """Everything needed to reproduce a series or a distance scan.
+
+    A time series reads `site_a` and `site_b`; an arrival scan reads `d_min`
+    and `d_max`, and each refuses the other's fields rather than ignore them.
+    Only arrival scans read `threshold` and `crossing`.
+    """
 
     model: ChainModel
     initial: str = "ground"
@@ -103,7 +108,6 @@ class ScanConfig:
     site_b: int | None = None
     d_min: int | None = None
     d_max: int | None = None
-    allow_empty_c: bool = False
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
@@ -173,15 +177,14 @@ def _check_scan_inputs(config: ScanConfig) -> None:
 
 
 def _series_partition(config: ScanConfig, n_sites: int) -> Partition:
-    """(A, B, C) of a time series; sites follow `check_sites` when the series runs."""
+    """(A, B, C) of a time series; the sites follow `check_site_pair`."""
     if config.site_a is None or config.site_b is None:
         raise InvalidInput("time series needs both site_a and site_b")
-    (a,) = check_sites((config.site_a,), n_sites)
-    (b,) = check_sites((config.site_b,), n_sites)
-    if a == b:
-        raise InvalidInput("site_a and site_b must differ")
+    if config.d_min is not None or config.d_max is not None:
+        raise InvalidInput("a time series takes site_a and site_b, not d_min or d_max")
+    a, b = check_site_pair(config.site_a, config.site_b, n_sites)
     between = tuple(range(min(a, b) + 1, max(a, b)))
-    if not between and not config.allow_empty_c:
+    if not between:
         raise EmptyConditioner(
             f"no intermediate sites between {a} and {b}; distances start at 2"
         )
@@ -240,8 +243,6 @@ def _branch_average(branches, n_sites: int, b: tuple[int, ...], c: tuple[int, ..
     positive; elsewhere the branch was dropped and contributes nothing.
     """
     values = np.zeros(branches[0][0].size)
-    if not c:
-        return values
     bc = tuple(sorted(b + c))
     terms = [
         (weights, *(_entropies(kets, n_sites, sites) for sites in (b, c, bc)))
@@ -343,13 +344,14 @@ def arrival_scan(config: ScanConfig, hamiltonian: Hamiltonian | None = None) -> 
     """Arrival times for sender site 0 against receivers at d = d_min..d_max."""
     if config.d_min is None or config.d_max is None:
         raise InvalidInput("arrival scan needs d_min and d_max")
+    if config.site_a is not None or config.site_b is not None:
+        raise InvalidInput("an arrival scan sends from site 0; it takes no site_a or site_b")
     n = config.model.n_sites
     lo, hi = check_integer(config.d_min, "d_min"), check_integer(config.d_max, "d_max")
-    min_distance = 1 if config.allow_empty_c else 2
-    if lo < min_distance:
-        if lo == 1:
-            raise EmptyConditioner("d=1 leaves C empty; pass allow_empty_c to include it")
-        raise InvalidInput(f"distances must start at {min_distance}, got {lo}")
+    if lo == 1:
+        raise EmptyConditioner("d=1 leaves C empty; distances start at 2")
+    if lo < 1:
+        raise InvalidInput(f"distances must start at 2, got {lo}")
     if lo > hi or hi > n - 1:
         raise InvalidInput(f"distance range {lo}:{hi} invalid for {n} sites")
     _check_scan_inputs(config)

@@ -31,7 +31,8 @@ from .exceptions import (
 )
 from .infomeasures import Partition, asymmetric_qcmi, mutual_information_sites, symmetric_qcmi
 from .instrument import apply_instrument, projective_z_instrument
-from .qstate import PAULI_X, PAULI_Y, PAULI_Z, ghz_state, partial_trace, von_neumann_entropy
+from .qstate import PAULI_X, PAULI_Y, PAULI_Z, check_site_pair, ghz_state, partial_trace
+from .qstate import von_neumann_entropy
 from .spinchain import MODEL_KINDS, ChainModel, build_model
 
 EXIT_OK = 0
@@ -234,6 +235,7 @@ def cmd_commutator_front(args, resolved) -> int:
     model = _chain_model(resolved)
     grid = TimeGrid(resolved["t-max"], resolved["dt"])
     grid.check_batch(model.n_sites)
+    check_site_pair(resolved["site-a"], resolved["site-b"], model.n_sites)
     hamiltonian = build_model(model)
     op_a = _PAULI[resolved["op-a"]]
     op_b = _PAULI[resolved["op-b"]]

@@ -22,7 +22,7 @@ class DegenerateMeasurement(QcausalError):
 
 
 class EmptyConditioner(QcausalError):
-    """The conditioning subsystem C is empty and the caller did not opt in."""
+    """The conditioning subsystem C is empty, so the conditional form is undefined."""
 
 
 class NumericalInstability(QcausalError):

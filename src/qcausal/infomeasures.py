@@ -100,19 +100,12 @@ def symmetric_qcmi(rho: DensityMatrix, partition: Partition) -> float:
     return _clamped(s_ac + s_bc - s_c - s_abc)
 
 
-def asymmetric_qcmi(
-    rho: DensityMatrix,
-    partition: Partition,
-    instrument: Instrument,
-    *,
-    allow_empty_c: bool = False,
-) -> float:
+def asymmetric_qcmi(rho: DensityMatrix, partition: Partition, instrument: Instrument) -> float:
     """Measure A, then average I(B:C) over the outcome branches.
 
     The value depends on the chosen instrument, so callers that persist
     results should record ``instrument.describe`` next to it. With an empty
-    C the average is ill-formed; ``allow_empty_c=True`` opts into the
-    I(B:empty) == 0 convention used by distance sweeps.
+    C the average is ill-formed and `EmptyConditioner` is raised.
     """
     if tuple(instrument.target_sites) != partition.a:
         raise InvalidInput(
@@ -120,9 +113,7 @@ def asymmetric_qcmi(
         )
     check_sites(partition.sites, rho.n_sites)
     if not partition.c:
-        if allow_empty_c:
-            return 0.0
-        raise EmptyConditioner("C is empty; pass allow_empty_c=True for the I==0 convention")
+        raise EmptyConditioner("C is empty; the asymmetric form conditions on C")
 
     ensemble = apply_instrument(rho, instrument)
     remaining = [s for s in range(rho.n_sites) if s not in partition.a]

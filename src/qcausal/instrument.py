@@ -129,8 +129,8 @@ def apply_instrument(
     and the kept probabilities renormalized to sum to one; if none is kept,
     `DegenerateMeasurement` is raised. By default the target subsystem is
     traced out of each branch; with ``keep_target=True`` branches stay on
-    the full register so they can be evolved further (used by the
-    quench-at-zero protocol).
+    the full register so they can be evolved further (the tests' dense
+    oracle of the quench-at-zero kernel does this).
     """
     n = rho.n_sites
     targets = check_sites(instrument.target_sites, n)

@@ -9,7 +9,8 @@ so |1000> on four sites sits at index 8 and tensor factors follow np.kron
 order (site 0 leftmost).
 
 The package's input rules live here too: `check_integer`, `check_real`,
-`check_n_sites` and `check_sites`; a violation raises `InvalidInput`.
+`check_n_sites`, `check_sites` and `check_site_pair`; a violation raises
+`InvalidInput`.
 """
 
 from __future__ import annotations
@@ -88,6 +89,15 @@ def check_sites(
     if any(a >= b for a, b in zip(out, out[1:])):
         raise InvalidInput(f"site indices must be strictly increasing, got {out}")
     return out
+
+
+def check_site_pair(site_a: int, site_b: int, n_sites: int) -> tuple[int, int]:
+    """The sender/receiver rule: two distinct sites, each in [0, n_sites) by `check_sites`."""
+    (a,) = check_sites((site_a,), n_sites)
+    (b,) = check_sites((site_b,), n_sites)
+    if a == b:
+        raise InvalidInput(f"the two sites must differ, got {a} and {b}")
+    return a, b
 
 
 def check_n_sites(n_sites: int) -> int:

@@ -145,13 +145,10 @@ class TestQcmiTimeSeries:
         assert "projective-z" in series.instrument_label
         assert "0" in series.instrument_label
 
-    def test_adjacent_sites_need_opt_in(self):
-        with pytest.raises(EmptyConditioner):
-            qcmi_time_series(xx_config(site_b=1, grid=TimeGrid(0.1, 0.05)))
-        series = qcmi_time_series(
-            xx_config(site_b=1, grid=TimeGrid(0.1, 0.05), allow_empty_c=True)
-        )
-        assert np.all(series.values == 0.0)
+    def test_adjacent_sites_raise_empty_conditioner(self):
+        for a, b in ((0, 1), (1, 0)):
+            with pytest.raises(EmptyConditioner):
+                qcmi_time_series(xx_config(site_a=a, site_b=b, grid=TimeGrid(0.1, 0.05)))
 
     def test_missing_sites_rejected(self):
         with pytest.raises(InvalidInput):
@@ -161,6 +158,12 @@ class TestQcmiTimeSeries:
         monkeypatch.setattr(causalscan, "build_model", lambda model: pytest.fail("built"))
         with pytest.raises(InvalidInput):
             qcmi_time_series(xx_config(site_b=4))
+
+    @pytest.mark.parametrize("fields", [dict(d_min=5, d_max=2), dict(d_min=2), dict(d_max=3)])
+    def test_distance_fields_rejected_before_the_chain_is_built(self, monkeypatch, fields):
+        monkeypatch.setattr(causalscan, "build_model", lambda model: pytest.fail("built"))
+        with pytest.raises(InvalidInput, match="d_min or d_max"):
+            qcmi_time_series(xx_config(**fields))
 
 
 class TestChecksBeforeTheBuild:
@@ -217,10 +220,7 @@ def dense_series(config):
     times = config.grid.times
     if config.protocol == "measure-at-t":
         return np.array([
-            asymmetric_qcmi(
-                evolve_ket(h, psi0, t).density_matrix(), part, instr,
-                allow_empty_c=config.allow_empty_c,
-            )
+            asymmetric_qcmi(evolve_ket(h, psi0, t).density_matrix(), part, instr)
             for t in times
         ])
     ensemble = apply_instrument(psi0.density_matrix(), instr, keep_target=True)
@@ -320,13 +320,11 @@ class TestPureStateKernel:
         arrival_scan(config)
         assert calls == [(8, 8)]  # the popcount-1 sector, shared by every distance
 
-    def test_empty_c_is_zero_for_an_inner_pair(self):
+    def test_empty_c_raises_for_an_inner_pair(self):
         for protocol in ("measure-at-t", "quench-at-zero"):
-            config = xx_config(
-                site_a=2, site_b=1, protocol=protocol, allow_empty_c=True,
-                grid=TimeGrid(0.4, 0.2),
-            )
-            assert np.all(qcmi_time_series(config).values == 0.0)
+            config = xx_config(site_a=2, site_b=1, protocol=protocol, grid=TimeGrid(0.4, 0.2))
+            with pytest.raises(EmptyConditioner):
+                qcmi_time_series(config)
 
     def test_arrival_scan_matches_per_distance_series(self):
         config = xx_config(
@@ -488,9 +486,19 @@ class TestArrivalScan:
         with pytest.raises(EmptyConditioner):
             arrival_scan(config)
 
+    @pytest.mark.parametrize(
+        "sites", [dict(site_a=3, site_b=5), dict(site_a=0, site_b=None), dict(site_a=None, site_b=3)]
+    )
+    def test_site_fields_rejected_before_the_chain_is_built(self, monkeypatch, sites):
+        monkeypatch.setattr(causalscan, "build_model", lambda model: pytest.fail("built"))
+        config = xx_config(d_min=2, d_max=3, **sites)
+        with pytest.raises(InvalidInput, match="site_a or site_b"):
+            arrival_scan(config)
+
     def test_range_validated(self):
-        with pytest.raises(InvalidInput):
-            arrival_scan(xx_config(site_a=None, site_b=None, d_min=2, d_max=9))
+        for d_min, d_max in ((2, 9), (0, 3), (-1, 3)):
+            with pytest.raises(InvalidInput):
+                arrival_scan(xx_config(site_a=None, site_b=None, d_min=d_min, d_max=d_max))
 
     def test_halving_dt_moves_interpolated_arrivals_by_under_one_step(self):
         coarse_cfg = xx_config(

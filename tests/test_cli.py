@@ -4,12 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from qcausal import ccmi
+from qcausal import causalscan, ccmi, cli
 from qcausal.cli import main
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def refuse_build(monkeypatch, module):
+    monkeypatch.setattr(module, "build_model", lambda model: pytest.fail("built"))
 
 
 def read_error(path):
@@ -107,6 +111,16 @@ class TestTimeseries:
         assert code == 2
         assert "scan limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("a, b", [("0", "1"), ("3", "2")])
+    def test_adjacent_sites_exit_2_before_the_build(self, capsys, monkeypatch, a, b):
+        refuse_build(monkeypatch, causalscan)
+        code = run_cli(
+            "timeseries", "--model", "xx", "--n", "4", "--site-a", a, "--site-b", b,
+            "--initial", "basis:1000",
+        )
+        assert code == 2
+        assert "no intermediate sites" in capsys.readouterr().err
+
 
 class TestArrivalScan:
     def test_small_scan_csv_and_json(self, tmp_path):
@@ -152,6 +166,11 @@ class TestArrivalScan:
             outputs.append(csv_path.read_bytes() + json_path.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_distance_one_exits_2_before_the_build(self, capsys, monkeypatch):
+        refuse_build(monkeypatch, causalscan)
+        assert run_cli("arrival-scan", "--model", "xx", "--n", "8", "--distances", "1:7") == 2
+        assert "d=1 leaves C empty" in capsys.readouterr().err
+
 
 class TestBounds:
     def test_unit_coupling_display(self, capsys):
@@ -196,13 +215,23 @@ class TestCommutatorFront:
         assert code == 2
         assert "scan limit" in capsys.readouterr().err
 
-    def test_coincident_sites_usage_error(self, capsys):
+    def test_coincident_sites_usage_error(self, capsys, monkeypatch):
+        refuse_build(monkeypatch, cli)
         code = run_cli(
-            "commutator-front", "--model", "xx", "--n", "4",
-            "--site-a", "1", "--site-b", "1",
+            "commutator-front", "--model", "xx", "--n", "12",
+            "--site-a", "3", "--site-b", "3",
         )
         assert code == 2
-        capsys.readouterr()
+        assert "must differ" in capsys.readouterr().err
+
+    def test_out_of_range_site_exits_2_before_the_build(self, capsys, monkeypatch):
+        refuse_build(monkeypatch, cli)
+        code = run_cli(
+            "commutator-front", "--model", "xx", "--n", "12",
+            "--site-a", "0", "--site-b", "12",
+        )
+        assert code == 2
+        assert "[0, 12)" in capsys.readouterr().err
 
 
 class TestCcmi:

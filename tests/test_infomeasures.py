@@ -205,10 +205,8 @@ class TestAsymmetricQcmi:
         with pytest.raises(InvalidInput):
             asymmetric_qcmi(rho, Partition((0,), (1,), (2,)), projective_z_instrument(1, 3))
 
-    def test_empty_c_needs_opt_in(self):
-        rho = ghz_state(2).density_matrix()
-        part = Partition((0,), (1,))
-        instr = projective_z_instrument(0, 2)
-        with pytest.raises(EmptyConditioner):
-            asymmetric_qcmi(rho, part, instr)
-        assert asymmetric_qcmi(rho, part, instr, allow_empty_c=True) == 0.0
+    def test_empty_c_raises_empty_conditioner(self):
+        instr = projective_z_instrument(0, 3)
+        for part in (Partition((0,), (1,)), Partition((0,), (2,))):
+            with pytest.raises(EmptyConditioner):
+                asymmetric_qcmi(ghz_state(3).density_matrix(), part, instr)
