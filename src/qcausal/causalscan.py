@@ -19,6 +19,7 @@ values and are the oracle the tests hold this kernel to.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,7 +30,8 @@ from .infomeasures import Partition, _clamped_values
 from .instrument import PROBABILITY_FLOOR, projective_z_instrument
 from .qstate import Ket, basis_ket, entropies_from_eigenvalues
 from .qstate import check_integer, check_real, check_site_pair
-from .spinchain import ChainModel, Hamiltonian, _evolve_grid, build_model, ground_state
+from .spinchain import DEGENERACY_GAP, ChainModel, Hamiltonian, _evolve_grid, build_model
+from .spinchain import ground_state
 
 # Unused here since scans run on amplitudes; perfbench/test_perfbench.py
 # checks that the tracer patches this imported name, so it stays importable.
@@ -43,11 +45,13 @@ DEFAULT_T_MAX = 5.0
 DEFAULT_THRESHOLD = 0.03
 
 # Largest (grid points) x 2^N complex amplitude batch a scan may hold: 2^25
-# amplitudes, 512 MiB. Measured scan peaks (tracemalloc, N = 4, 8, 12, both
-# protocols) grow by 2 to 5.3 batches, the most for a quench-at-zero scan
-# from the ground state at N = 4, so a scan at the limit stays under about
-# 3 GiB. At N = 12 that is 8192 grid points; at 4096 points a ground-state
-# quench-at-zero series peaked at 1336 MiB resident.
+# amplitudes, 512 MiB. Measured scan peaks (tracemalloc, build included; N =
+# 4, 8, 12, both protocols, basis and ground states, series and arrival
+# scans) grow by 2 to 5.25 times the batch, the most for a quench-at-zero
+# scan from the ground state at N = 4. A ground-state scan at N = 12 adds
+# about 160 MiB for the dense eigenvector matrix. So a scan at the limit stays
+# under about 3 GiB. At N = 12 that is 8192 grid points; at 4096 points a
+# TFIM ground-state quench-at-zero series peaked at 1514 MiB resident.
 MAX_SCAN_AMPLITUDES = 2**25
 
 
@@ -163,11 +167,26 @@ def _basis_bits(spec: str, n_sites: int) -> list[int] | None:
 
 
 def initial_ket(hamiltonian: Hamiltonian, spec: str) -> Ket:
-    """Resolve an initial-state spec: 'ground' or 'basis:<bits>'."""
+    """Resolve an initial-state spec: 'ground' or 'basis:<bits>'.
+
+    A degenerate ground state raises one RuntimeWarning that names the gap and
+    the tie rule; the scan then runs on the state that rule picks.
+    """
     bits = _basis_bits(spec, hamiltonian.n_sites)
-    if bits is None:
-        return ground_state(hamiltonian).state
-    return basis_ket(bits)
+    if bits is not None:
+        return basis_ket(bits)
+    ground = ground_state(hamiltonian)
+    if ground.degenerate:
+        values = hamiltonian.spectrum[0]
+        warnings.warn(
+            f"degenerate ground state: the two lowest energies differ by "
+            f"{values[1] - values[0]:.3e} < {DEGENERACY_GAP:g}; using the lowest state of the "
+            f"first sector in the fixed order (ascending popcount, else even spin-flip parity "
+            f"first; site-reversal even before odd)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return ground.state
 
 
 def _check_scan_inputs(config: ScanConfig) -> None:

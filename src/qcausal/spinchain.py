@@ -1,18 +1,23 @@
 """Chain Hamiltonians (transverse-field Ising, XX) and exact time evolution.
 
-Both models are open-boundary, dense and real symmetric: the builders fill a
-float64 matrix straight from the bits of the basis indices. The spectrum is
-kept as one block per conserved sector that the matrix itself shows (total
-magnetization, else spin-flip parity, else one block), each diagonalized on
-first use and cached. Pure states evolve block by block, only in the sectors
-they occupy; the dense dim x dim eigenvector matrix is formed only for
-`spectrum`, which `ground_state`, `propagator` and `evolve` read. Units:
-hbar = 1, couplings dimensionless, time in units of 1/J.
+Both models are open-boundary and real symmetric. The builders never form
+the 2^N x 2^N matrix: they describe H by its action on the basis bits (a
+diagonal, plus flip masks with per-state amplitudes) and fill each sector
+block Q^T H Q straight from it. The sectors are the popcount when no term
+changes it (XX; TFIM at h = 0), else the spin-flip parity, each split once
+more by site reversal; a matrix handed to `Hamiltonian` directly is split
+only into the sectors it verifies (popcount, else parity, else one block).
+Every sector basis Q has one layout, `_Block`'s (rows, factors) per
+symmetry element, which projects, scatters and places vectors. Blocks are
+diagonalized on first use and cached. Pure states evolve block by block,
+only in the sectors they occupy. The dense matrix (`Hamiltonian.matrix`)
+and the dense eigenvector matrix (`spectrum`, which `ground_state`,
+`propagator` and `evolve` read) are formed only when read. Units: hbar = 1,
+couplings dimensionless, time in units of 1/J.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,10 +54,14 @@ class ChainModel:
 
 
 class Hamiltonian:
-    """Dense Hermitian chain Hamiltonian (real for the built models).
+    """Hermitian chain Hamiltonian (real for the built models).
 
-    Its eigendecomposition is kept per verified sector (`_sectors`), one
-    `_Block` each, and each block is diagonalized on first use."""
+    Built from a dense matrix, which is checked here and split into the
+    sectors it verifies (`_sectors`); the builders instead hand over their
+    bit action (`_BitAction`) and never form the matrix. Either way the
+    eigendecomposition is kept per sector, one `_Block` each, and each block
+    is diagonalized on first use.
+    """
 
     def __init__(self, model: ChainModel, matrix: np.ndarray):
         matrix = np.asarray(matrix)
@@ -64,7 +73,14 @@ class Hamiltonian:
             raise InvalidInput(f"hermiticity defect {defect:.3e} exceeds {BUILD_HERMITICITY_TOL}")
         matrix.setflags(write=False)
         self.model = model
-        self.matrix = matrix
+        self._operator = _Matrix(matrix)
+
+    @classmethod
+    def _from_action(cls, model: ChainModel, action: _BitAction) -> Hamiltonian:
+        hamiltonian = cls.__new__(cls)
+        hamiltonian.model = model
+        hamiltonian._operator = action
+        return hamiltonian
 
     @property
     def n_sites(self) -> int:
@@ -75,9 +91,15 @@ class Hamiltonian:
         return 2**self.n_sites
 
     @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense dim x dim matrix (read-only): as given, or placed from the
+        bit action on first use. Scans never read it."""
+        return self._operator.dense()
+
+    @cached_property
     def _blocks(self) -> list[_Block]:
-        """One `_Block` per sector of `_sectors`, in its order; none diagonalized yet."""
-        return [_Block(self.matrix, rows, mirror) for rows, mirror in _sectors(self.matrix)]
+        """One `_Block` per sector, in sector order; none diagonalized yet."""
+        return [_Block(self._operator, rows, factors) for rows, factors in self._operator.sectors()]
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -85,106 +107,231 @@ class Hamiltonian:
 
         The blocks placed into one dense dim x dim matrix, for `ground_state`,
         `propagator` and `evolve`; pure-state evolution reads the blocks.
-        Equal eigenvalues keep the sector order of `_sectors` (stable sort).
+        Equal eigenvalues keep the sector order (stable sort).
         """
         blocks = self._blocks
         values = np.concatenate([block.eigen[0] for block in blocks])
         order = np.argsort(values, kind="stable")
         column = np.empty_like(order)
         column[order] = np.arange(order.size)
-        vectors = np.zeros_like(self.matrix)
+        dtype = np.result_type(*(block.eigen[1] for block in blocks))
+        vectors = np.zeros((self.dim, self.dim), dtype=dtype)
         start = 0
         for block in blocks:
-            block.place(vectors, column[start : start + block.rows.size])
-            start += block.rows.size
+            block.place(vectors, column[start : start + block.size])
+            start += block.size
         values = values[order]
         values.setflags(write=False)
         vectors.setflags(write=False)
         return values, vectors
 
 
-class _Block:
-    """One verified sector of a Hamiltonian, eigendecomposed on first use.
-
-    mirror 0: the basis states `rows`. mirror +1 or -1: the states
-    (|s> + mirror |s~>)/sqrt(2) for s in `rows` (the lower half of the
-    basis), s~ = s with every bit flipped.
+class _BitAction:
+    """A chain Hamiltonian as it acts on basis states, never as a matrix:
+    H|s> = sum over m of amplitudes[m, s] |s ^ masks[m]>. Mask 0 carries the
+    diagonal; every other mask flips the sites it covers.
     """
 
-    def __init__(self, matrix: np.ndarray, rows: np.ndarray, mirror: int):
+    def __init__(self, n_sites: int, masks: np.ndarray, amplitudes: np.ndarray):
+        self.n_sites = n_sites
+        self.masks = masks
+        self.amplitudes = amplitudes
+
+    def dense(self) -> np.ndarray:
+        states = np.arange(2**self.n_sites)
+        matrix = np.zeros((states.size, states.size))
+        matrix[states ^ self.masks[:, None], states] = self.amplitudes
+        matrix.setflags(write=False)
+        return matrix
+
+    def sectors(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Popcount sectors when no term changes the popcount (XX; TFIM at
+        h = 0), else spin-flip parity sectors; each split by site reversal.
+        The builders' uniform open chains commute with both by construction;
+        the tests hold every block to the Pauli-Kronecker matrix."""
+        popcount = _site_bits(self.n_sites).sum(axis=1)
+        flipped = popcount[np.arange(popcount.size) ^ self.masks[:, None]]
+        keeps = bool(np.all((self.amplitudes == 0) | (flipped == popcount)))
+        return _orbit_sectors(self.n_sites, popcount=keeps, flip=not keeps, reversal=True)
+
+    def block(self, rows: np.ndarray, factors: np.ndarray) -> np.ndarray:
+        """Q^T H Q of one sector, filled from the bits: H Q at the orbit
+        representatives, scaled by `_rep_scale`. No matrix was checked whole,
+        so each block is checked for hermiticity here."""
+        size = rows.shape[1]
+        position = np.full(2**self.n_sites, -1)
+        position[rows[0]] = np.arange(size)
+        sources = rows[:, None, :]  # (element, term, column)
+        hit = position[sources ^ self.masks[:, None]]
+        weight = factors[:, None, :] * self.amplitudes[np.arange(self.masks.size)[:, None], sources]
+        inside = hit >= 0
+        cells = (hit * size + np.arange(size))[inside]
+        block = np.bincount(cells, weight[inside], minlength=size * size).reshape(size, size)
+        block *= _rep_scale(factors)[:, None]
+        defect = np.max(np.abs(block - block.T))
+        if not defect <= BUILD_HERMITICITY_TOL:
+            raise InvalidInput(
+                f"block hermiticity defect {defect:.3e} exceeds {BUILD_HERMITICITY_TOL}"
+            )
+        return block
+
+
+class _Matrix:
+    """A dense matrix handed to `Hamiltonian`, split into the sectors it verifies."""
+
+    def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
+
+    def dense(self) -> np.ndarray:
+        return self.matrix
+
+    def sectors(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return _sectors(self.matrix)
+
+    def block(self, rows: np.ndarray, factors: np.ndarray) -> np.ndarray:
+        """Q^T H Q of one sector: H Q at the orbit representatives, gathered
+        from the matrix and scaled by `_rep_scale`."""
+        block = np.zeros((rows.shape[1],) * 2, dtype=self.matrix.dtype)
+        for image, factor in zip(rows, factors):
+            part = self.matrix[np.ix_(rows[0], image)]
+            part *= factor
+            block += part
+        block *= _rep_scale(factors)[:, None]
+        return block
+
+
+def _rep_scale(factors: np.ndarray) -> np.ndarray:
+    """|G| factors[0]: H Q stays in the sector, so its rows at the orbit
+    representatives r give Q^T H Q, row i scaled by |G| factors[0, i]."""
+    return factors.shape[0] * factors[0]
+
+
+class _Block:
+    """One sector of a Hamiltonian, eigendecomposed on first use.
+
+    The sector's orthonormal basis Q is one (rows, factors) pair per element
+    g of its symmetry group, stacked into two (|G|, size) arrays, identity
+    first: column i of Q is the sum over g of factors[g, i] |rows[g, i]>.
+    rows[g] = g(r) for the orbit representatives r (the least state of each
+    orbit, ascending), and factors[g] = chi(g) / sqrt(|G| |stabilizer of r|).
+    Where g fixes r (a palindrome under site reversal), several elements hit
+    one row and their factors add.
+    """
+
+    def __init__(self, operator: _BitAction | _Matrix, rows: np.ndarray, factors: np.ndarray):
+        self.operator = operator
         self.rows = rows
-        self.mirror = mirror
+        self.factors = factors
+
+    @property
+    def size(self) -> int:
+        return self.rows.shape[1]
 
     @cached_property
     def eigen(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending values and phase-fixed vectors of the block.
+        """Ascending values and phase-fixed vectors in the block's basis.
 
-        Each vector holds its column's entries at `rows` exactly as they sit
-        in the dense `spectrum`: a mirror vector is scaled by 1/sqrt(2) before
-        its phase is fixed (fixing first can flip a sign where two lead
-        magnitudes nearly tie), and its entries at the flipped rows are
-        mirror times these.
+        The phase rule is the dense one: the first largest-magnitude entry of
+        the placed column is real and positive. A coordinate's largest placed
+        magnitude sits at its representative, the least row of its orbit, and
+        is scaled by the factors that land there.
         """
-        if self.mirror:
-            half = self.rows.size
-            top, flipped = self.matrix[:half, :half], self.matrix[:half, half:][:, ::-1]
-            block = top + flipped if self.mirror > 0 else top - flipped
-        else:
-            block = self.matrix[np.ix_(self.rows, self.rows)]
-        values, vectors = np.linalg.eigh(block)
-        if self.mirror:
-            vectors /= math.sqrt(2.0)
-        _fix_phases(vectors)
+        values, vectors = np.linalg.eigh(self.operator.block(self.rows, self.factors))
+        landing = np.sum(np.where(self.rows == self.rows[0], np.abs(self.factors), 0.0), axis=0)
+        _fix_phases(vectors, landing)
         values.setflags(write=False)
         vectors.setflags(write=False)
         return values, vectors
 
-    def _targets(self, dim: int) -> tuple[tuple[np.ndarray, int], ...]:
-        """(basis rows, factor) pairs: where the block's coordinates sit in a
-        length-dim vector, and the factor they carry there."""
-        if self.mirror:
-            return (self.rows, 1), (self.rows ^ (dim - 1), self.mirror)
-        return ((self.rows, 1),)
-
     def project(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Coordinates of a 2^N ket on the block's basis, up to the 1/sqrt(2)
-        that `eigen` folds into mirror vectors."""
-        return sum(factor * amplitudes[rows] for rows, factor in self._targets(amplitudes.size))
+        """Q^T psi: the coordinates of a 2^N ket on the block's basis."""
+        return np.sum(self.factors * amplitudes[self.rows], axis=0)
 
     def scatter(self, out: np.ndarray, part: np.ndarray) -> None:
-        """Add a block-basis `part` (scaled as `eigen`'s vectors) into `out`."""
-        for rows, factor in self._targets(out.shape[-1]):
-            out[..., rows] += factor * part
+        """Add Q part (rows of block coordinates) into the 2^N rows of `out`."""
+        for rows, factors in zip(self.rows, self.factors):
+            out[..., rows] += factors * part
 
     def place(self, out: np.ndarray, columns: np.ndarray) -> None:
-        """Write the block's vectors into `columns` of the zero dim x dim `out`."""
-        for rows, factor in self._targets(out.shape[0]):
-            out[np.ix_(rows, columns)] = factor * self.eigen[1]
+        """Add Q times the block's vectors into `columns` of the zero dim x dim `out`."""
+        for rows, factors in zip(self.rows, self.factors):
+            out[np.ix_(rows, columns)] += factors[:, None] * self.eigen[1]
 
 
-def _sectors(matrix: np.ndarray) -> list[tuple[np.ndarray, int]]:
-    """(rows, mirror) of each conserved sector the matrix verifies; see `_Block`.
+def _sectors(matrix: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The `_Block` (rows, factors) of each conserved sector the matrix verifies.
 
-    Magnetization sectors (basis states of one popcount, in ascending
-    popcount) when no entry couples two popcounts; else the spin-flip parity
-    sectors, even first, when H equals H[::-1, ::-1]; else the whole space
-    as one block.
+    Magnetization sectors (ascending popcount) when no entry couples two
+    popcounts; else the spin-flip parity sectors, even first, when H equals
+    H[::-1, ::-1]; else the whole space as one block. Both checks read the
+    rows of one popcount at a time.
     """
     dim = matrix.shape[0]
-    popcount = _site_bits(dim.bit_length() - 1).sum(axis=1)
-    if np.max(np.abs(matrix[popcount[:, None] != popcount])) <= BUILD_HERMITICITY_TOL:
-        return [(np.flatnonzero(popcount == count), 0) for count in np.unique(popcount)]
-    if np.max(np.abs(matrix - matrix[::-1, ::-1])) <= BUILD_HERMITICITY_TOL:
-        rows = np.arange(dim // 2)
-        return [(rows, 1), (rows, -1)]
-    return [(np.arange(dim), 0)]
+    n_sites = dim.bit_length() - 1
+    popcount = _site_bits(n_sites).sum(axis=1)
+    groups = [np.flatnonzero(popcount == count) for count in range(n_sites + 1)]
+    if all(_largest_outside(matrix, rows) <= BUILD_HERMITICITY_TOL for rows in groups):
+        return _orbit_sectors(n_sites, popcount=True, flip=False, reversal=False)
+    if all(
+        np.max(np.abs(matrix[rows] - matrix[dim - 1 - rows, ::-1])) <= BUILD_HERMITICITY_TOL
+        for rows in groups
+    ):
+        return _orbit_sectors(n_sites, popcount=False, flip=True, reversal=False)
+    return _orbit_sectors(n_sites, popcount=False, flip=False, reversal=False)
 
 
-def _fix_phases(vectors: np.ndarray) -> None:
-    # Reproducibility: make the first largest-magnitude amplitude of each
-    # column real and positive (in place).
-    lead = np.argmax(np.abs(vectors), axis=0)
+def _largest_outside(matrix: np.ndarray, rows: np.ndarray) -> float:
+    """Largest |entry| of `rows` outside the columns `rows` (NaN if any is NaN)."""
+    part = np.abs(matrix[rows])
+    part[:, rows] = 0.0
+    return np.max(part)
+
+
+def _orbit_sectors(
+    n_sites: int, popcount: bool, flip: bool, reversal: bool
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """`_Block` (rows, factors) of every nonempty sector, in the fixed order.
+
+    The symmetry group is generated by the global spin flip F (if `flip`)
+    and the site reversal P (if `reversal`); a sector is a popcount (if
+    `popcount`, ascending) and one sign per generator, +1 before -1. An orbit
+    belongs to a sector unless an element that fixes its states has sign -1.
+    """
+    bits = _site_bits(n_sites)
+    states = np.arange(bits.shape[0])
+    generators = [states[::-1]] if flip else []
+    if reversal:
+        generators.append(bits[:, ::-1] @ (1 << np.arange(n_sites - 1, -1, -1)))
+    images = [states]
+    for generator in generators:  # the group's elements, identity first
+        images += [generator[image] for image in images]
+    images = np.stack(images)
+    reps = np.flatnonzero(np.all(images >= states, axis=0))  # the least state of each orbit
+    edges = [0, reps.size]
+    if popcount:  # representatives grouped by popcount, ascending within each
+        counts = bits[reps].sum(axis=1)
+        reps = reps[np.argsort(counts, kind="stable")]
+        edges = np.searchsorted(np.sort(counts), np.arange(n_sites + 2))
+    images = images[:, reps]
+    fixed = images == reps
+    norms = 1.0 / np.sqrt(images.shape[0] * np.sum(fixed, axis=0))
+    characters = [np.ones(1)]
+    for _ in generators:  # characters[j][g]: sign of element g in sector j
+        characters = [np.concatenate([chi, sign * chi]) for chi in characters for sign in (1, -1)]
+    allowed = [~np.any(fixed[chi < 0], axis=0) for chi in characters]
+    sectors = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        for chi, ok in zip(characters, allowed):
+            keep = lo + np.flatnonzero(ok[lo:hi])
+            if keep.size:
+                sectors.append((images[:, keep], chi[:, None] * norms[keep]))
+    return sectors
+
+
+def _fix_phases(vectors: np.ndarray, scale: np.ndarray) -> None:
+    # Reproducibility: make the first largest entry of each column, measured
+    # as |vector| * scale, real and positive (in place).
+    lead = np.argmax(np.abs(vectors) * scale[:, None], axis=0)
     pivots = vectors[lead, np.arange(vectors.shape[1])]
     vectors *= pivots.conj() / np.abs(pivots)
 
@@ -197,24 +344,24 @@ def _site_bits(n_sites: int) -> np.ndarray:
 def build_tfim(n_sites: int, coupling: float, field: float) -> Hamiltonian:
     """H = -J sum_k sz_k sz_{k+1} - h sum_k sx_k (open boundaries)."""
     model = ChainModel("tfim", n_sites, coupling, field)
-    spins = 1 - 2 * _site_bits(model.n_sites)
-    matrix = np.diag(-model.coupling * np.sum(spins[:, :-1] * spins[:, 1:], axis=1, dtype=float))
-    index = np.arange(matrix.shape[0])
-    for k in range(model.n_sites):
-        matrix[index ^ (1 << (model.n_sites - 1 - k)), index] = -model.field
-    return Hamiltonian(model, matrix)
+    n = model.n_sites
+    spins = 1 - 2 * _site_bits(n)
+    diagonal = -model.coupling * np.sum(spins[:, :-1] * spins[:, 1:], axis=1, dtype=float)
+    masks = np.concatenate([[0], 1 << np.arange(n - 1, -1, -1)])
+    amplitudes = np.vstack([diagonal, np.full((n, 2**n), -model.field)])
+    return Hamiltonian._from_action(model, _BitAction(n, masks, amplitudes))
 
 
 def build_xx(n_sites: int, coupling: float, field: float) -> Hamiltonian:
     """H = (J/2) sum_k (sx_k sx_{k+1} + sy_k sy_{k+1}) + h sum_k sz_k."""
     model = ChainModel("xx", n_sites, coupling, field)
-    bits = _site_bits(model.n_sites)
-    matrix = np.diag(model.field * (model.n_sites - 2 * bits.sum(axis=1, dtype=float)))
+    n = model.n_sites
+    bits = _site_bits(n)
+    diagonal = model.field * (n - 2 * bits.sum(axis=1, dtype=float))
     # sx sx + sy sy = 2(|01><10| + |10><01|): J on every flip of a differing pair.
-    for k in range(model.n_sites - 1):
-        hop = np.flatnonzero(bits[:, k] != bits[:, k + 1])
-        matrix[hop ^ (3 << (model.n_sites - 2 - k)), hop] = model.coupling
-    return Hamiltonian(model, matrix)
+    masks = np.concatenate([[0], 3 << np.arange(n - 2, -1, -1)])
+    hops = np.where(bits[:, :-1] != bits[:, 1:], model.coupling, 0.0).T
+    return Hamiltonian._from_action(model, _BitAction(n, masks, np.vstack([diagonal, hops])))
 
 
 def build_model(model: ChainModel) -> Hamiltonian:
@@ -234,8 +381,9 @@ def ground_state(hamiltonian: Hamiltonian) -> GroundState:
     """Lowest-energy eigenvector; flags (near-)degeneracy instead of failing.
 
     Column 0 of `spectrum`, so every sector is diagonalized. An exact tie
-    across sectors goes to the first in the fixed order of `_sectors`, on
-    every build: TFIM with h = 0 gives |0...0>."""
+    across sectors goes to the first in the fixed order of `_orbit_sectors`
+    (ascending popcount, else even parity first; reversal-even before odd),
+    on every build: TFIM with h = 0 gives |0...0>."""
     values, vectors = hamiltonian.spectrum
     degenerate = values.size > 1 and values[1] - values[0] < DEGENERACY_GAP
     ket = Ket(hamiltonian.n_sites, vectors[:, 0])

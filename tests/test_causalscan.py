@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -85,6 +86,24 @@ class TestInitialKet:
         for spec in ("basis:10x", "basis:101", "excited", "basis:"):
             with pytest.raises(InvalidInput):
                 initial_ket(h, spec)
+
+    def test_degenerate_ground_state_warns_once(self):
+        h = build_model(ChainModel("tfim", 4, 1.0, 0.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ket = initial_ket(h, "ground")
+        assert [w.category for w in caught] == [RuntimeWarning]
+        message = str(caught[0].message)
+        assert "differ by 0.000e+00 < 1e-10" in message and "first sector" in message
+        assert "reversal even before odd" in message
+        assert ket.amplitudes[0] == 1.0  # |0000>, the first sector's state
+
+    @pytest.mark.parametrize("kind, n, field", [("tfim", 10, 1.0), ("xx", 8, 0.3)])
+    def test_non_degenerate_ground_state_is_silent(self, kind, n, field):
+        h = build_model(ChainModel(kind, n, 1.0, field))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            initial_ket(h, "ground")
 
 
 class TestQcmiTimeSeries:
@@ -298,6 +317,16 @@ class TestPureStateKernel:
 
     @pytest.mark.parametrize("protocol", ["measure-at-t", "quench-at-zero"])
     @pytest.mark.parametrize("kind", ["xx", "tfim"])
+    @pytest.mark.parametrize("initial", ["basis:100000", "ground"])
+    def test_scans_never_form_the_dense_hamiltonian(self, monkeypatch, initial, kind, protocol):
+        def refuse(hamiltonian):
+            raise AssertionError("a scan formed the dense Hamiltonian")
+
+        monkeypatch.setattr(Hamiltonian, "matrix", property(refuse))
+        self.run_scans(kind, initial, protocol)
+
+    @pytest.mark.parametrize("protocol", ["measure-at-t", "quench-at-zero"])
+    @pytest.mark.parametrize("kind", ["xx", "tfim"])
     def test_ground_state_scans_read_the_spectrum_once(self, monkeypatch, protocol, kind):
         form = vars(Hamiltonian)["spectrum"].func
         reads = []
@@ -318,7 +347,8 @@ class TestPureStateKernel:
             grid=TimeGrid(1.0, 0.1), site_a=None, site_b=None, d_min=2, d_max=7,
         )
         arrival_scan(config)
-        assert calls == [(8, 8)]  # the popcount-1 sector, shared by every distance
+        # The popcount-1 sector as its two site-reversal blocks, shared by every distance.
+        assert calls == [(4, 4), (4, 4)]
 
     def test_empty_c_raises_for_an_inner_pair(self):
         for protocol in ("measure-at-t", "quench-at-zero"):

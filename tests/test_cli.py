@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qcausal
 from qcausal import causalscan, ccmi, cli
 from qcausal.cli import main
 
@@ -90,6 +95,28 @@ class TestTimeseries:
         assert code == 0
         _, _, rows = read_csv(out)
         assert all(abs(float(r[1])) <= 1e-10 for r in rows)
+
+    def test_degenerate_ground_state_warns_on_stderr_only(self, tmp_path):
+        # TFIM at h = 0: |0000> and |1111> tie. The warning reaches stderr; the
+        # CSV is the same bytes as a run with warnings ignored.
+        env = dict(os.environ, PYTHONPATH=str(Path(qcausal.__file__).parents[1]))
+        argv = [
+            "-m", "qcausal", "timeseries", "--model", "tfim", "--n", "4", "--h", "0",
+            "--initial", "ground", "--protocol", "quench-at-zero", "--site-a", "0",
+            "--site-b", "3", "--t-max", "0.2", "--dt", "0.1",
+        ]
+        runs = []
+        for flags, name in (([], "warned.csv"), (["-W", "ignore"], "quiet.csv")):
+            out = tmp_path / name
+            done = subprocess.run(
+                [sys.executable, *flags, *argv, "--out", str(out)],
+                env=env, capture_output=True, text=True, check=False,
+            )
+            assert done.returncode == 0
+            runs.append((done.stderr, out.read_bytes()))
+        (warned, warned_csv), (quiet, quiet_csv) = runs
+        assert "RuntimeWarning: degenerate ground state" in warned and quiet == ""
+        assert warned_csv == quiet_csv and b"degenerate" not in warned_csv
 
     def test_missing_sites_is_usage_error(self):
         assert run_cli("timeseries", "--model", "xx", "--n", "4") == 2

@@ -21,7 +21,7 @@ from qcausal import (
     total_sigma_z,
     von_neumann_entropy,
 )
-from qcausal.spinchain import DEGENERACY_GAP, _evolve_grid, _sectors
+from qcausal.spinchain import DEGENERACY_GAP, _BitAction, _evolve_grid, _sectors
 from helpers import count_eigh, dense_tfim, dense_xx, random_density, random_ket
 
 ORACLES = {"tfim": dense_tfim, "xx": dense_xx}
@@ -160,12 +160,16 @@ class TestSectorSpectrum:
         self.assert_exact_spectrum(hamiltonian, ORACLES[kind](n, 1.0, h))
 
     def test_sectors_are_verified_from_the_matrix(self):
+        # A matrix handed over directly is split by popcount or parity only.
         n = 6
         xx = build_xx(n, 1.0, 0.3).matrix
-        sizes = [rows.size for rows, _ in _sectors(xx)]
+        sizes = [rows.shape[1] for rows, _ in _sectors(xx)]
         assert sizes == [math.comb(n, m) for m in range(n + 1)]
         tfim = build_tfim(n, 1.0, 0.7).matrix
-        assert [(rows.size, mirror) for rows, mirror in _sectors(tfim)] == [(32, 1), (32, -1)]
+        layouts = [sector_layout(*sector) for sector in _sectors(tfim)]
+        assert layouts == [(32, (1, 1)), (32, (1, -1))]
+        rows, _ = _sectors(tfim)[1]
+        assert np.array_equal(rows[1], rows[0] ^ 63)
 
     def test_complex_matrix_without_symmetry_is_one_block(self):
         rng = np.random.default_rng(31)
@@ -192,6 +196,61 @@ class TestSectorSpectrum:
         assert first.degenerate and again.degenerate
         assert np.array_equal(first.state.amplitudes, again.state.amplitudes)
         assert np.array_equal(first.state.amplitudes, basis_ket([0] * n).amplitudes)
+
+
+def sector_layout(rows, factors):
+    """(size, sign of each group element) of one sector's `_Block` layout."""
+    return rows.shape[1], tuple(int(sign) for sign in np.sign(factors[:, 0]))
+
+
+def block_basis(block, dim):
+    """The dense dim x size basis Q of a block, summed over its group elements."""
+    basis = np.zeros((dim, block.size))
+    for rows, factors in zip(block.rows, block.factors):
+        basis[rows, np.arange(block.size)] += factors
+    return basis
+
+
+class TestNativeBlocks:
+    """The builders' blocks against the Pauli-Kronecker oracle: the check that
+    `_sectors` makes on a matrix handed to `Hamiltonian`, made here once."""
+
+    @pytest.mark.parametrize("kind", sorted(ORACLES))
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_blocks_satisfy_the_kron_oracle(self, kind, n):
+        dim = 2**n
+        coupling, field = ORACLES[kind](n, 1.0, 0.0), ORACLES[kind](n, 0.0, 1.0)
+        for h in PARAMETERS:
+            oracle = coupling + h * field
+            bases = []
+            for block in build_model(ChainModel(kind, n, 1.0, h))._blocks:
+                basis = block_basis(block, dim)
+                # H Q = Q B, with H Q gathered column by column from the sparse Q.
+                hq = sum(oracle[:, rows] * f for rows, f in zip(block.rows, block.factors))
+                native = block.operator.block(block.rows, block.factors)
+                assert np.max(np.abs(hq - basis @ native)) <= 1e-12
+                bases.append(basis)
+            basis = np.hstack(bases)
+            assert basis.shape == (dim, dim)
+            assert np.max(np.abs(basis.T @ basis - np.eye(dim))) <= 1e-14
+
+    def test_non_hermitian_action_is_refused_per_block(self):
+        # H|s> = |s ^ 1> for even s only: no Hermitian matrix acts like that.
+        n = 3
+        states = np.arange(2**n)
+        action = _BitAction(n, np.array([0, 1]), np.vstack([np.zeros(8), states % 2 == 0]))
+        hamiltonian = Hamiltonian._from_action(ChainModel("tfim", n, 1.0, 1.0), action)
+        with pytest.raises(InvalidInput, match="hermiticity"):
+            hamiltonian.spectrum
+
+    @pytest.mark.parametrize("kind", sorted(ORACLES))
+    def test_large_couplings_pass_the_block_check(self, kind):
+        # The block check is absolute, as for a dense matrix: the builders'
+        # blocks come out exactly symmetric, so large entries pass it too.
+        hamiltonian = build_model(ChainModel(kind, 8, 1e6, 7e5))
+        values, _ = hamiltonian.spectrum
+        oracle = ORACLES[kind](8, 1e6, 7e5)
+        assert np.max(np.abs(values - np.linalg.eigvalsh(oracle))) <= 1e-6
 
 
 def dense_evolution(hamiltonian, amplitudes, times):
@@ -236,20 +295,38 @@ class TestSectorBlocks:
             assert np.max(np.abs(grid - dense_evolution(hamiltonian, psi, times))) <= 1e-12
 
     def test_parity_sectors_split_only_where_the_state_lies(self):
+        # Group elements: identity, flip F, reversal P, PF; sectors (F, P) =
+        # (+, +), (+, -), (-, +), (-, -). Flip-even splits 20 + 12: an orbit
+        # with P s = s or P s = F s joins only the sectors where that element
+        # has sign +1.
         tfim = build_tfim(6, 1.0, 0.7)
-        assert [(block.rows.size, block.mirror) for block in tfim._blocks] == [(32, 1), (32, -1)]
-        even = normalized(np.concatenate([np.arange(1.0, 33.0), np.arange(32.0, 0.0, -1.0)]))
-        assert not np.any(tfim._blocks[1].project(even))
-        _evolve_grid(tfim, even, np.array([0.5]))
-        assert ["eigen" in vars(block) for block in tfim._blocks] == [True, False]
+        assert [sector_layout(block.rows, block.factors) for block in tfim._blocks] == [
+            (20, (1, 1, 1, 1)), (12, (1, 1, -1, -1)), (16, (1, -1, 1, -1)), (16, (1, -1, -1, 1)),
+        ]
+        ramp = np.arange(1.0, 65.0)
+        images = tfim._blocks[0].rows
+        symmetric = np.zeros(64)
+        for rows in images:  # sum the ramp over each orbit: (+, +) only
+            symmetric[rows] = ramp[images].sum(axis=0)
+        symmetric = normalized(symmetric)
+        assert [bool(np.any(block.project(symmetric))) for block in tfim._blocks] == [
+            True, False, False, False,
+        ]
+        _evolve_grid(tfim, symmetric, np.array([0.5]))
+        assert ["eigen" in vars(block) for block in tfim._blocks] == [True, False, False, False]
 
-    @pytest.mark.parametrize("n, h", [(8, 1.0), (10, 0.3)])
+    @pytest.mark.parametrize("n, h", [(n, h) for n in range(2, 11) for h in (0.0, 0.3, 1.0, -0.7)])
     def test_every_column_leads_with_a_positive_real_entry(self, n, h):
-        # Mirror vectors are scaled before their phases are fixed; fixing them
-        # first flipped a column's sign here, where two lead magnitudes nearly tie.
-        _, vectors = build_tfim(n, 1.0, h).spectrum
-        leads = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
-        assert np.all(leads > 0.0)
+        # A column's lead is its first largest entry. On an orbit of several
+        # states (a state and its reversal, or its flip) the placed entries tie
+        # exactly, and the first of them must be the positive one.
+        tied = 0
+        for kind in sorted(ORACLES):
+            _, vectors = build_model(ChainModel(kind, n, 1.0, h)).spectrum
+            leads = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+            assert np.all(leads > 0.0)
+            tied += np.count_nonzero(np.sum(np.abs(vectors) == leads, axis=0) > 1)
+        assert tied > 0
 
     @pytest.mark.parametrize("kind", sorted(ORACLES))
     @pytest.mark.parametrize("n", range(2, 9))
@@ -263,9 +340,19 @@ class TestSectorBlocks:
             assert gs.degenerate == (values[1] - values[0] < DEGENERACY_GAP)
 
     def test_ground_state_diagonalizes_every_sector(self, monkeypatch):
+        # Each popcount block splits into its reversal-even and -odd halves;
+        # palindromes go to the even half only.
         calls = count_eigh(monkeypatch)
         ground_state(build_xx(6, 1.0, 0.3))
-        assert sorted(calls) == sorted((math.comb(6, m),) * 2 for m in range(7))
+        palindromes = [0] * 7
+        for s in range(64):
+            if format(s, "06b") == format(s, "06b")[::-1]:
+                palindromes[bin(s).count("1")] += 1
+        sizes = [
+            (math.comb(6, m) + sign * palindromes[m]) // 2 for m in range(7) for sign in (1, -1)
+        ]
+        assert sorted(calls) == sorted((size, size) for size in sizes if size)
+        assert len(calls) == 12  # popcounts 0 and 6 are one palindrome each
 
 
 class TestGroundState:
