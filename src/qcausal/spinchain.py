@@ -1,12 +1,11 @@
 """Chain Hamiltonians (transverse-field Ising, XX) and exact time evolution.
 
-Both models are open-boundary and real symmetric. The builders never form
-the 2^N x 2^N matrix: they describe H by its action on the basis bits (a
-diagonal, plus flip masks with per-state amplitudes) and fill each sector
-block Q^T H Q straight from it. The sectors are the popcount when no term
-changes it (XX; TFIM at h = 0), else the spin-flip parity, each split once
-more by site reversal; a matrix handed to `Hamiltonian` directly is split
-only into the sectors it verifies (popcount, else parity, else one block).
+Both models are open-boundary and real symmetric. A `Hamiltonian` is built
+from its `ChainModel` alone and never forms the 2^N x 2^N matrix: it
+describes H by its action on the basis bits (a diagonal, plus flip masks
+with per-state amplitudes) and fills each sector block Q^T H Q straight
+from it. The sectors are the popcount when no term changes it (XX; TFIM at
+h = 0), else the spin-flip parity, each split once more by site reversal.
 Every sector basis Q has one layout, `_Block`'s (rows, factors) per
 symmetry element, which projects, scatters and places vectors. Blocks are
 diagonalized on first use and cached. Pure states evolve block by block,
@@ -54,33 +53,16 @@ class ChainModel:
 
 
 class Hamiltonian:
-    """Hermitian chain Hamiltonian (real for the built models).
+    """The real symmetric Hamiltonian of a `ChainModel`.
 
-    Built from a dense matrix, which is checked here and split into the
-    sectors it verifies (`_sectors`); the builders instead hand over their
-    bit action (`_BitAction`) and never form the matrix. Either way the
+    Built from the model's bit action (`_BitAction`), never as a matrix. The
     eigendecomposition is kept per sector, one `_Block` each, and each block
     is diagonalized on first use.
     """
 
-    def __init__(self, model: ChainModel, matrix: np.ndarray):
-        matrix = np.asarray(matrix)
-        if matrix.shape != (2**model.n_sites,) * 2:
-            raise InvalidInput(f"matrix shape {matrix.shape} does not fit {model.n_sites} sites")
-        matrix = matrix.astype(np.result_type(matrix, float))
-        defect = np.max(np.abs(matrix - matrix.conj().T))
-        if not defect <= BUILD_HERMITICITY_TOL:  # a NaN entry fails too
-            raise InvalidInput(f"hermiticity defect {defect:.3e} exceeds {BUILD_HERMITICITY_TOL}")
-        matrix.setflags(write=False)
+    def __init__(self, model: ChainModel):
         self.model = model
-        self._operator = _Matrix(matrix)
-
-    @classmethod
-    def _from_action(cls, model: ChainModel, action: _BitAction) -> Hamiltonian:
-        hamiltonian = cls.__new__(cls)
-        hamiltonian.model = model
-        hamiltonian._operator = action
-        return hamiltonian
+        self._action = _ACTIONS[model.kind](model)
 
     @property
     def n_sites(self) -> int:
@@ -92,14 +74,14 @@ class Hamiltonian:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense dim x dim matrix (read-only): as given, or placed from the
-        bit action on first use. Scans never read it."""
-        return self._operator.dense()
+        """The dense dim x dim matrix (read-only), placed from the bit action
+        on first use. Scans never read it."""
+        return self._action.dense()
 
     @cached_property
     def _blocks(self) -> list[_Block]:
         """One `_Block` per sector, in sector order; none diagonalized yet."""
-        return [_Block(self._operator, rows, factors) for rows, factors in self._operator.sectors()]
+        return [_Block(self._action, rows, factors) for rows, factors in self._action.sectors()]
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -114,8 +96,7 @@ class Hamiltonian:
         order = np.argsort(values, kind="stable")
         column = np.empty_like(order)
         column[order] = np.arange(order.size)
-        dtype = np.result_type(*(block.eigen[1] for block in blocks))
-        vectors = np.zeros((self.dim, self.dim), dtype=dtype)
+        vectors = np.zeros((self.dim, self.dim))
         start = 0
         for block in blocks:
             block.place(vectors, column[start : start + block.size])
@@ -147,7 +128,7 @@ class _BitAction:
     def sectors(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Popcount sectors when no term changes the popcount (XX; TFIM at
         h = 0), else spin-flip parity sectors; each split by site reversal.
-        The builders' uniform open chains commute with both by construction;
+        Both models' uniform open chains commute with both by construction;
         the tests hold every block to the Pauli-Kronecker matrix."""
         popcount = _site_bits(self.n_sites).sum(axis=1)
         flipped = popcount[np.arange(popcount.size) ^ self.masks[:, None]]
@@ -155,9 +136,10 @@ class _BitAction:
         return _orbit_sectors(self.n_sites, popcount=keeps, flip=not keeps, reversal=True)
 
     def block(self, rows: np.ndarray, factors: np.ndarray) -> np.ndarray:
-        """Q^T H Q of one sector, filled from the bits: H Q at the orbit
-        representatives, scaled by `_rep_scale`. No matrix was checked whole,
-        so each block is checked for hermiticity here."""
+        """Q^T H Q of one sector, filled from the bits. H Q stays in the
+        sector, so its rows at the orbit representatives give Q^T H Q, row i
+        scaled by |G| factors[0, i]. The action is never checked whole, so
+        each block is checked for hermiticity here."""
         size = rows.shape[1]
         position = np.full(2**self.n_sites, -1)
         position[rows[0]] = np.arange(size)
@@ -167,43 +149,13 @@ class _BitAction:
         inside = hit >= 0
         cells = (hit * size + np.arange(size))[inside]
         block = np.bincount(cells, weight[inside], minlength=size * size).reshape(size, size)
-        block *= _rep_scale(factors)[:, None]
+        block *= (factors.shape[0] * factors[0])[:, None]
         defect = np.max(np.abs(block - block.T))
         if not defect <= BUILD_HERMITICITY_TOL:
             raise InvalidInput(
                 f"block hermiticity defect {defect:.3e} exceeds {BUILD_HERMITICITY_TOL}"
             )
         return block
-
-
-class _Matrix:
-    """A dense matrix handed to `Hamiltonian`, split into the sectors it verifies."""
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-
-    def dense(self) -> np.ndarray:
-        return self.matrix
-
-    def sectors(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return _sectors(self.matrix)
-
-    def block(self, rows: np.ndarray, factors: np.ndarray) -> np.ndarray:
-        """Q^T H Q of one sector: H Q at the orbit representatives, gathered
-        from the matrix and scaled by `_rep_scale`."""
-        block = np.zeros((rows.shape[1],) * 2, dtype=self.matrix.dtype)
-        for image, factor in zip(rows, factors):
-            part = self.matrix[np.ix_(rows[0], image)]
-            part *= factor
-            block += part
-        block *= _rep_scale(factors)[:, None]
-        return block
-
-
-def _rep_scale(factors: np.ndarray) -> np.ndarray:
-    """|G| factors[0]: H Q stays in the sector, so its rows at the orbit
-    representatives r give Q^T H Q, row i scaled by |G| factors[0, i]."""
-    return factors.shape[0] * factors[0]
 
 
 class _Block:
@@ -218,8 +170,8 @@ class _Block:
     one row and their factors add.
     """
 
-    def __init__(self, operator: _BitAction | _Matrix, rows: np.ndarray, factors: np.ndarray):
-        self.operator = operator
+    def __init__(self, action: _BitAction, rows: np.ndarray, factors: np.ndarray):
+        self.action = action
         self.rows = rows
         self.factors = factors
 
@@ -236,7 +188,7 @@ class _Block:
         magnitude sits at its representative, the least row of its orbit, and
         is scaled by the factors that land there.
         """
-        values, vectors = np.linalg.eigh(self.operator.block(self.rows, self.factors))
+        values, vectors = np.linalg.eigh(self.action.block(self.rows, self.factors))
         landing = np.sum(np.where(self.rows == self.rows[0], np.abs(self.factors), 0.0), axis=0)
         _fix_phases(vectors, landing)
         values.setflags(write=False)
@@ -256,35 +208,6 @@ class _Block:
         """Add Q times the block's vectors into `columns` of the zero dim x dim `out`."""
         for rows, factors in zip(self.rows, self.factors):
             out[np.ix_(rows, columns)] += factors[:, None] * self.eigen[1]
-
-
-def _sectors(matrix: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The `_Block` (rows, factors) of each conserved sector the matrix verifies.
-
-    Magnetization sectors (ascending popcount) when no entry couples two
-    popcounts; else the spin-flip parity sectors, even first, when H equals
-    H[::-1, ::-1]; else the whole space as one block. Both checks read the
-    rows of one popcount at a time.
-    """
-    dim = matrix.shape[0]
-    n_sites = dim.bit_length() - 1
-    popcount = _site_bits(n_sites).sum(axis=1)
-    groups = [np.flatnonzero(popcount == count) for count in range(n_sites + 1)]
-    if all(_largest_outside(matrix, rows) <= BUILD_HERMITICITY_TOL for rows in groups):
-        return _orbit_sectors(n_sites, popcount=True, flip=False, reversal=False)
-    if all(
-        np.max(np.abs(matrix[rows] - matrix[dim - 1 - rows, ::-1])) <= BUILD_HERMITICITY_TOL
-        for rows in groups
-    ):
-        return _orbit_sectors(n_sites, popcount=False, flip=True, reversal=False)
-    return _orbit_sectors(n_sites, popcount=False, flip=False, reversal=False)
-
-
-def _largest_outside(matrix: np.ndarray, rows: np.ndarray) -> float:
-    """Largest |entry| of `rows` outside the columns `rows` (NaN if any is NaN)."""
-    part = np.abs(matrix[rows])
-    part[:, rows] = 0.0
-    return np.max(part)
 
 
 def _orbit_sectors(
@@ -341,33 +264,40 @@ def _site_bits(n_sites: int) -> np.ndarray:
     return (np.arange(2**n_sites)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
 
 
-def build_tfim(n_sites: int, coupling: float, field: float) -> Hamiltonian:
-    """H = -J sum_k sz_k sz_{k+1} - h sum_k sx_k (open boundaries)."""
-    model = ChainModel("tfim", n_sites, coupling, field)
+def _tfim_action(model: ChainModel) -> _BitAction:
     n = model.n_sites
     spins = 1 - 2 * _site_bits(n)
     diagonal = -model.coupling * np.sum(spins[:, :-1] * spins[:, 1:], axis=1, dtype=float)
     masks = np.concatenate([[0], 1 << np.arange(n - 1, -1, -1)])
     amplitudes = np.vstack([diagonal, np.full((n, 2**n), -model.field)])
-    return Hamiltonian._from_action(model, _BitAction(n, masks, amplitudes))
+    return _BitAction(n, masks, amplitudes)
 
 
-def build_xx(n_sites: int, coupling: float, field: float) -> Hamiltonian:
-    """H = (J/2) sum_k (sx_k sx_{k+1} + sy_k sy_{k+1}) + h sum_k sz_k."""
-    model = ChainModel("xx", n_sites, coupling, field)
+def _xx_action(model: ChainModel) -> _BitAction:
     n = model.n_sites
     bits = _site_bits(n)
     diagonal = model.field * (n - 2 * bits.sum(axis=1, dtype=float))
     # sx sx + sy sy = 2(|01><10| + |10><01|): J on every flip of a differing pair.
     masks = np.concatenate([[0], 3 << np.arange(n - 2, -1, -1)])
     hops = np.where(bits[:, :-1] != bits[:, 1:], model.coupling, 0.0).T
-    return Hamiltonian._from_action(model, _BitAction(n, masks, np.vstack([diagonal, hops])))
+    return _BitAction(n, masks, np.vstack([diagonal, hops]))
+
+
+_ACTIONS = {"tfim": _tfim_action, "xx": _xx_action}
+
+
+def build_tfim(n_sites: int, coupling: float, field: float) -> Hamiltonian:
+    """H = -J sum_k sz_k sz_{k+1} - h sum_k sx_k (open boundaries)."""
+    return Hamiltonian(ChainModel("tfim", n_sites, coupling, field))
+
+
+def build_xx(n_sites: int, coupling: float, field: float) -> Hamiltonian:
+    """H = (J/2) sum_k (sx_k sx_{k+1} + sy_k sy_{k+1}) + h sum_k sz_k."""
+    return Hamiltonian(ChainModel("xx", n_sites, coupling, field))
 
 
 def build_model(model: ChainModel) -> Hamiltonian:
-    if model.kind == "tfim":
-        return build_tfim(model.n_sites, model.coupling, model.field)
-    return build_xx(model.n_sites, model.coupling, model.field)
+    return Hamiltonian(model)
 
 
 @dataclass(frozen=True)

@@ -113,3 +113,28 @@ class TestCommutatorFrontNorm:
     def test_coincident_sites_rejected(self, chain):
         with pytest.raises(InvalidInput):
             commutator_front_norm(chain, 3, PAULI_Z, 3, PAULI_Z, 1.0)
+
+
+def xx_hopping_propagator(n, coupling, field, time):
+    """U = exp(-iMt) of the single-particle hopping matrix M that the XX chain
+    maps onto (Jordan-Wigner): M_{k,k+1} = J, M_kk = -2h."""
+    hopping = np.diag(np.full(n, -2.0 * field))
+    hopping += np.diag(np.full(n - 1, coupling), 1) + np.diag(np.full(n - 1, coupling), -1)
+    energies, modes = np.linalg.eigh(hopping)
+    return (modes * np.exp(-1j * energies * time)) @ modes.T
+
+
+class TestXxZzFrontClosedForm:
+    """The spectrum -> propagator path against free fermions:
+    ||[sz_0(t), sz_b]|| = 4 |U_b0| sqrt(1 - |U_b0|^2)."""
+
+    @pytest.mark.parametrize("h", [0.0, 0.3, -0.7])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_front_matches_the_single_particle_propagator(self, n, h):
+        chain = build_xx(n, 1.0, h)
+        for t in (0.3, 1.1, 2.6):
+            amplitude = np.abs(xx_hopping_propagator(n, 1.0, h, t)[:, 0])
+            for b in range(1, n):
+                closed = 4.0 * amplitude[b] * math.sqrt(max(0.0, 1.0 - amplitude[b] ** 2))
+                norm = commutator_front_norm(chain, 0, PAULI_Z, b, PAULI_Z, t)
+                assert abs(norm - closed) <= 1e-12

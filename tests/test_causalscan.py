@@ -229,6 +229,38 @@ class TestChecksBeforeTheBuild:
             causalscan._check_scan_inputs(self.config(grid=too_many))
 
 
+class TestSuppliedHamiltonian:
+    """A scan runs on a supplied Hamiltonian only if it was built for the configured model."""
+
+    @staticmethod
+    def scans(hamiltonian):
+        series = xx_config(grid=TimeGrid(0.2, 0.1))
+        scan = replace(series, site_a=None, site_b=None, d_min=2, d_max=3)
+        return (
+            lambda: qcmi_time_series(series, hamiltonian),
+            lambda: arrival_scan(scan, hamiltonian),
+        )
+
+    @pytest.mark.parametrize("model", [
+        ChainModel("xx", 4, 1.0, 0.3),
+        ChainModel("xx", 4, 0.5, 0.5),
+        ChainModel("tfim", 4, 1.0, 0.5),
+        ChainModel("xx", 5, 1.0, 0.5),
+    ])
+    def test_hamiltonian_of_another_model_is_refused(self, model):
+        for run in self.scans(Hamiltonian(model)):
+            with pytest.raises(InvalidInput, match="does not match the configured model"):
+                run()
+
+    def test_hamiltonian_of_the_configured_model_is_used(self, monkeypatch):
+        hamiltonian = Hamiltonian(xx_config().model)
+        series, table = (run() for run in self.scans(None))
+        monkeypatch.setattr(causalscan, "build_model", lambda model: pytest.fail("built"))
+        supplied_series, supplied_table = (run() for run in self.scans(hamiltonian))
+        assert np.array_equal(supplied_series.values, series.values)
+        assert supplied_table == table
+
+
 def dense_series(config):
     """The density-matrix path, one grid time at a time: the kernel's oracle."""
     h = build_model(config.model)
