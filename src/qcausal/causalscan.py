@@ -8,12 +8,18 @@ conditioning set C is empty and every scan raises `EmptyConditioner`.
 
 Every initial state is pure and a projective-z measurement keeps it pure, so
 scans run on amplitudes: psi(t) is evolved once for the whole grid, A is
-measured by slicing its axis, and entropies come from the Gram matrix on the
-smaller side of each cut. Entropies and branch sums are batched over the
-whole grid: one `eigvalsh` call per site set and branch, and the clamp rules
-of `asymmetric_qcmi` applied to every time at once. The dense density-matrix
-functions (`asymmetric_qcmi`, `apply_instrument`, `evolve`) compute the same
-values and are the oracle the tests hold this kernel to.
+measured by slicing its axis, and entropies come from Gram matrices on the
+smaller side of each cut. Each distinct site set among the receivers' B, C
+and BC is taken once per branch and shared by every receiver. When every
+nonzero amplitude of a branch has one popcount M (the XX chain conserves
+it, and the sector-block evolution leaves exact zeros outside the occupied
+sectors), each cut splits into one block per subsystem popcount q, against
+complement popcount M - q; otherwise the cut is one block. Entropies and
+branch sums are batched over the whole grid: one `eigvalsh` call per block,
+site set and branch, and the clamp rules of `asymmetric_qcmi` applied to
+every time at once. The dense density-matrix functions (`asymmetric_qcmi`,
+`apply_instrument`, `evolve`) compute the same values and are the oracle
+the tests hold this kernel to.
 """
 
 from __future__ import annotations
@@ -29,9 +35,9 @@ from .exceptions import DegenerateMeasurement, EmptyConditioner, InsufficientDat
 from .infomeasures import Partition, _clamped_values
 from .instrument import PROBABILITY_FLOOR, projective_z_instrument
 from .qstate import Ket, basis_ket, entropies_from_eigenvalues
-from .qstate import check_integer, check_real, check_site_pair
-from .spinchain import DEGENERACY_GAP, ChainModel, Hamiltonian, _evolve_grid, build_model
-from .spinchain import ground_state
+from .qstate import check_instance, check_integer, check_real, check_site_pair
+from .spinchain import DEGENERACY_GAP, ChainModel, Hamiltonian, _evolve_grid, _site_bits
+from .spinchain import build_model, ground_state
 
 # Unused here since scans run on amplitudes; perfbench/test_perfbench.py
 # checks that the tracer patches this imported name, so it stays importable.
@@ -114,6 +120,8 @@ class ScanConfig:
     d_max: int | None = None
 
     def __post_init__(self):
+        check_instance(self.model, ChainModel, "model")
+        check_instance(self.grid, TimeGrid, "grid")
         if self.protocol not in PROTOCOLS:
             raise InvalidInput(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
         _check_detection(self.threshold, self.crossing)
@@ -213,7 +221,7 @@ def _series_partition(config: ScanConfig, n_sites: int) -> Partition:
 def _hamiltonian(config: ScanConfig, hamiltonian: Hamiltonian | None) -> Hamiltonian:
     if hamiltonian is None:
         return build_model(config.model)
-    if hamiltonian.model != config.model:
+    if check_instance(hamiltonian, Hamiltonian, "hamiltonian").model != config.model:
         raise InvalidInput("supplied Hamiltonian does not match the configured model")
     return hamiltonian
 
@@ -239,35 +247,63 @@ def _measure_z(kets: np.ndarray, site: int, n_sites: int) -> list[tuple[np.ndarr
     return [(weights[:, x], slices[x] * scale[:, x, None]) for x in (0, 1)]
 
 
-def _entropies(kets: np.ndarray, n_sites: int, sites: tuple[int, ...]) -> np.ndarray:
+def _charge(kets: np.ndarray, n_sites: int) -> int | None:
+    """The popcount that every nonzero amplitude of a (T, 2^n) batch has, on
+    every row; None if they have more than one (or the batch is all zero)."""
+    occupied = np.any(kets != 0.0, axis=0)
+    # bincount, not np.unique: a sort pages in about 1 MiB more of numpy's code.
+    counts = np.flatnonzero(np.bincount(_site_bits(n_sites).sum(axis=1)[occupied]))
+    return int(counts[0]) if counts.size == 1 else None
+
+
+def _entropies(
+    kets: np.ndarray, n_sites: int, sites: tuple[int, ...], charge: int | None
+) -> np.ndarray:
     """Entropy of `sites` for every pure state in a (T, 2^n) ket batch.
 
-    The reduced state of `sites` and of its complement share their nonzero
-    spectrum, so the Gram matrix is formed on whichever side is smaller.
+    A state's amplitudes form a matrix, subsystem configurations by
+    complement configurations. If every state has popcount `charge` M, it is
+    block diagonal: q ones on `sites` go with M - q on the complement, so
+    each block is gathered on its own and the joined spectra give the
+    entropy. With `charge` None the whole matrix is one block. The reduced
+    state of `sites` and of its complement share their nonzero spectrum, so
+    each block's Gram matrix is formed on its smaller side.
     """
-    rest = [s for s in range(n_sites) if s not in sites]
-    axes = [0] + [1 + s for s in sites] + [1 + s for s in rest]
-    tensor = kets.reshape((kets.shape[0],) + (2,) * n_sites).transpose(axes)
-    mat = tensor.reshape(kets.shape[0], 2 ** len(sites), 2 ** len(rest))
-    if mat.shape[1] > mat.shape[2]:
-        mat = mat.transpose(0, 2, 1)
-    gram = mat @ mat.conj().transpose(0, 2, 1)
-    return entropies_from_eigenvalues(np.linalg.eigvalsh(gram))
+    rest = tuple(s for s in range(n_sites) if s not in sites)
+    row_bits, col_bits = _site_bits(len(sites)), _site_bits(len(rest))
+    # Register index of each configuration; site s is bit n - 1 - s.
+    rows = row_bits @ (1 << (n_sites - 1 - np.array(sites, dtype=int)))
+    cols = col_bits @ (1 << (n_sites - 1 - np.array(rest, dtype=int)))
+    if charge is None:
+        blocks = [(rows, cols)]
+    else:
+        row_ones, col_ones = row_bits.sum(axis=1), col_bits.sum(axis=1)
+        blocks = [
+            (rows[row_ones == q], cols[col_ones == charge - q])
+            for q in range(max(0, charge - len(rest)), min(len(sites), charge) + 1)
+        ]
+    spectra = []
+    for block in blocks:
+        small, large = sorted(block, key=len)
+        mat = np.take(kets, small[:, None] + large, axis=1)
+        spectra.append(np.linalg.eigvalsh(mat @ mat.conj().transpose(0, 2, 1)))
+    return entropies_from_eigenvalues(np.concatenate(spectra, axis=-1))
 
 
-def _branch_average(branches, n_sites: int, b: tuple[int, ...], c: tuple[int, ...]) -> np.ndarray:
+def _branch_average(
+    branches: list[tuple[np.ndarray, dict]], b: tuple[int, ...], c: tuple[int, ...]
+) -> np.ndarray:
     """Per-row sum over branches of weight * I(B:C), clamped as in `asymmetric_qcmi`.
 
+    Each branch is (weights, entropies), where `entropies` maps every site
+    set of the scan (sorted) to its per-row entropy, taken once per branch.
     A branch's term is checked and clamped only on rows where its weight is
     positive; elsewhere the branch was dropped and contributes nothing.
     """
     values = np.zeros(branches[0][0].size)
     bc = tuple(sorted(b + c))
-    terms = [
-        (weights, *(_entropies(kets, n_sites, sites) for sites in (b, c, bc)))
-        for weights, kets in branches
-    ]
-    for weights, s_b, s_c, s_bc in terms:
+    for weights, entropies in branches:
+        s_b, s_c, s_bc = (entropies[sites] for sites in (b, c, bc))
         values += weights * _clamped_values(np.where(weights > 0.0, s_b + s_c - s_bc, 0.0))
     return _clamped_values(values)
 
@@ -281,6 +317,9 @@ def _pure_series(
     whole grid and shared by every receiver. measure-at-t slices A out of
     psi(t), so sites after A move down by one in the branch register;
     quench-at-zero keeps A, in its measured state, on the full register.
+    The entropy of each distinct B, C or BC site set is taken once per
+    branch, with the branch's popcount checked once, and read by every
+    receiver.
     """
     psi0 = initial_ket(h, config.initial)
     times = config.grid.times
@@ -300,10 +339,15 @@ def _pure_series(
                 )
         register = n
         shift = list(range(n))
-    return [
-        _branch_average(branches, register, (shift[b],), tuple(shift[s] for s in c))
-        for b, c in receivers
-    ]
+    pairs = [((shift[b],), tuple(shift[s] for s in c)) for b, c in receivers]
+    site_sets = {sites for b, c in pairs for sites in (b, c, tuple(sorted(b + c)))}
+    tables = []
+    for weights, kets in branches:
+        charge = _charge(kets, register)
+        tables.append(
+            (weights, {sites: _entropies(kets, register, sites, charge) for sites in site_sets})
+        )
+    return [_branch_average(tables, b, c) for b, c in pairs]
 
 
 def qcmi_time_series(config: ScanConfig, hamiltonian: Hamiltonian | None = None) -> QcmiSeries:

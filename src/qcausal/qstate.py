@@ -69,6 +69,13 @@ def check_real(value, name: str) -> float:
     raise InvalidInput(f"{name} must be a finite real number, got {value!r}")
 
 
+def check_instance(value, kind: type, name: str):
+    """`value` unchanged if it is a `kind`; any other object raises `InvalidInput`."""
+    if not isinstance(value, kind):
+        raise InvalidInput(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 def check_sites(
     sites: Iterable[int], n_sites: int | None = None, *, allow_empty: bool = False
 ) -> tuple[int, ...]:

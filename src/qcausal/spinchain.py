@@ -23,7 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import InvalidInput, NumericalInstability
-from .qstate import MAX_SITES, NORM_TOL, DensityMatrix, Ket, check_n_sites, check_real
+from .qstate import MAX_SITES, NORM_TOL, DensityMatrix, Ket, check_instance, check_n_sites
+from .qstate import check_real
 
 BUILD_HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-9
@@ -61,7 +62,7 @@ class Hamiltonian:
     """
 
     def __init__(self, model: ChainModel):
-        self.model = model
+        self.model = check_instance(model, ChainModel, "model")
         self._action = _ACTIONS[model.kind](model)
 
     @property

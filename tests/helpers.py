@@ -151,14 +151,14 @@ def dense_xx(n_sites, coupling, field):
     return matrix
 
 
-def count_eigh(monkeypatch):
-    """Record the shape of every matrix passed to `np.linalg.eigh` from now on."""
+def count_eigh(monkeypatch, solver="eigh"):
+    """Record the shape of every matrix passed to `np.linalg.<solver>` from now on."""
     shapes = []
-    eigh = np.linalg.eigh
+    solve = getattr(np.linalg, solver)
 
     def counted(matrix):
         shapes.append(matrix.shape)
-        return eigh(matrix)
+        return solve(matrix)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, solver, counted)
     return shapes

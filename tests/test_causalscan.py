@@ -11,6 +11,7 @@ from qcausal import (
     Hamiltonian,
     InsufficientData,
     InvalidInput,
+    Ket,
     NumericalInstability,
     Partition,
     ScanConfig,
@@ -25,12 +26,16 @@ from qcausal import (
     fit_velocity,
     initial_ket,
     mutual_information_sites,
+    partial_trace,
     projective_z_instrument,
     propagator,
     qcmi_time_series,
+    von_neumann_entropy,
 )
 from qcausal import causalscan
 from qcausal.infomeasures import NEGATIVITY_TOL, _clamped
+from qcausal.qstate import entropies_from_eigenvalues
+from qcausal.spinchain import _evolve_grid
 from helpers import count_eigh
 
 
@@ -44,6 +49,18 @@ def xx_config(**overrides):
     )
     base.update(overrides)
     return ScanConfig(**base)
+
+
+# The paper's N=8 XX arrival scan (acceptance criterion 4).
+PAPER_SCAN = ScanConfig(
+    model=ChainModel("xx", 8, 1.0, 0.3),
+    initial="basis:10000000",
+    grid=TimeGrid(5.0, 0.01),
+    threshold=0.03,
+    crossing="interp",
+    d_min=2,
+    d_max=7,
+)
 
 
 class TestTimeGrid:
@@ -410,27 +427,148 @@ class TestPureStateKernel:
             6: 1.8662377228,
             7: 2.27151776176,
         }
-        config = ScanConfig(
-            model=ChainModel("xx", 8, 1.0, 0.3),
-            initial="basis:10000000",
-            grid=TimeGrid(5.0, 0.01),
-            threshold=0.03,
-            crossing="interp",
-            d_min=2,
-            d_max=7,
-        )
-        table = arrival_scan(config)
+        table = arrival_scan(PAPER_SCAN)
         assert [d for d, _ in table.rows] == list(expected)
         for d, t_arr in table.rows:
             assert abs(t_arr - expected[d]) <= 1e-9
         assert abs(fit_velocity(table).v_eff - 2.520340227265703) <= 1e-9
 
 
-def fake_branches(monkeypatch, rows, rng):
+def popcounts(n_sites):
+    return np.array([bin(i).count("1") for i in range(2**n_sites)])
+
+
+def sector_kets(n_sites, charges, rows, rng):
+    """`rows` random normalized kets with amplitudes on every state whose
+    popcount is in `charges`, and nowhere else."""
+    inside = np.isin(popcounts(n_sites), charges)
+    kets = np.zeros((rows, 2**n_sites), dtype=complex)
+    kets[:, inside] = rng.standard_normal((rows, inside.sum())) + 1j * rng.standard_normal(
+        (rows, inside.sum())
+    )
+    return kets / np.linalg.norm(kets, axis=1, keepdims=True)
+
+
+def cuts(n_sites):
+    """A contiguous site set, a non-contiguous one and its complement."""
+    every_other = tuple(range(0, n_sites, 2))
+    return [
+        tuple(range(1, 1 + n_sites // 2)),
+        every_other,
+        tuple(s for s in range(n_sites) if s not in every_other),
+    ]
+
+
+def one_block_formula(kets, n_sites, sites):
+    """Each cut as one block, by a transpose of the register axes: the formula
+    the charge blocks refine."""
+    rest = [s for s in range(n_sites) if s not in sites]
+    axes = [0] + [1 + s for s in sites] + [1 + s for s in rest]
+    tensor = kets.reshape((kets.shape[0],) + (2,) * n_sites).transpose(axes)
+    mat = tensor.reshape(kets.shape[0], 2 ** len(sites), 2 ** len(rest))
+    if mat.shape[1] > mat.shape[2]:
+        mat = mat.transpose(0, 2, 1)
+    gram = mat @ mat.conj().transpose(0, 2, 1)
+    return entropies_from_eigenvalues(np.linalg.eigvalsh(gram))
+
+
+class TestChargeBlocks:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_sector_kets_match_partial_trace_and_one_block(self, n):
+        rng = np.random.default_rng(100 + n)
+        for charge in range(n + 1):
+            kets = sector_kets(n, [charge], 2, rng)
+            assert causalscan._charge(kets, n) == charge
+            states = [Ket(n, row).density_matrix() for row in kets]
+            for sites in cuts(n):
+                blocks = causalscan._entropies(kets, n, sites, charge)
+                oracle = [von_neumann_entropy(partial_trace(rho, sites)) for rho in states]
+                assert np.max(np.abs(blocks - oracle)) <= 1e-12
+                assert np.max(np.abs(blocks - one_block_formula(kets, n, sites))) <= 1e-12
+            # The whole register leaves an empty complement; a pure state has entropy 0.
+            whole = causalscan._entropies(kets, n, tuple(range(n)), charge)
+            assert np.max(np.abs(whole)) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_two_popcounts_take_the_one_block_formula(self, n):
+        # Row 0 lies in one popcount; the second one shows up only in the last row.
+        rng = np.random.default_rng(200 + n)
+        for charge in range(n):
+            kets = sector_kets(n, [charge], 3, rng)
+            kets[2] = sector_kets(n, [charge, charge + 1], 1, rng)[0]
+            found = causalscan._charge(kets, n)
+            assert found is None
+            for sites in cuts(n) + [tuple(range(n))]:
+                assert np.array_equal(
+                    causalscan._entropies(kets, n, sites, found), one_block_formula(kets, n, sites)
+                )
+
+    def test_paper_scan_takes_each_site_set_once_per_branch(self, monkeypatch):
+        calls = []
+        entropies = causalscan._entropies
+
+        def counted(kets, n_sites, sites, charge):
+            calls.append((id(kets), sites))
+            return entropies(kets, n_sites, sites, charge)
+
+        monkeypatch.setattr(causalscan, "_entropies", counted)
+        arrival_scan(PAPER_SCAN)
+        # Two branches x 13 site sets: B = {d-1} and C = {0..d-2} for d = 2..7
+        # in the 7-site branch register; BC at d is C at d+1, but for {0..6}.
+        assert len(calls) == 26
+        per_branch = {}
+        for branch, sites in calls:
+            per_branch.setdefault(branch, set()).add(sites)
+        assert [len(sets) for sets in per_branch.values()] == [13, 13]
+
+    def test_paper_scan_diagonalizes_only_one_by_one_blocks(self, monkeypatch):
+        shapes = count_eigh(monkeypatch, "eigvalsh")
+        arrival_scan(PAPER_SCAN)
+        # The popcount-1 branch: two blocks per cut, one for the whole
+        # register; the popcount-0 branch: one block per cut.
+        assert len(shapes) == 12 * 2 + 1 + 13
+        assert all(shape == (501, 1, 1) for shape in shapes)
+
+    def test_tfim_quench_series_takes_one_block_per_cut(self, monkeypatch):
+        shapes = count_eigh(monkeypatch, "eigvalsh")
+        config = ScanConfig(
+            model=ChainModel("tfim", 6, 1.0, 1.0), initial="ground", protocol="quench-at-zero",
+            grid=TimeGrid(1.0, 0.1), site_a=0, site_b=3,
+        )
+        qcmi_time_series(config)
+        # Both branches; B = (3,), C = (1, 2), BC = (1, 2, 3), each on its smaller side.
+        assert sorted(shapes) == sorted([(11, 2, 2), (11, 4, 4), (11, 8, 8)] * 2)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_evolution_leaves_exact_zeros_outside_the_occupied_sector(self, n):
+        h = build_model(ChainModel("xx", n, 1.0, 0.3))
+        ones, branch_ones = popcounts(n), popcounts(n - 1)
+        times = TimeGrid(1.0, 0.1).times
+        for spec in ("basis:1" + "0" * (n - 1), "basis:" + ("10" * n)[:n], "ground"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # a degenerate ground state
+                psi0 = initial_ket(h, spec).amplitudes
+            (charge,) = np.unique(ones[psi0 != 0.0])
+            # measure-at-t: site 0 sliced out of psi(t); the branch keeps charge - x.
+            grid = _evolve_grid(h, psi0, times)
+            for x, (weights, kets) in enumerate(causalscan._measure_z(grid, 0, n)):
+                assert np.all(kets[:, branch_ones != charge - x] == 0.0)
+                if np.any(weights > 0.0):
+                    assert causalscan._charge(kets, n - 1) == charge - x
+            # quench-at-zero: each outcome of site 0 at t = 0, evolved on the full register.
+            for x in (0, 1):
+                branch = np.where(np.arange(2**n) >> (n - 1) == x, psi0, 0.0)
+                if np.any(branch != 0.0):
+                    kets = _evolve_grid(h, branch / np.linalg.norm(branch), times)
+                    assert np.all(kets[:, ones != charge] == 0.0)
+                    assert causalscan._charge(kets, n) == charge
+
+
+def fake_branches(rows, rng):
     """Two branches whose S(B), S(C), S(BC) come from a table, not from kets.
 
-    `_branch_average` hands each branch's kets to `_entropies` only, so a
-    branch index stands in for them.
+    `_branch_average` reads each branch's entropies from its site-set map, so
+    the map holds the table's arrays: a write to the table reaches it.
     """
     weights = rng.dirichlet([1.0, 1.0], size=rows).T.copy()
     weights[0, ::9] = 0.0
@@ -445,8 +583,10 @@ def fake_branches(monkeypatch, rows, rng):
         mi = rng.uniform(0.0, 1.0, rows)
         mi[rng.random(rows) < 0.3] *= -0.9 * NEGATIVITY_TOL
         table[x, (0, 1)] = table[x, (0,)] + table[x, (1,)] - mi
-    monkeypatch.setattr(causalscan, "_entropies", lambda kets, n, sites: table[kets, sites])
-    return [(weights[0], 0), (weights[1], 1)], table
+    branches = [
+        (weights[x], {sites: table[x, sites] for sites in ((0,), (1,), (0, 1))}) for x in (0, 1)
+    ]
+    return branches, table
 
 
 def loop_branch_average(branches, table):
@@ -454,7 +594,7 @@ def loop_branch_average(branches, table):
     values = np.empty(branches[0][0].size)
     for i in range(values.size):
         total = 0.0
-        for weights, x in branches:
+        for x, (weights, _) in enumerate(branches):
             if weights[i] > 0.0:
                 s_b, s_c, s_bc = (table[x, sites][i] for sites in ((0,), (1,), (0, 1)))
                 total += weights[i] * _clamped(s_b + s_c - s_bc)
@@ -463,25 +603,25 @@ def loop_branch_average(branches, table):
 
 
 class TestBatchedBranchSum:
-    def test_matches_row_loop(self, monkeypatch):
-        branches, table = fake_branches(monkeypatch, 500, np.random.default_rng(31))
-        values = causalscan._branch_average(branches, 2, (0,), (1,))
+    def test_matches_row_loop(self):
+        branches, table = fake_branches(500, np.random.default_rng(31))
+        values = causalscan._branch_average(branches, (0,), (1,))
         assert np.array_equal(values, loop_branch_average(branches, table))
         assert np.all(values >= 0.0)
 
-    def test_one_bad_term_in_500_raises(self, monkeypatch):
-        branches, table = fake_branches(monkeypatch, 500, np.random.default_rng(32))
+    def test_one_bad_term_in_500_raises(self):
+        branches, table = fake_branches(500, np.random.default_rng(32))
         table[1, (0, 1)][317] = table[1, (0,)][317] + table[1, (1,)][317] + 2 * NEGATIVITY_TOL
         with pytest.raises(NumericalInstability):
-            causalscan._branch_average(branches, 2, (0,), (1,))
+            causalscan._branch_average(branches, (0,), (1,))
 
     @pytest.mark.parametrize("bad", [2 * NEGATIVITY_TOL, np.nan])
-    def test_bad_term_on_a_zero_weight_row_is_skipped(self, monkeypatch, bad):
-        branches, table = fake_branches(monkeypatch, 500, np.random.default_rng(33))
+    def test_bad_term_on_a_zero_weight_row_is_skipped(self, bad):
+        branches, table = fake_branches(500, np.random.default_rng(33))
         row = 18  # a multiple of 9: branch 0 has weight 0 there
         assert branches[0][0][row] == 0.0
         table[0, (0, 1)][row] = table[0, (0,)][row] + table[0, (1,)][row] + bad
-        values = causalscan._branch_average(branches, 2, (0,), (1,))
+        values = causalscan._branch_average(branches, (0,), (1,))
         assert np.array_equal(values, loop_branch_average(branches, table))
 
 

@@ -1,7 +1,8 @@
 """One input rule at every public entry: integers, sites and register sizes
 are never rounded, real parameters must be finite numbers, and a violation is
 always `InvalidInput` (CLI exit code 2), never a raw `TypeError`. Series of
-reals must be 1-d arrays of finite numbers."""
+reals must be 1-d arrays of finite numbers, and a slot that takes a qcausal
+object (a model, a grid, a Hamiltonian) takes nothing else."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qcausal import (
     ArrivalTable,
     ChainModel,
     DensityMatrix,
+    Hamiltonian,
     Instrument,
     InsufficientData,
     InvalidInput,
@@ -116,6 +118,20 @@ REAL_ENTRIES = {
 }
 
 
+SERIES3 = ScanConfig(CHAIN3, initial="basis:100", grid=GRID, site_a=0, site_b=2)
+SCAN3 = ScanConfig(CHAIN3, initial="basis:100", grid=GRID, d_min=2, d_max=2)
+
+# entry -> (call with the value under test, the object the slot takes, another
+# qcausal object that could be handed in by mistake)
+OBJECT_ENTRIES = {
+    "Hamiltonian-model": (lambda v: Hamiltonian(v), CHAIN3, H3),
+    "ScanConfig-model": (lambda v: ScanConfig(v), CHAIN3, H3),
+    "ScanConfig-grid": (lambda v: ScanConfig(CHAIN3, grid=v), GRID, CHAIN3),
+    "qcmi_time_series-hamiltonian": (lambda v: qcmi_time_series(SERIES3, v), H3, CHAIN3),
+    "arrival_scan-hamiltonian": (lambda v: arrival_scan(SCAN3, v), H3, CHAIN3),
+}
+
+
 @pytest.mark.parametrize("entry", INTEGER_ENTRIES.values(), ids=INTEGER_ENTRIES.keys())
 @pytest.mark.parametrize("bad", [0.7, 2.0, True, "1"], ids=repr)
 def test_non_integer_rejected(entry, bad):
@@ -141,6 +157,20 @@ def test_non_finite_or_non_real_rejected(entry, bad):
 @pytest.mark.parametrize("good", [np.float64(0.5), 1], ids=repr)
 def test_real_numbers_accepted(entry, good):
     entry(good)
+
+
+@pytest.mark.parametrize("entry", OBJECT_ENTRIES.values(), ids=OBJECT_ENTRIES.keys())
+def test_object_of_another_type_rejected(entry):
+    call, _, mistaken = entry
+    for bad in ("xx", 5, (1.0, 0.1), mistaken):
+        with pytest.raises(InvalidInput):
+            call(bad)
+
+
+@pytest.mark.parametrize("entry", OBJECT_ENTRIES.values(), ids=OBJECT_ENTRIES.keys())
+def test_object_of_the_slot_type_accepted(entry):
+    call, good, _ = entry
+    call(good)
 
 
 def test_validated_integers_are_stored_as_python_ints():
