@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInput
-from .qstate import check_real, check_site_pair, embed_operator
+from .qstate import check_instance, check_real, check_site_pair, embed_operator
 from .spinchain import ChainModel, Hamiltonian, propagator
 
 
@@ -76,7 +76,7 @@ def commutator_front_norm(
     This is the exact left-hand side of the light-cone bound, evaluated
     densely: A(t) = U(t)^dagger A U(t) with U(t) = exp(-iHt).
     """
-    n = hamiltonian.n_sites
+    n = check_instance(hamiltonian, Hamiltonian, "hamiltonian").n_sites
     site_a, site_b = check_site_pair(site_a, site_b, n)
     a_full = embed_operator(op_a, site_a, n)
     b_full = embed_operator(op_b, site_b, n)

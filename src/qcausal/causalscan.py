@@ -180,7 +180,7 @@ def initial_ket(hamiltonian: Hamiltonian, spec: str) -> Ket:
     A degenerate ground state raises one RuntimeWarning that names the gap and
     the tie rule; the scan then runs on the state that rule picks.
     """
-    bits = _basis_bits(spec, hamiltonian.n_sites)
+    bits = _basis_bits(spec, check_instance(hamiltonian, Hamiltonian, "hamiltonian").n_sites)
     if bits is not None:
         return basis_ket(bits)
     ground = ground_state(hamiltonian)

@@ -17,7 +17,8 @@ import numpy as np
 
 from .exceptions import EmptyConditioner, InvalidInput, NumericalInstability
 from .instrument import Instrument, apply_instrument
-from .qstate import DensityMatrix, check_integer, check_sites, partial_trace, von_neumann_entropy
+from .qstate import DensityMatrix, check_instance, check_integer, check_sites, partial_trace
+from .qstate import von_neumann_entropy
 
 # Strong subadditivity guarantees non-negativity analytically; anything in
 # (-NEGATIVITY_TOL, 0) is rounding and is clamped, anything below is a bug.
@@ -107,6 +108,9 @@ def asymmetric_qcmi(rho: DensityMatrix, partition: Partition, instrument: Instru
     results should record ``instrument.describe`` next to it. With an empty
     C the average is ill-formed and `EmptyConditioner` is raised.
     """
+    check_instance(rho, DensityMatrix, "rho")
+    check_instance(partition, Partition, "partition")
+    check_instance(instrument, Instrument, "instrument")
     if tuple(instrument.target_sites) != partition.a:
         raise InvalidInput(
             f"instrument targets {instrument.target_sites} but A is {partition.a}"

@@ -117,20 +117,13 @@ def _sandwich(matrix: np.ndarray, op: np.ndarray, sites: Sequence[int], n_sites:
     return tensor.reshape(dim, dim)
 
 
-def apply_instrument(
-    rho: DensityMatrix,
-    instrument: Instrument,
-    *,
-    keep_target: bool = False,
-) -> BranchEnsemble:
+def apply_instrument(rho: DensityMatrix, instrument: Instrument) -> BranchEnsemble:
     """Outcome probabilities and normalized post-measurement states.
 
     Outcomes whose probability falls below `PROBABILITY_FLOOR` are dropped
     and the kept probabilities renormalized to sum to one; if none is kept,
-    `DegenerateMeasurement` is raised. By default the target subsystem is
-    traced out of each branch; with ``keep_target=True`` branches stay on
-    the full register so they can be evolved further (the tests' dense
-    oracle of the quench-at-zero kernel does this).
+    `DegenerateMeasurement` is raised. Each branch state lives on the
+    non-target sites, in site order: the target is traced out.
     """
     n = rho.n_sites
     targets = check_sites(instrument.target_sites, n)
@@ -139,7 +132,7 @@ def apply_instrument(
         raise IncompleteInstrument(f"completeness defect {defect:.3e} exceeds {COMPLETENESS_TOL}")
 
     keep = [s for s in range(n) if s not in targets]
-    if not keep and not keep_target:
+    if not keep:
         raise InvalidInput(
             "instrument covers the whole register; nothing remains after tracing the target"
         )
@@ -158,9 +151,6 @@ def apply_instrument(
     total = sum(p for p, _, _ in surviving)
     branches = []
     for p, label, hit in surviving:
-        if keep_target:
-            state = DensityMatrix(n, hit / p)
-        else:
-            state = DensityMatrix(len(keep), partial_trace_matrix(hit, n, keep) / p)
+        state = DensityMatrix(len(keep), partial_trace_matrix(hit, n, keep) / p)
         branches.append(Branch(probability=p / total, label=label, state=state))
     return BranchEnsemble(tuple(branches))

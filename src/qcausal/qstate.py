@@ -230,8 +230,6 @@ def embed_on_sites(op: np.ndarray, sites: Sequence[int], n_sites: int) -> np.nda
     op = np.asarray(op, dtype=complex)
     if op.shape != (2**k, 2**k):
         raise InvalidInput(f"operator on {k} sites must be {2**k}x{2**k}, got shape {op.shape}")
-    if k == n:
-        return op.copy()
     full = np.kron(op, np.eye(2 ** (n - k)))
     # Axis s of `full` currently belongs to `order[s]`; permute back to 0..n-1.
     order = list(sites) + [s for s in range(n) if s not in sites]
@@ -245,8 +243,6 @@ def partial_trace_matrix(matrix: np.ndarray, n_sites: int, keep: Sequence[int]) 
     """Partial trace on a raw 2^n x 2^n array; kept sites stay in site order."""
     keep = list(keep)
     traced = [s for s in range(n_sites) if s not in keep]
-    if not traced:
-        return np.array(matrix)
     tensor = matrix.reshape([2] * (2 * n_sites))
     perm = keep + traced
     tensor = tensor.transpose(perm + [p + n_sites for p in perm])

@@ -86,7 +86,7 @@ class Hamiltonian:
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and phase-fixed orthonormal eigenvectors.
+        """Ascending eigenvalues and sign-fixed orthonormal eigenvectors.
 
         The blocks placed into one dense dim x dim matrix, for `ground_state`,
         `propagator` and `evolve`; pure-state evolution reads the blocks.
@@ -134,7 +134,7 @@ class _BitAction:
         popcount = _site_bits(self.n_sites).sum(axis=1)
         flipped = popcount[np.arange(popcount.size) ^ self.masks[:, None]]
         keeps = bool(np.all((self.amplitudes == 0) | (flipped == popcount)))
-        return _orbit_sectors(self.n_sites, popcount=keeps, flip=not keeps, reversal=True)
+        return _orbit_sectors(self.n_sites, popcount=keeps)
 
     def block(self, rows: np.ndarray, factors: np.ndarray) -> np.ndarray:
         """Q^T H Q of one sector, filled from the bits. H Q stays in the
@@ -182,16 +182,17 @@ class _Block:
 
     @cached_property
     def eigen(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending values and phase-fixed vectors in the block's basis.
+        """Ascending values and sign-fixed real vectors in the block's basis.
 
-        The phase rule is the dense one: the first largest-magnitude entry of
-        the placed column is real and positive. A coordinate's largest placed
+        The sign rule is the dense one: the first largest-magnitude entry of
+        the placed column is positive. A coordinate's largest placed
         magnitude sits at its representative, the least row of its orbit, and
         is scaled by the factors that land there.
         """
         values, vectors = np.linalg.eigh(self.action.block(self.rows, self.factors))
         landing = np.sum(np.where(self.rows == self.rows[0], np.abs(self.factors), 0.0), axis=0)
-        _fix_phases(vectors, landing)
+        lead = np.argmax(np.abs(vectors) * landing[:, None], axis=0)
+        vectors *= np.sign(vectors[lead, np.arange(vectors.shape[1])])
         values.setflags(write=False)
         vectors.setflags(write=False)
         return values, vectors
@@ -211,21 +212,19 @@ class _Block:
             out[np.ix_(rows, columns)] += factors[:, None] * self.eigen[1]
 
 
-def _orbit_sectors(
-    n_sites: int, popcount: bool, flip: bool, reversal: bool
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def _orbit_sectors(n_sites: int, popcount: bool) -> list[tuple[np.ndarray, np.ndarray]]:
     """`_Block` (rows, factors) of every nonempty sector, in the fixed order.
 
-    The symmetry group is generated by the global spin flip F (if `flip`)
-    and the site reversal P (if `reversal`); a sector is a popcount (if
-    `popcount`, ascending) and one sign per generator, +1 before -1. An orbit
-    belongs to a sector unless an element that fixes its states has sign -1.
+    With `popcount` the symmetry group is generated by the site reversal P
+    and a sector is a popcount (ascending) and a sign of P; without it the
+    global spin flip F joins P, and a sector is a sign of F and a sign of P.
+    Signs go +1 before -1. An orbit belongs to a sector unless an element
+    that fixes its states has sign -1.
     """
     bits = _site_bits(n_sites)
     states = np.arange(bits.shape[0])
-    generators = [states[::-1]] if flip else []
-    if reversal:
-        generators.append(bits[:, ::-1] @ (1 << np.arange(n_sites - 1, -1, -1)))
+    generators = [] if popcount else [states[::-1]]
+    generators.append(bits[:, ::-1] @ (1 << np.arange(n_sites - 1, -1, -1)))
     images = [states]
     for generator in generators:  # the group's elements, identity first
         images += [generator[image] for image in images]
@@ -250,14 +249,6 @@ def _orbit_sectors(
             if keep.size:
                 sectors.append((images[:, keep], chi[:, None] * norms[keep]))
     return sectors
-
-
-def _fix_phases(vectors: np.ndarray, scale: np.ndarray) -> None:
-    # Reproducibility: make the first largest entry of each column, measured
-    # as |vector| * scale, real and positive (in place).
-    lead = np.argmax(np.abs(vectors) * scale[:, None], axis=0)
-    pivots = vectors[lead, np.arange(vectors.shape[1])]
-    vectors *= pivots.conj() / np.abs(pivots)
 
 
 def _site_bits(n_sites: int) -> np.ndarray:
@@ -315,7 +306,7 @@ def ground_state(hamiltonian: Hamiltonian) -> GroundState:
     across sectors goes to the first in the fixed order of `_orbit_sectors`
     (ascending popcount, else even parity first; reversal-even before odd),
     on every build: TFIM with h = 0 gives |0...0>."""
-    values, vectors = hamiltonian.spectrum
+    values, vectors = check_instance(hamiltonian, Hamiltonian, "hamiltonian").spectrum
     degenerate = values.size > 1 and values[1] - values[0] < DEGENERACY_GAP
     ket = Ket(hamiltonian.n_sites, vectors[:, 0])
     return GroundState(state=ket, energy=float(values[0]), degenerate=degenerate)
@@ -340,14 +331,16 @@ class Propagator:
 
 def propagator(hamiltonian: Hamiltonian, time: float) -> Propagator:
     time = check_real(time, "time")
-    values, vectors = hamiltonian.spectrum
+    values, vectors = check_instance(hamiltonian, Hamiltonian, "hamiltonian").spectrum
     phases = np.exp(-1j * values * time)
-    matrix = (vectors * phases) @ vectors.conj().T
+    matrix = (vectors * phases) @ vectors.T
     return Propagator(time, matrix)
 
 
 def evolve(rho: DensityMatrix, prop: Propagator) -> DensityMatrix:
     """Conjugate a state by the propagator: U rho U^dagger."""
+    check_instance(rho, DensityMatrix, "rho")
+    check_instance(prop, Propagator, "prop")
     if rho.dim != prop.matrix.shape[0]:
         raise InvalidInput(
             f"dimension mismatch: state {rho.dim}, propagator {prop.matrix.shape[0]}"
@@ -360,6 +353,8 @@ def evolve(rho: DensityMatrix, prop: Propagator) -> DensityMatrix:
 
 def evolve_ket(hamiltonian: Hamiltonian, ket: Ket, time: float) -> Ket:
     """Evolve a pure state without forming the full propagator matrix."""
+    check_instance(hamiltonian, Hamiltonian, "hamiltonian")
+    check_instance(ket, Ket, "ket")
     if ket.n_sites != hamiltonian.n_sites:
         raise InvalidInput(
             f"dimension mismatch: state {ket.n_sites} sites, chain {hamiltonian.n_sites}"
@@ -369,7 +364,7 @@ def evolve_ket(hamiltonian: Hamiltonian, ket: Ket, time: float) -> Ket:
 
 
 def _evolve_grid(hamiltonian: Hamiltonian, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Rows psi(t) = V exp(-iEt) V^dagger psi for every t, as one (T, dim) array.
+    """Rows psi(t) = V exp(-iEt) V^T psi for every t, as one (T, dim) array.
 
     Block by block: psi is projected onto each sector, a sector where the
     projection is exactly zero is skipped (and never diagonalized), and each
@@ -385,7 +380,7 @@ def _evolve_grid(hamiltonian: Hamiltonian, amplitudes: np.ndarray, times: np.nda
         values, vectors = block.eigen
         phases = np.outer(times, -1j * values)
         np.exp(phases, out=phases)
-        phases *= vectors.conj().T @ inside
+        phases *= vectors.T @ inside
         block.scatter(grid, phases @ vectors.T)
     parts = grid.view(float)  # squared row norms without a complex temporary
     defect = np.max(np.abs(np.sqrt(np.einsum("ij,ij->i", parts, parts)) - 1.0))

@@ -7,6 +7,7 @@ import pytest
 from qcausal import (
     ArrivalTable,
     ChainModel,
+    DensityMatrix,
     EmptyConditioner,
     Hamiltonian,
     InsufficientData,
@@ -16,11 +17,11 @@ from qcausal import (
     Partition,
     ScanConfig,
     TimeGrid,
-    apply_instrument,
     arrival_scan,
     arrival_time,
     asymmetric_qcmi,
     build_model,
+    embed_operator,
     evolve,
     evolve_ket,
     fit_velocity,
@@ -34,6 +35,7 @@ from qcausal import (
 )
 from qcausal import causalscan
 from qcausal.infomeasures import NEGATIVITY_TOL, _clamped
+from qcausal.instrument import PROBABILITY_FLOOR
 from qcausal.qstate import entropies_from_eigenvalues
 from qcausal.spinchain import _evolve_grid
 from helpers import count_eigh
@@ -291,13 +293,22 @@ def dense_series(config):
             asymmetric_qcmi(evolve_ket(h, psi0, t).density_matrix(), part, instr)
             for t in times
         ])
-    ensemble = apply_instrument(psi0.density_matrix(), instr, keep_target=True)
+    # Full-register branches P_x rho P_x / p_x, kept at or above the floor.
+    rho = psi0.density_matrix().matrix
+    hits = []
+    for op in instr.operators:
+        projector = embed_operator(op, a, h.n_sites)
+        hit = projector @ rho @ projector
+        p = np.trace(hit).real
+        if p >= PROBABILITY_FLOOR:
+            hits.append((p, DensityMatrix(h.n_sites, hit / p)))
+    total = sum(p for p, _ in hits)
     values = []
     for t in times:
         u = propagator(h, t)
         values.append(sum(
-            branch.probability * mutual_information_sites(evolve(branch.state, u), part.b, part.c)
-            for branch in ensemble
+            p / total * mutual_information_sites(evolve(state, u), part.b, part.c)
+            for p, state in hits
         ))
     return np.array(values)
 

@@ -2,7 +2,8 @@
 are never rounded, real parameters must be finite numbers, and a violation is
 always `InvalidInput` (CLI exit code 2), never a raw `TypeError`. Series of
 reals must be 1-d arrays of finite numbers, and a slot that takes a qcausal
-object (a model, a grid, a Hamiltonian) takes nothing else."""
+object (a model, a grid, a Hamiltonian, a state, a propagator, a partition,
+an instrument) takes nothing else."""
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from qcausal import (
     TimeGrid,
     arrival_scan,
     arrival_time,
+    asymmetric_qcmi,
     basis_ket,
     build_model,
     commutator_front_norm,
@@ -30,9 +32,12 @@ from qcausal import (
     embed_on_sites,
     embed_operator,
     equiquantal_bins,
+    evolve,
     evolve_ket,
     fit_velocity,
     ghz_state,
+    ground_state,
+    initial_ket,
     mutual_information,
     partial_trace,
     projective_z_instrument,
@@ -120,6 +125,10 @@ REAL_ENTRIES = {
 
 SERIES3 = ScanConfig(CHAIN3, initial="basis:100", grid=GRID, site_a=0, site_b=2)
 SCAN3 = ScanConfig(CHAIN3, initial="basis:100", grid=GRID, d_min=2, d_max=2)
+KET3 = basis_ket([1, 0, 0])
+PROP3 = propagator(H3, 0.1)
+PART3 = Partition((0,), (2,), (1,))
+INSTR3 = projective_z_instrument(0, 3)
 
 # entry -> (call with the value under test, the object the slot takes, another
 # qcausal object that could be handed in by mistake)
@@ -129,6 +138,19 @@ OBJECT_ENTRIES = {
     "ScanConfig-grid": (lambda v: ScanConfig(CHAIN3, grid=v), GRID, CHAIN3),
     "qcmi_time_series-hamiltonian": (lambda v: qcmi_time_series(SERIES3, v), H3, CHAIN3),
     "arrival_scan-hamiltonian": (lambda v: arrival_scan(SCAN3, v), H3, CHAIN3),
+    "propagator-hamiltonian": (lambda v: propagator(v, 0.1), H3, CHAIN3),
+    "ground_state-hamiltonian": (lambda v: ground_state(v), H3, CHAIN3),
+    "evolve_ket-hamiltonian": (lambda v: evolve_ket(v, KET3, 0.1), H3, CHAIN3),
+    "evolve_ket-ket": (lambda v: evolve_ket(H3, v, 0.1), KET3, RHO3),
+    "initial_ket-hamiltonian": (lambda v: initial_ket(v, "ground"), H3, CHAIN3),
+    "commutator_front_norm-hamiltonian": (
+        lambda v: commutator_front_norm(v, 0, PAULI_Z, 2, PAULI_Z, 0.1), H3, CHAIN3
+    ),
+    "evolve-rho": (lambda v: evolve(v, PROP3), RHO3, KET3),
+    "evolve-prop": (lambda v: evolve(RHO3, v), PROP3, H3),
+    "asymmetric_qcmi-rho": (lambda v: asymmetric_qcmi(v, PART3, INSTR3), RHO3, KET3),
+    "asymmetric_qcmi-partition": (lambda v: asymmetric_qcmi(RHO3, v, INSTR3), PART3, INSTR3),
+    "asymmetric_qcmi-instrument": (lambda v: asymmetric_qcmi(RHO3, PART3, v), INSTR3, PART3),
 }
 
 

@@ -10,6 +10,7 @@ from qcausal import (
     Ket,
     apply_instrument,
     basis_ket,
+    embed_operator,
     ghz_state,
     projective_z_instrument,
     validate_instrument,
@@ -113,10 +114,14 @@ class TestApplyInstrument:
         rng = np.random.default_rng(35)
         rho = random_density(2, rng)
         instr = projective_z_instrument(0, 2)
-        first = apply_instrument(rho, instr, keep_target=True)
+        first = apply_instrument(rho, instr)
         for branch in first:
-            again = apply_instrument(branch.state, instr, keep_target=True)
+            # The post-measurement state on the full register: P_x rho P_x / p_x.
+            projector = embed_operator(instr.operators[branch.label], 0, 2)
+            hit = projector @ rho.matrix @ projector
+            again = apply_instrument(DensityMatrix(2, hit / np.trace(hit).real), instr)
             assert len(again) == 1
+            assert again.branches[0].label == branch.label
             assert abs(again.branches[0].probability - 1.0) <= 1e-10
             assert np.max(np.abs(again.branches[0].state.matrix - branch.state.matrix)) <= 1e-10
 

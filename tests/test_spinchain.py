@@ -21,7 +21,7 @@ from qcausal import (
     total_sigma_z,
     von_neumann_entropy,
 )
-from qcausal.spinchain import DEGENERACY_GAP, _BitAction, _evolve_grid, _orbit_sectors
+from qcausal.spinchain import DEGENERACY_GAP, _BitAction, _evolve_grid
 from helpers import count_eigh, dense_tfim, dense_xx, random_density, random_ket
 
 ORACLES = {"tfim": dense_tfim, "xx": dense_xx}
@@ -201,7 +201,8 @@ class TestNativeBlocks:
         n = 3
         states = np.arange(2**n)
         action = _BitAction(n, np.array([0, 1]), np.vstack([np.zeros(8), states % 2 == 0]))
-        [(rows, factors)] = _orbit_sectors(n, popcount=False, flip=False, reversal=False)
+        # One block holding every basis state, the identity its only element.
+        rows, factors = np.arange(2**n)[None], np.ones((1, 2**n))
         with pytest.raises(InvalidInput, match="hermiticity"):
             action.block(rows, factors)
 
