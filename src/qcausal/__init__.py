@@ -77,8 +77,6 @@ from .spinchain import (
     Hamiltonian,
     Propagator,
     build_model,
-    build_tfim,
-    build_xx,
     evolve,
     evolve_ket,
     ground_state,

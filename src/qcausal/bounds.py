@@ -39,7 +39,7 @@ class DispersionPoint:
 
 def lr_velocity(model: ChainModel) -> LrEstimate:
     """Conservative light-cone velocity for a nearest-neighbor chain."""
-    j = abs(model.coupling)
+    j = abs(check_instance(model, ChainModel, "model").coupling)
     h = abs(model.field)
     g_prop = 2.0 * j
     return LrEstimate(g=2.0 * j + h, g_prop=g_prop, v_lr=2.0 * math.e * g_prop)

@@ -218,14 +218,6 @@ def _series_partition(config: ScanConfig, n_sites: int) -> Partition:
     return Partition((a,), (b,), between)
 
 
-def _hamiltonian(config: ScanConfig, hamiltonian: Hamiltonian | None) -> Hamiltonian:
-    if hamiltonian is None:
-        return build_model(config.model)
-    if check_instance(hamiltonian, Hamiltonian, "hamiltonian").model != config.model:
-        raise InvalidInput("supplied Hamiltonian does not match the configured model")
-    return hamiltonian
-
-
 def _measure_z(kets: np.ndarray, site: int, n_sites: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Projective-z measurement of `site` on every row of a (T, 2^n) ket batch.
 
@@ -350,11 +342,12 @@ def _pure_series(
     return [_branch_average(tables, b, c) for b, c in pairs]
 
 
-def qcmi_time_series(config: ScanConfig, hamiltonian: Hamiltonian | None = None) -> QcmiSeries:
+def qcmi_time_series(config: ScanConfig) -> QcmiSeries:
     """Directional QCMI over the configured time grid for one partition."""
+    check_instance(config, ScanConfig, "config")
     partition = _series_partition(config, config.model.n_sites)
     _check_scan_inputs(config)
-    h = _hamiltonian(config, hamiltonian)
+    h = build_model(config.model)
     instrument = projective_z_instrument(partition.a[0], h.n_sites)
     values = _pure_series(h, config, partition.a[0], [(partition.b[0], partition.c)])[0]
     values.setflags(write=False)
@@ -403,8 +396,9 @@ def arrival_time(
     return float(t0 + (threshold - v0) * (t1 - t0) / (v1 - v0))
 
 
-def arrival_scan(config: ScanConfig, hamiltonian: Hamiltonian | None = None) -> ArrivalTable:
+def arrival_scan(config: ScanConfig) -> ArrivalTable:
     """Arrival times for sender site 0 against receivers at d = d_min..d_max."""
+    check_instance(config, ScanConfig, "config")
     if config.d_min is None or config.d_max is None:
         raise InvalidInput("arrival scan needs d_min and d_max")
     if config.site_a is not None or config.site_b is not None:
@@ -419,7 +413,7 @@ def arrival_scan(config: ScanConfig, hamiltonian: Hamiltonian | None = None) -> 
         raise InvalidInput(f"distance range {lo}:{hi} invalid for {n} sites")
     _check_scan_inputs(config)
 
-    h = _hamiltonian(config, hamiltonian)
+    h = build_model(config.model)
     distances = range(lo, hi + 1)
     receivers = [(d, tuple(range(1, d))) for d in distances]
     series = _pure_series(h, config, 0, receivers)
@@ -437,7 +431,7 @@ def fit_velocity(table: ArrivalTable) -> FitResult:
     """
     usable = [
         (check_integer(d, "distance"), check_real(t, "arrival time"))
-        for d, t in table.rows
+        for d, t in check_instance(table, ArrivalTable, "table").rows
         if t is not None
     ]
     if len(usable) < 2:

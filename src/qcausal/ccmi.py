@@ -39,7 +39,7 @@ from .exceptions import (
     InvalidInput,
     NumericalInstability,
 )
-from .qstate import check_integer
+from .qstate import check_instance, check_integer
 
 TABLE_SUM_TOL = 1e-12
 EQUIVALENCE_TOL = 1e-12
@@ -99,6 +99,7 @@ def _plugin_entropy(probabilities: np.ndarray) -> float:
 
 def shannon_entropy(dist: JointDistribution, variables: Sequence[str]) -> float:
     """Shannon entropy in bits of the marginal on `variables`."""
+    check_instance(dist, JointDistribution, "dist")
     variables = tuple(variables)
     if not variables:
         raise InvalidInput("entropy needs a non-empty variable subset")
@@ -121,6 +122,7 @@ def ccmi_symmetric(
     c: Sequence[str] = (),
 ) -> float:
     """H(AC) + H(BC) - H(C) - H(ABC), cross-checked against H(A|C) - H(A|BC)."""
+    check_instance(dist, JointDistribution, "dist")
     a, b, c = tuple(a), tuple(b), tuple(c)
     if not a or not b:
         raise InvalidInput("A and B must be non-empty")
@@ -339,7 +341,7 @@ class _SeriesCmi:
 
 def ccmi_asymmetric_series(emb: SeriesEmbedding) -> float:
     """Plug-in estimate of the directional time-series CMI, in bits."""
-    return _SeriesCmi(emb)(np.arange(emb.driver.size))
+    return _SeriesCmi(check_instance(emb, SeriesEmbedding, "emb"))(np.arange(emb.driver.size))
 
 
 def surrogate_baseline(emb: SeriesEmbedding, n_surrogates: int, seed: int = 0) -> np.ndarray:
@@ -348,6 +350,7 @@ def surrogate_baseline(emb: SeriesEmbedding, n_surrogates: int, seed: int = 0) -
     Surrogate i shuffles the driver with the i-th `permutation` drawn from
     `np.random.default_rng(seed)`.
     """
+    check_instance(emb, SeriesEmbedding, "emb")
     n_surrogates = check_integer(n_surrogates, "n_surrogates")
     seed = check_integer(seed, "seed")
     if n_surrogates < 1:

@@ -49,8 +49,8 @@ class Partition:
     c: tuple[int, ...] = ()
 
     def __post_init__(self):
-        a, b = check_sites(self.a), check_sites(self.b)
-        c = check_sites(self.c, allow_empty=True)
+        a, b, c = check_sites(self.a), check_sites(self.b), tuple(self.c)
+        c = check_sites(c) if c else ()
         combined = a + b + c
         if len(set(combined)) != len(combined):
             raise InvalidInput(f"A, B, C must be pairwise disjoint, got {a}, {b}, {c}")
@@ -65,6 +65,7 @@ class Partition:
 
 def mutual_information(rho: DensityMatrix, n_first: int) -> float:
     """I(first block : rest) for a state laid out as [block, rest]."""
+    check_instance(rho, DensityMatrix, "rho")
     n_first = check_integer(n_first, "split point")
     if not 1 <= n_first < rho.n_sites:
         raise InvalidInput(
@@ -77,6 +78,7 @@ def mutual_information_sites(
     rho: DensityMatrix, sites_b: Sequence[int], sites_c: Sequence[int]
 ) -> float:
     """I(B:C) for arbitrary disjoint site sets of `rho`, checked as a `Partition`."""
+    check_instance(rho, DensityMatrix, "rho")
     parts = Partition(sites_b, sites_c)
     sites_b, sites_c, joint = parts.a, parts.b, parts.sites
     rho_bc = partial_trace(rho, joint)
@@ -89,7 +91,8 @@ def mutual_information_sites(
 
 def symmetric_qcmi(rho: DensityMatrix, partition: Partition) -> float:
     """S(AC) + S(BC) - S(C) - S(ABC), the direction-blind conditional form."""
-    if not partition.c:
+    check_instance(rho, DensityMatrix, "rho")
+    if not check_instance(partition, Partition, "partition").c:
         raise InvalidInput(
             "symmetric form needs a non-empty C; use mutual_information for I(A:B)"
         )

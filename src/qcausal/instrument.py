@@ -13,7 +13,7 @@ from .exceptions import (
     InvalidInput,
     NumericalInstability,
 )
-from .qstate import DensityMatrix, check_sites, partial_trace_matrix
+from .qstate import DensityMatrix, check_instance, check_sites, partial_trace_matrix
 
 COMPLETENESS_TOL = 1e-10
 IMAGINARY_TOL = 1e-12
@@ -91,9 +91,10 @@ def projective_z_instrument(site: int, n_sites: int) -> Instrument:
 
 def validate_instrument(instrument: Instrument) -> float:
     """Max-abs deviation of sum_x M_x^dagger M_x from the identity."""
-    dim = instrument.operators[0].shape[0]
+    operators = check_instance(instrument, Instrument, "instrument").operators
+    dim = operators[0].shape[0]
     total = np.zeros((dim, dim), dtype=complex)
-    for op in instrument.operators:
+    for op in operators:
         total += op.conj().T @ op
     return float(np.max(np.abs(total - np.eye(dim))))
 
@@ -125,8 +126,8 @@ def apply_instrument(rho: DensityMatrix, instrument: Instrument) -> BranchEnsemb
     `DegenerateMeasurement` is raised. Each branch state lives on the
     non-target sites, in site order: the target is traced out.
     """
-    n = rho.n_sites
-    targets = check_sites(instrument.target_sites, n)
+    n = check_instance(rho, DensityMatrix, "rho").n_sites
+    targets = check_sites(check_instance(instrument, Instrument, "instrument").target_sites, n)
     defect = validate_instrument(instrument)
     if defect > COMPLETENESS_TOL:
         raise IncompleteInstrument(f"completeness defect {defect:.3e} exceeds {COMPLETENESS_TOL}")

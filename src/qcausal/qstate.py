@@ -76,18 +76,15 @@ def check_instance(value, kind: type, name: str):
     return value
 
 
-def check_sites(
-    sites: Iterable[int], n_sites: int | None = None, *, allow_empty: bool = False
-) -> tuple[int, ...]:
-    """The one site-set rule: a strictly increasing tuple of integer sites in [0, n_sites).
+def check_sites(sites: Iterable[int], n_sites: int | None = None) -> tuple[int, ...]:
+    """The one site-set rule: a non-empty, strictly increasing tuple of integer
+    sites in [0, n_sites).
 
     Every public entry that takes sites validates them here; each site and
     n_sites must pass `check_integer`. n_sites=None skips the upper bound.
     """
     out = tuple(check_integer(s, "site index") for s in sites)
     if not out:
-        if allow_empty:
-            return out
         raise InvalidInput("site set must not be empty")
     if any(s < 0 for s in out):
         raise InvalidInput(f"site indices must be >= 0, got {out}")
@@ -254,7 +251,7 @@ def partial_trace_matrix(matrix: np.ndarray, n_sites: int, keep: Sequence[int]) 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     """Reduce `rho` to the subsystem `keep`, relabeling sites 0..len(keep)-1."""
-    keep = check_sites(keep, rho.n_sites)
+    keep = check_sites(keep, check_instance(rho, DensityMatrix, "rho").n_sites)
     if len(keep) == rho.n_sites:  # the whole register: nothing to trace, and rho is immutable
         return rho
     reduced = partial_trace_matrix(rho.matrix, rho.n_sites, keep)
@@ -275,14 +272,10 @@ def entropies_from_eigenvalues(eigenvalues: np.ndarray) -> np.ndarray:
     return np.where(values > 0.0, values, 0.0)
 
 
-def entropy_from_eigenvalues(eigenvalues: np.ndarray) -> float:
-    """Entropy of one spectrum; see `entropies_from_eigenvalues`."""
-    return float(entropies_from_eigenvalues(eigenvalues))
-
-
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Von Neumann entropy in bits."""
-    return entropy_from_eigenvalues(np.linalg.eigvalsh(rho.matrix))
+    matrix = check_instance(rho, DensityMatrix, "rho").matrix
+    return float(entropies_from_eigenvalues(np.linalg.eigvalsh(matrix)))
 
 
 def validate_density_matrix(matrix: np.ndarray | DensityMatrix) -> DensityMatrixReport:

@@ -10,9 +10,9 @@ Every sector basis Q has one layout, `_Block`'s (rows, factors) per
 symmetry element, which projects, scatters and places vectors. Blocks are
 diagonalized on first use and cached. Pure states evolve block by block,
 only in the sectors they occupy. The dense matrix (`Hamiltonian.matrix`)
-and the dense eigenvector matrix (`spectrum`, which `ground_state`,
-`propagator` and `evolve` read) are formed only when read. Units: hbar = 1,
-couplings dimensionless, time in units of 1/J.
+and the dense eigenvector matrix (`spectrum`, which `ground_state` and
+`propagator` read; `evolve` takes a `Propagator`) are formed only when
+read. Units: hbar = 1, couplings dimensionless, time in units of 1/J.
 """
 
 from __future__ import annotations
@@ -35,7 +35,12 @@ MODEL_KINDS = ("tfim", "xx")
 
 @dataclass(frozen=True)
 class ChainModel:
-    """Nearest-neighbor chain parameters: kind, length N, coupling J, field h."""
+    """Nearest-neighbor chain parameters: kind, length N, coupling J, field h.
+
+    With open boundaries, kind "tfim" is
+    H = -J sum_k sz_k sz_{k+1} - h sum_k sx_k, and kind "xx" is
+    H = (J/2) sum_k (sx_k sx_{k+1} + sy_k sy_{k+1}) + h sum_k sz_k.
+    """
 
     kind: str
     n_sites: int
@@ -88,8 +93,8 @@ class Hamiltonian:
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and sign-fixed orthonormal eigenvectors.
 
-        The blocks placed into one dense dim x dim matrix, for `ground_state`,
-        `propagator` and `evolve`; pure-state evolution reads the blocks.
+        The blocks placed into one dense dim x dim matrix, for `ground_state`
+        and `propagator`; pure-state evolution reads the blocks.
         Equal eigenvalues keep the sector order (stable sort).
         """
         blocks = self._blocks
@@ -276,16 +281,6 @@ def _xx_action(model: ChainModel) -> _BitAction:
 
 
 _ACTIONS = {"tfim": _tfim_action, "xx": _xx_action}
-
-
-def build_tfim(n_sites: int, coupling: float, field: float) -> Hamiltonian:
-    """H = -J sum_k sz_k sz_{k+1} - h sum_k sx_k (open boundaries)."""
-    return Hamiltonian(ChainModel("tfim", n_sites, coupling, field))
-
-
-def build_xx(n_sites: int, coupling: float, field: float) -> Hamiltonian:
-    """H = (J/2) sum_k (sx_k sx_{k+1} + sy_k sy_{k+1}) + h sum_k sz_k."""
-    return Hamiltonian(ChainModel("xx", n_sites, coupling, field))
 
 
 def build_model(model: ChainModel) -> Hamiltonian:

@@ -134,7 +134,7 @@ def test_criterion_6_oracle_equivalences():
 
 def test_criterion_7_dynamics_invariants():
     with criterion(7, "dynamics: unitarity, group law, charge conservation, commutator"):
-        hamiltonian = qc.build_xx(4, 1.0, 0.5)
+        hamiltonian = qc.Hamiltonian(qc.ChainModel("xx", 4, 1.0, 0.5))
         identity = np.eye(hamiltonian.dim)
         for t in (0.3, 2.0, 17.0, 100.0):
             u = qc.propagator(hamiltonian, t).matrix

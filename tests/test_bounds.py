@@ -5,10 +5,10 @@ import pytest
 
 from qcausal import (
     ChainModel,
+    Hamiltonian,
     InvalidInput,
     PAULI_X,
     PAULI_Z,
-    build_xx,
     commutator_front_norm,
     dispersion,
     lr_velocity,
@@ -83,7 +83,7 @@ class TestDispersion:
 
 @pytest.fixture(scope="module")
 def chain():
-    return build_xx(8, 1.0, 0.3)
+    return Hamiltonian(ChainModel("xx", 8, 1.0, 0.3))
 
 
 class TestCommutatorFrontNorm:
@@ -107,7 +107,7 @@ class TestCommutatorFrontNorm:
 
     def test_zero_at_t0_for_any_field(self):
         for h in (0.0, 0.5, 2.0):
-            chain = build_xx(4, 1.0, h)
+            chain = Hamiltonian(ChainModel("xx", 4, 1.0, h))
             assert commutator_front_norm(chain, 0, PAULI_X, 3, PAULI_Z, 0.0) < 1e-12
 
     def test_coincident_sites_rejected(self, chain):
@@ -131,7 +131,7 @@ class TestXxZzFrontClosedForm:
     @pytest.mark.parametrize("h", [0.0, 0.3, -0.7])
     @pytest.mark.parametrize("n", range(3, 9))
     def test_front_matches_the_single_particle_propagator(self, n, h):
-        chain = build_xx(n, 1.0, h)
+        chain = Hamiltonian(ChainModel("xx", n, 1.0, h))
         for t in (0.3, 1.1, 2.6):
             amplitude = np.abs(xx_hopping_propagator(n, 1.0, h, t)[:, 0])
             for b in range(1, n):

@@ -248,36 +248,14 @@ class TestChecksBeforeTheBuild:
             causalscan._check_scan_inputs(self.config(grid=too_many))
 
 
-class TestSuppliedHamiltonian:
-    """A scan runs on a supplied Hamiltonian only if it was built for the configured model."""
+def use_chain(monkeypatch, hamiltonian):
+    """Make every scan run on `hamiltonian`, which must be built for the scan's model."""
 
-    @staticmethod
-    def scans(hamiltonian):
-        series = xx_config(grid=TimeGrid(0.2, 0.1))
-        scan = replace(series, site_a=None, site_b=None, d_min=2, d_max=3)
-        return (
-            lambda: qcmi_time_series(series, hamiltonian),
-            lambda: arrival_scan(scan, hamiltonian),
-        )
+    def build(model):
+        assert model == hamiltonian.model
+        return hamiltonian
 
-    @pytest.mark.parametrize("model", [
-        ChainModel("xx", 4, 1.0, 0.3),
-        ChainModel("xx", 4, 0.5, 0.5),
-        ChainModel("tfim", 4, 1.0, 0.5),
-        ChainModel("xx", 5, 1.0, 0.5),
-    ])
-    def test_hamiltonian_of_another_model_is_refused(self, model):
-        for run in self.scans(Hamiltonian(model)):
-            with pytest.raises(InvalidInput, match="does not match the configured model"):
-                run()
-
-    def test_hamiltonian_of_the_configured_model_is_used(self, monkeypatch):
-        hamiltonian = Hamiltonian(xx_config().model)
-        series, table = (run() for run in self.scans(None))
-        monkeypatch.setattr(causalscan, "build_model", lambda model: pytest.fail("built"))
-        supplied_series, supplied_table = (run() for run in self.scans(hamiltonian))
-        assert np.array_equal(supplied_series.values, series.values)
-        assert supplied_table == table
+    monkeypatch.setattr(causalscan, "build_model", build)
 
 
 def dense_series(config):
@@ -327,36 +305,38 @@ def oracle_cases():
 
 class TestPureStateKernel:
     @pytest.mark.parametrize("n, kind, initial, protocol, pairs", oracle_cases())
-    def test_matches_dense_path(self, n, kind, initial, protocol, pairs):
+    def test_matches_dense_path(self, monkeypatch, n, kind, initial, protocol, pairs):
         model = ChainModel(kind, n, 1.0, 0.7 if kind == "tfim" else 0.3)
-        h = build_model(model)
+        use_chain(monkeypatch, build_model(model))  # every pair reuses the diagonalized blocks
         for a, b in pairs:
             config = ScanConfig(
                 model=model, initial=initial, protocol=protocol,
                 grid=TimeGrid(1.0, 0.2), site_a=a, site_b=b,
             )
-            series = qcmi_time_series(config, h)
+            series = qcmi_time_series(config)
             assert series.values.size == 6
             assert np.max(np.abs(series.values - dense_series(config))) <= 1e-12
 
-    def test_evolved_norms_are_checked(self):
+    def test_evolved_norms_are_checked(self, monkeypatch):
         h = build_model(ChainModel("xx", 4, 1.0, 0.5))
         for block in h._blocks:
             values, vectors = block.eigen
             block.__dict__["eigen"] = (values, 1.01 * vectors)  # a non-unitary eigenbasis
+        use_chain(monkeypatch, h)
         for protocol in ("measure-at-t", "quench-at-zero"):
             with pytest.raises(NumericalInstability):
-                qcmi_time_series(xx_config(protocol=protocol, grid=TimeGrid(0.2, 0.1)), h)
+                qcmi_time_series(xx_config(protocol=protocol, grid=TimeGrid(0.2, 0.1)))
 
-    def test_nan_evolution_is_rejected(self):
+    def test_nan_evolution_is_rejected(self, monkeypatch):
         h = build_model(ChainModel("xx", 4, 1.0, 0.5))
         for block in h._blocks:
             values, vectors = block.eigen
             block.__dict__["eigen"] = (values, np.where(vectors == vectors[0, 0], np.nan, vectors))
         with pytest.raises(NumericalInstability):
             evolve_ket(h, initial_ket(h, "basis:1000"), 0.3)
+        use_chain(monkeypatch, h)
         with pytest.raises(NumericalInstability):
-            qcmi_time_series(xx_config(grid=TimeGrid(0.2, 0.1)), h)
+            qcmi_time_series(xx_config(grid=TimeGrid(0.2, 0.1)))
 
     @staticmethod
     def run_scans(kind, initial, protocol):
@@ -366,6 +346,25 @@ class TestPureStateKernel:
         )
         qcmi_time_series(config)
         arrival_scan(replace(config, site_a=None, site_b=None, d_min=2, d_max=5))
+
+    @pytest.mark.parametrize("protocol", ["measure-at-t", "quench-at-zero"])
+    @pytest.mark.parametrize("initial", ["basis:100000", "ground"])
+    def test_each_scan_builds_its_chain_once(self, monkeypatch, initial, protocol):
+        builds = []
+
+        def counted(model):
+            builds.append(model)
+            return build_model(model)
+
+        monkeypatch.setattr(causalscan, "build_model", counted)
+        series = xx_config(
+            model=ChainModel("xx", 6, 1.0, 0.3), initial=initial, protocol=protocol,
+            grid=TimeGrid(0.4, 0.2), site_a=0, site_b=3,
+        )
+        qcmi_time_series(series)
+        assert builds == [series.model]
+        arrival_scan(replace(series, site_a=None, site_b=None, d_min=2, d_max=5))
+        assert builds == [series.model] * 2
 
     @pytest.mark.parametrize("protocol", ["measure-at-t", "quench-at-zero"])
     def test_basis_state_scans_never_form_the_dense_spectrum(self, monkeypatch, protocol):

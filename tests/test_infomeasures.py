@@ -64,6 +64,26 @@ class TestPartition:
         assert part.c == ()
         assert part.sites == (0, 1)
 
+    @pytest.mark.parametrize(
+        "empty",
+        [(), [], range(0), (s for s in ()), np.array([], dtype=int)],
+        ids=["tuple", "list", "range", "generator", "array"],
+    )
+    def test_every_empty_c_becomes_the_empty_tuple(self, empty):
+        assert Partition((0,), (1,), empty).c == ()
+
+    @pytest.mark.parametrize(
+        "c", [(3, 2), (2, 2), (-1,), (2.0,), (True,), ("2",)], ids=repr
+    )
+    def test_non_empty_c_follows_the_site_rule(self, c):
+        with pytest.raises(InvalidInput):
+            Partition((0,), (1,), c)
+
+    def test_non_empty_c_is_stored_as_a_tuple_of_ints(self):
+        for c in ([2, 3], range(2, 4), (s for s in (2, 3)), np.array([2, 3])):
+            part = Partition((0,), (1,), c)
+            assert part.c == (2, 3) and all(type(s) is int for s in part.c)
+
 
 class TestMutualInformation:
     def test_pure_product_is_zero(self):

@@ -2,8 +2,9 @@
 are never rounded, real parameters must be finite numbers, and a violation is
 always `InvalidInput` (CLI exit code 2), never a raw `TypeError`. Series of
 reals must be 1-d arrays of finite numbers, and a slot that takes a qcausal
-object (a model, a grid, a Hamiltonian, a state, a propagator, a partition,
-an instrument) takes nothing else."""
+object (a model, a grid, a scan config, a Hamiltonian, a state, a propagator, a
+partition, an instrument, an arrival table, a series embedding, a joint
+distribution) takes nothing else."""
 
 import numpy as np
 import pytest
@@ -17,16 +18,20 @@ from qcausal import (
     Instrument,
     InsufficientData,
     InvalidInput,
+    JointDistribution,
     Ket,
     Partition,
     ScanConfig,
     SeriesEmbedding,
     TimeGrid,
     arrival_scan,
+    apply_instrument,
     arrival_time,
     asymmetric_qcmi,
     basis_ket,
     build_model,
+    ccmi_asymmetric_series,
+    ccmi_symmetric,
     commutator_front_norm,
     dispersion,
     embed_on_sites,
@@ -38,13 +43,19 @@ from qcausal import (
     ghz_state,
     ground_state,
     initial_ket,
+    lr_velocity,
     mutual_information,
+    mutual_information_sites,
     partial_trace,
     projective_z_instrument,
     propagator,
     qcmi_time_series,
+    shannon_entropy,
     surrogate_baseline,
+    symmetric_qcmi,
     total_sigma_z,
+    validate_instrument,
+    von_neumann_entropy,
     xx_group_velocity,
 )
 
@@ -57,7 +68,7 @@ GRID = TimeGrid(0.1, 0.05)
 
 def _series(site_a, site_b):
     config = ScanConfig(CHAIN3, initial="basis:100", grid=GRID, site_a=site_a, site_b=site_b)
-    return qcmi_time_series(config, H3)
+    return qcmi_time_series(config)
 
 
 def _scan(d_min, d_max):
@@ -129,6 +140,9 @@ KET3 = basis_ket([1, 0, 0])
 PROP3 = propagator(H3, 0.1)
 PART3 = Partition((0,), (2,), (1,))
 INSTR3 = projective_z_instrument(0, 3)
+TABLE = ArrivalTable(((2, 0.5), (3, 1.0)))
+EMB = _embedding()
+DIST = JointDistribution(("x", "y"), np.full((2, 2), 0.25))
 
 # entry -> (call with the value under test, the object the slot takes, another
 # qcausal object that could be handed in by mistake)
@@ -136,8 +150,9 @@ OBJECT_ENTRIES = {
     "Hamiltonian-model": (lambda v: Hamiltonian(v), CHAIN3, H3),
     "ScanConfig-model": (lambda v: ScanConfig(v), CHAIN3, H3),
     "ScanConfig-grid": (lambda v: ScanConfig(CHAIN3, grid=v), GRID, CHAIN3),
-    "qcmi_time_series-hamiltonian": (lambda v: qcmi_time_series(SERIES3, v), H3, CHAIN3),
-    "arrival_scan-hamiltonian": (lambda v: arrival_scan(SCAN3, v), H3, CHAIN3),
+    "qcmi_time_series-config": (lambda v: qcmi_time_series(v), SERIES3, CHAIN3),
+    "arrival_scan-config": (lambda v: arrival_scan(v), SCAN3, CHAIN3),
+    "fit_velocity-table": (lambda v: fit_velocity(v), TABLE, SCAN3),
     "propagator-hamiltonian": (lambda v: propagator(v, 0.1), H3, CHAIN3),
     "ground_state-hamiltonian": (lambda v: ground_state(v), H3, CHAIN3),
     "evolve_ket-hamiltonian": (lambda v: evolve_ket(v, KET3, 0.1), H3, CHAIN3),
@@ -151,6 +166,22 @@ OBJECT_ENTRIES = {
     "asymmetric_qcmi-rho": (lambda v: asymmetric_qcmi(v, PART3, INSTR3), RHO3, KET3),
     "asymmetric_qcmi-partition": (lambda v: asymmetric_qcmi(RHO3, v, INSTR3), PART3, INSTR3),
     "asymmetric_qcmi-instrument": (lambda v: asymmetric_qcmi(RHO3, PART3, v), INSTR3, PART3),
+    "apply_instrument-rho": (lambda v: apply_instrument(v, INSTR3), RHO3, KET3),
+    "apply_instrument-instrument": (lambda v: apply_instrument(RHO3, v), INSTR3, PART3),
+    "validate_instrument-instrument": (lambda v: validate_instrument(v), INSTR3, PART3),
+    "partial_trace-rho": (lambda v: partial_trace(v, (0,)), RHO3, KET3),
+    "von_neumann_entropy-rho": (lambda v: von_neumann_entropy(v), RHO3, KET3),
+    "symmetric_qcmi-rho": (lambda v: symmetric_qcmi(v, PART3), RHO3, KET3),
+    "symmetric_qcmi-partition": (lambda v: symmetric_qcmi(RHO3, v), PART3, INSTR3),
+    "mutual_information_sites-rho": (
+        lambda v: mutual_information_sites(v, (0,), (2,)), RHO3, KET3
+    ),
+    "mutual_information-rho": (lambda v: mutual_information(v, 1), RHO3, KET3),
+    "lr_velocity-model": (lambda v: lr_velocity(v), CHAIN3, H3),
+    "ccmi_asymmetric_series-emb": (lambda v: ccmi_asymmetric_series(v), EMB, DIST),
+    "surrogate_baseline-emb": (lambda v: surrogate_baseline(v, 1), EMB, DIST),
+    "shannon_entropy-dist": (lambda v: shannon_entropy(v, ("x",)), DIST, EMB),
+    "ccmi_symmetric-dist": (lambda v: ccmi_symmetric(v, ("x",), ("y",)), DIST, EMB),
 }
 
 

@@ -24,7 +24,6 @@ from qcausal.qstate import (
     EIG_NEGATIVE_LIMIT,
     check_sites,
     entropies_from_eigenvalues,
-    entropy_from_eigenvalues,
 )
 from helpers import brute_partial_trace, matrix_log_entropy, random_density, random_unitary
 
@@ -231,12 +230,12 @@ class TestBatchedEntropy:
             batched = entropies_from_eigenvalues(spectra)
             assert batched.shape == (500,)
             for row, value in zip(spectra, batched):
-                assert abs(value - entropy_from_eigenvalues(row)) <= 1e-15
+                assert abs(value - float(entropies_from_eigenvalues(row))) <= 1e-15
                 assert abs(value - loop_entropy(row)) <= 1e-15
             assert np.all(batched[3::11] == 0.0)
 
     def test_scalar_form_returns_a_float(self):
-        assert type(entropy_from_eigenvalues(np.array([0.5, 0.5]))) is float
+        assert type(von_neumann_entropy(DensityMatrix(1, np.eye(2) / 2))) is float
 
     def test_one_negative_row_in_500_rejected(self):
         spectra = random_spectra(500, 4, np.random.default_rng(22))
@@ -247,7 +246,7 @@ class TestBatchedEntropy:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_eigenvalues_rejected(self, bad):
         with pytest.raises(NotPositiveSemidefinite):
-            entropy_from_eigenvalues([bad, 0.5, 0.5])
+            entropies_from_eigenvalues([bad, 0.5, 0.5])
         spectra = random_spectra(500, 4, np.random.default_rng(23))
         spectra[123, 1] = bad
         with pytest.raises(NotPositiveSemidefinite):
@@ -325,7 +324,7 @@ class TestCheckSites:
             check_sites([1, 4], 4)
 
     def test_empty_needs_opt_in(self):
-        assert check_sites([], 4, allow_empty=True) == ()
+        # Only a Partition's C may be empty, and Partition maps it to () itself.
         with pytest.raises(InvalidInput):
             check_sites([], 4)
 

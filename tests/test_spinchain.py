@@ -11,8 +11,6 @@ from qcausal import (
     PAULI_Z,
     basis_ket,
     build_model,
-    build_tfim,
-    build_xx,
     embed_operator,
     evolve,
     evolve_ket,
@@ -52,29 +50,29 @@ def assemble_tfim_by_hand(n, j, h):
 
 class TestBuildTfim:
     def test_pure_ising_is_diagonal(self):
-        hamiltonian = build_tfim(2, 1.0, 0.0)
+        hamiltonian = Hamiltonian(ChainModel("tfim", 2, 1.0, 0.0))
         assert np.allclose(hamiltonian.matrix, np.diag([-1, 1, 1, -1]))
 
     def test_pure_field_spectrum(self):
-        hamiltonian = build_tfim(2, 0.0, 1.0)
+        hamiltonian = Hamiltonian(ChainModel("tfim", 2, 0.0, 1.0))
         assert np.allclose(hamiltonian.spectrum[0], [-2, 0, 0, 2], atol=1e-12)
 
     def test_matches_independent_assembly(self):
-        hamiltonian = build_tfim(3, 1.0, 1.0)
+        hamiltonian = Hamiltonian(ChainModel("tfim", 3, 1.0, 1.0))
         oracle = assemble_tfim_by_hand(3, 1.0, 1.0)
         assert np.max(np.abs(hamiltonian.matrix - oracle)) < 1e-12
         assert np.allclose(hamiltonian.spectrum[0], np.linalg.eigvalsh(oracle), atol=1e-9)
 
     def test_length_bounds(self):
         with pytest.raises(InvalidInput):
-            build_tfim(1, 1.0, 1.0)
+            Hamiltonian(ChainModel("tfim", 1, 1.0, 1.0))
         with pytest.raises(InvalidInput):
-            build_tfim(13, 1.0, 1.0)
+            Hamiltonian(ChainModel("tfim", 13, 1.0, 1.0))
 
 
 class TestBuildXx:
     def test_single_bond_spectrum(self):
-        hamiltonian = build_xx(2, 1.0, 0.0)
+        hamiltonian = Hamiltonian(ChainModel("xx", 2, 1.0, 0.0))
         assert np.allclose(hamiltonian.spectrum[0], [-1, 0, 0, 1], atol=1e-12)
         # The bond term is J(|01><10| + h.c.).
         expected = np.zeros((4, 4), dtype=complex)
@@ -82,35 +80,36 @@ class TestBuildXx:
         assert np.allclose(hamiltonian.matrix, expected)
 
     def test_pure_field_is_diagonal(self):
-        hamiltonian = build_xx(2, 0.0, 0.5)
+        hamiltonian = Hamiltonian(ChainModel("xx", 2, 0.0, 0.5))
         assert np.allclose(hamiltonian.matrix, np.diag([1, 0, 0, -1]))
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_commutes_with_total_magnetization(self, n):
-        hamiltonian = build_xx(n, 1.3, 0.7)
+        hamiltonian = Hamiltonian(ChainModel("xx", n, 1.3, 0.7))
         mz = total_sigma_z(n)
         comm = hamiltonian.matrix @ mz - mz @ hamiltonian.matrix
         assert np.max(np.abs(comm)) <= 1e-10
 
 
 class TestHermiticityAndSpectrum:
-    @pytest.mark.parametrize("build", [build_tfim, build_xx])
-    def test_hermiticity_random_parameters(self, build):
+    @pytest.mark.parametrize("kind", ["tfim", "xx"])
+    def test_hermiticity_random_parameters(self, kind):
         rng = np.random.default_rng(21)
         for _ in range(5):
             n = int(rng.integers(2, 6))
-            hamiltonian = build(n, float(rng.normal()), float(rng.normal()))
+            model = ChainModel(kind, n, float(rng.normal()), float(rng.normal()))
+            hamiltonian = Hamiltonian(model)
             defect = np.max(np.abs(hamiltonian.matrix - hamiltonian.matrix.conj().T))
             assert defect <= 1e-12
 
     def test_eigen_reconstruction(self):
-        hamiltonian = build_xx(4, 1.0, 0.3)
+        hamiltonian = Hamiltonian(ChainModel("xx", 4, 1.0, 0.3))
         values, vectors = hamiltonian.spectrum
         rebuilt = (vectors * values) @ vectors.conj().T
         assert np.max(np.abs(rebuilt - hamiltonian.matrix)) <= 1e-9
 
     def test_eigenvectors_orthonormal(self):
-        hamiltonian = build_tfim(4, 1.0, 0.7)
+        hamiltonian = Hamiltonian(ChainModel("tfim", 4, 1.0, 0.7))
         _, vectors = hamiltonian.spectrum
         assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(16))) <= 1e-9
 
@@ -153,8 +152,8 @@ class TestSectorSpectrum:
     def test_degenerate_ground_state_is_the_first_sector_pick(self, n):
         # h = 0 is diagonal, so the popcount sectors apply and |0...0> comes
         # first among the two degenerate ferromagnetic states.
-        first = ground_state(build_tfim(n, 1.0, 0.0))
-        again = ground_state(build_tfim(n, 1.0, 0.0))
+        first = ground_state(Hamiltonian(ChainModel("tfim", n, 1.0, 0.0)))
+        again = ground_state(Hamiltonian(ChainModel("tfim", n, 1.0, 0.0)))
         assert first.degenerate and again.degenerate
         assert np.array_equal(first.state.amplitudes, again.state.amplitudes)
         assert np.array_equal(first.state.amplitudes, basis_ket([0] * n).amplitudes)
@@ -238,10 +237,10 @@ def block_case(kind, n, rng):
         rows = np.flatnonzero(np.array([bin(i).count("1") for i in range(dim)]) == n // 2)
         one_sector = np.zeros(dim, dtype=complex)
         one_sector[rows] = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
-        return build_xx(n, 1.0, 0.3), [normalized(one_sector), spread]
+        return Hamiltonian(ChainModel("xx", n, 1.0, 0.3)), [normalized(one_sector), spread]
     half = rng.standard_normal(dim // 2) + 1j * rng.standard_normal(dim // 2)
     parities = [normalized(np.concatenate([half, mirror * half[::-1]])) for mirror in (1, -1)]
-    return build_tfim(n, 1.0, 0.7), parities + [spread]
+    return Hamiltonian(ChainModel("tfim", n, 1.0, 0.7)), parities + [spread]
 
 
 class TestSectorBlocks:
@@ -259,7 +258,7 @@ class TestSectorBlocks:
         # (+, +), (+, -), (-, +), (-, -). Flip-even splits 20 + 12: an orbit
         # with P s = s or P s = F s joins only the sectors where that element
         # has sign +1.
-        tfim = build_tfim(6, 1.0, 0.7)
+        tfim = Hamiltonian(ChainModel("tfim", 6, 1.0, 0.7))
         assert [sector_layout(block.rows, block.factors) for block in tfim._blocks] == [
             (20, (1, 1, 1, 1)), (12, (1, 1, -1, -1)), (16, (1, -1, 1, -1)), (16, (1, -1, -1, 1)),
         ]
@@ -303,7 +302,7 @@ class TestSectorBlocks:
         # Each popcount block splits into its reversal-even and -odd halves;
         # palindromes go to the even half only.
         calls = count_eigh(monkeypatch)
-        ground_state(build_xx(6, 1.0, 0.3))
+        ground_state(Hamiltonian(ChainModel("xx", 6, 1.0, 0.3)))
         palindromes = [0] * 7
         for s in range(64):
             if format(s, "06b") == format(s, "06b")[::-1]:
@@ -317,72 +316,72 @@ class TestSectorBlocks:
 
 class TestGroundState:
     def test_tfim_pure_field_ground(self):
-        gs = ground_state(build_tfim(2, 0.0, 1.0))
+        gs = ground_state(Hamiltonian(ChainModel("tfim", 2, 0.0, 1.0)))
         assert abs(gs.energy - (-2.0)) < 1e-9
         assert np.allclose(gs.state.amplitudes, np.full(4, 0.5), atol=1e-9)
         assert not gs.degenerate
 
     def test_xx_pure_field_ground_is_all_ones(self):
-        gs = ground_state(build_xx(2, 0.0, 1.0))
+        gs = ground_state(Hamiltonian(ChainModel("xx", 2, 0.0, 1.0)))
         assert abs(gs.energy - (-2.0)) < 1e-12
         assert np.allclose(gs.state.amplitudes, basis_ket([1, 1]).amplitudes)
 
     def test_eigen_residual(self):
-        hamiltonian = build_tfim(3, 1.0, 1.0)
+        hamiltonian = Hamiltonian(ChainModel("tfim", 3, 1.0, 1.0))
         gs = ground_state(hamiltonian)
         residual = hamiltonian.matrix @ gs.state.amplitudes - gs.energy * gs.state.amplitudes
         assert np.linalg.norm(residual) <= 1e-9
 
     def test_degenerate_ising_flagged(self):
-        gs = ground_state(build_tfim(3, 1.0, 0.0))
+        gs = ground_state(Hamiltonian(ChainModel("tfim", 3, 1.0, 0.0)))
         assert gs.degenerate
 
 
 class TestPropagator:
     def test_zero_time_is_identity(self):
-        u = propagator(build_xx(3, 1.0, 0.5), 0.0)
+        u = propagator(Hamiltonian(ChainModel("xx", 3, 1.0, 0.5)), 0.0)
         assert np.allclose(u.matrix, np.eye(8), atol=1e-12)
 
     def test_group_law(self):
-        hamiltonian = build_tfim(3, 1.0, 0.8)
+        hamiltonian = Hamiltonian(ChainModel("tfim", 3, 1.0, 0.8))
         u1 = propagator(hamiltonian, 0.7).matrix
         u2 = propagator(hamiltonian, 1.9).matrix
         u12 = propagator(hamiltonian, 2.6).matrix
         assert np.max(np.abs(u1 @ u2 - u12)) <= 1e-9
 
     def test_unitarity_at_long_times(self):
-        hamiltonian = build_xx(4, 1.0, 0.3)
+        hamiltonian = Hamiltonian(ChainModel("xx", 4, 1.0, 0.3))
         for t in (0.1, 1.0, 10.0, 100.0):
             u = propagator(hamiltonian, t).matrix
             assert np.max(np.abs(u @ u.conj().T - np.eye(16))) <= 1e-9
 
     def test_full_excitation_transfer(self):
         # Two-site hopping rotates |10> into |01> in a quarter period.
-        hamiltonian = build_xx(2, 1.0, 0.0)
+        hamiltonian = Hamiltonian(ChainModel("xx", 2, 1.0, 0.0))
         out = evolve_ket(hamiltonian, basis_ket([1, 0]), np.pi / 2)
         assert abs(abs(out.amplitudes[1]) - 1.0) < 1e-9
 
     def test_non_finite_time_rejected(self):
         with pytest.raises(InvalidInput):
-            propagator(build_xx(2, 1.0, 0.0), float("nan"))
+            propagator(Hamiltonian(ChainModel("xx", 2, 1.0, 0.0)), float("nan"))
 
 
 class TestEvolve:
     def test_zero_time_identity_on_states(self):
         rng = np.random.default_rng(22)
         rho = random_density(3, rng)
-        u = propagator(build_tfim(3, 1.0, 1.0), 0.0)
+        u = propagator(Hamiltonian(ChainModel("tfim", 3, 1.0, 1.0)), 0.0)
         assert np.allclose(evolve(rho, u).matrix, rho.matrix, atol=1e-12)
 
     def test_purity_preserved(self):
         rng = np.random.default_rng(23)
         rho = random_ket(3, rng).density_matrix()
-        u = propagator(build_tfim(3, 1.0, 1.0), 2.3)
+        u = propagator(Hamiltonian(ChainModel("tfim", 3, 1.0, 1.0)), 2.3)
         assert von_neumann_entropy(evolve(rho, u)) <= 1e-9
 
     def test_energy_conserved(self):
         rng = np.random.default_rng(24)
-        hamiltonian = build_xx(3, 1.0, 0.4)
+        hamiltonian = Hamiltonian(ChainModel("xx", 3, 1.0, 0.4))
         rho = random_density(3, rng)
         u = propagator(hamiltonian, 1.7)
         before = np.trace(rho.matrix @ hamiltonian.matrix).real
@@ -392,13 +391,13 @@ class TestEvolve:
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(25)
         rho = random_density(2, rng)
-        u = propagator(build_xx(3, 1.0, 0.0), 1.0)
+        u = propagator(Hamiltonian(ChainModel("xx", 3, 1.0, 0.0)), 1.0)
         with pytest.raises(InvalidInput):
             evolve(rho, u)
 
     def test_ket_and_density_evolution_agree(self):
         rng = np.random.default_rng(26)
-        hamiltonian = build_xx(3, 1.0, 0.5)
+        hamiltonian = Hamiltonian(ChainModel("xx", 3, 1.0, 0.5))
         ket = random_ket(3, rng)
         via_ket = evolve_ket(hamiltonian, ket, 1.1).density_matrix()
         via_density = evolve(ket.density_matrix(), propagator(hamiltonian, 1.1))
@@ -407,7 +406,7 @@ class TestEvolve:
 
 class TestMagnetizationConservation:
     def test_single_excitation_sector_preserved(self):
-        hamiltonian = build_xx(4, 1.0, 0.5)
+        hamiltonian = Hamiltonian(ChainModel("xx", 4, 1.0, 0.5))
         mz = total_sigma_z(4)
         psi0 = basis_ket([1, 0, 0, 0])
         reference = np.vdot(psi0.amplitudes, mz @ psi0.amplitudes).real
