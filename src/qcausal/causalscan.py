@@ -35,7 +35,7 @@ from .exceptions import DegenerateMeasurement, EmptyConditioner, InsufficientDat
 from .infomeasures import Partition, _clamped_values
 from .instrument import PROBABILITY_FLOOR, projective_z_instrument
 from .qstate import Ket, basis_ket, entropies_from_eigenvalues
-from .qstate import check_instance, check_integer, check_real, check_site_pair
+from .qstate import check_array, check_instance, check_integer, check_real, check_site_pair
 from .spinchain import DEGENERACY_GAP, ChainModel, Hamiltonian, _evolve_grid, _site_bits
 from .spinchain import build_model, ground_state
 
@@ -359,18 +359,6 @@ def qcmi_time_series(config: ScanConfig) -> QcmiSeries:
     )
 
 
-def _real_series(values, name: str) -> np.ndarray:
-    """`values` as a float array if it is a 1-d array of finite reals; else `InvalidInput`."""
-    message = f"{name} must be a 1-d array of finite reals"
-    try:
-        array = np.asarray(values)
-    except ValueError:  # a ragged nested sequence
-        raise InvalidInput(message) from None
-    if array.ndim != 1 or array.dtype.kind not in "iuf" or not np.all(np.isfinite(array)):
-        raise InvalidInput(message)
-    return array.astype(float, copy=False)
-
-
 def arrival_time(
     times: np.ndarray,
     values: np.ndarray,
@@ -382,9 +370,10 @@ def arrival_time(
     `times` and `values` must be 1-d arrays of finite reals of one shape.
     """
     _check_detection(threshold, crossing)
-    times, values = _real_series(times, "times"), _real_series(values, "values")
-    if times.shape != values.shape:
-        raise InvalidInput("times and values must have matching shapes")
+    times = check_array(times, "times", float, (None,))
+    values = check_array(values, "values", float, times.shape)
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+        raise InvalidInput("times and values must be finite")
     hits = np.nonzero(values >= threshold)[0]
     if hits.size == 0:
         return None

@@ -39,7 +39,7 @@ from .exceptions import (
     InvalidInput,
     NumericalInstability,
 )
-from .qstate import check_instance, check_integer
+from .qstate import check_array, check_instance, check_integer, check_sequence
 
 TABLE_SUM_TOL = 1e-12
 EQUIVALENCE_TOL = 1e-12
@@ -60,22 +60,17 @@ class JointDistribution:
     table: np.ndarray
 
     def __post_init__(self):
-        names = tuple(self.names)
+        names = check_sequence(self.names, "names")
         if not names:
             raise InvalidInput("distribution needs at least one variable")
         if len(set(names)) != len(names):
             raise InvalidInput(f"variable names must be unique, got {names}")
-        table = np.asarray(self.table, dtype=float)
-        if table.ndim != len(names):
-            raise InvalidInput(
-                f"table has {table.ndim} axes for {len(names)} variables"
-            )
-        if table.min() < 0.0:
-            raise InvalidInput(f"probabilities must be non-negative, min {table.min():.3e}")
-        total = table.sum()
-        if abs(total - 1.0) > TABLE_SUM_TOL:
+        table = check_array(self.table, "table", float, (None,) * len(names)).copy()
+        total = table.sum()  # first: an empty table sums to 0 and has no min
+        if not abs(total - 1.0) <= TABLE_SUM_TOL:
             raise InvalidInput(f"probabilities sum to {total!r}, expected 1")
-        table = table.copy()
+        if not table.min() >= 0.0:
+            raise InvalidInput(f"probabilities must be non-negative, min {table.min():.3e}")
         table.setflags(write=False)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "table", table)
@@ -100,7 +95,7 @@ def _plugin_entropy(probabilities: np.ndarray) -> float:
 def shannon_entropy(dist: JointDistribution, variables: Sequence[str]) -> float:
     """Shannon entropy in bits of the marginal on `variables`."""
     check_instance(dist, JointDistribution, "dist")
-    variables = tuple(variables)
+    variables = check_sequence(variables, "variables")
     if not variables:
         raise InvalidInput("entropy needs a non-empty variable subset")
     keep = dist._axes(variables)
@@ -123,7 +118,7 @@ def ccmi_symmetric(
 ) -> float:
     """H(AC) + H(BC) - H(C) - H(ABC), cross-checked against H(A|C) - H(A|BC)."""
     check_instance(dist, JointDistribution, "dist")
-    a, b, c = tuple(a), tuple(b), tuple(c)
+    a, b, c = check_sequence(a, "A"), check_sequence(b, "B"), check_sequence(c, "C")
     if not a or not b:
         raise InvalidInput("A and B must be non-empty")
     combined = a + b + c
@@ -161,9 +156,9 @@ def _check_bins(bins: int) -> int:
 
 def equiquantal_bins(values: Sequence[float], bins: int) -> np.ndarray:
     """Equal-count bin labels; stable-order tie break; all-equal -> one bin."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise InvalidInput("binning expects a non-empty 1-d series")
+    v = check_array(values, "values", float, (None,))
+    if not v.size:
+        raise InvalidInput("binning expects a non-empty series")
     bins = _check_bins(bins)
     if not np.all(np.isfinite(v)):
         raise DegenerateSeries("series contains non-finite values; quantile bins undefined")
@@ -218,14 +213,8 @@ class SeriesEmbedding:
     bins: int = 4
 
     def __post_init__(self):
-        driver = np.asarray(self.driver, dtype=float)
-        response = np.asarray(self.response, dtype=float)
-        if driver.ndim != 1 or response.ndim != 1:
-            raise InvalidInput("series must be one-dimensional")
-        if driver.size != response.size:
-            raise InvalidInput(
-                f"series lengths differ: {driver.size} vs {response.size}"
-            )
+        driver = check_array(self.driver, "driver", float, (None,)).copy()
+        response = check_array(self.response, "response", float, driver.shape).copy()
         horizon = check_integer(self.horizon, "horizon")
         delay = check_integer(self.delay, "delay")
         bins = _check_bins(self.bins)
@@ -238,8 +227,6 @@ class SeriesEmbedding:
                 f"series of length {driver.size} too short for horizon {horizon} "
                 f"and delay {delay}"
             )
-        driver = driver.copy()
-        response = response.copy()
         driver.setflags(write=False)
         response.setflags(write=False)
         object.__setattr__(self, "driver", driver)

@@ -18,7 +18,7 @@ import numpy as np
 from .exceptions import EmptyConditioner, InvalidInput, NumericalInstability
 from .instrument import Instrument, apply_instrument
 from .qstate import DensityMatrix, check_instance, check_integer, check_sites, partial_trace
-from .qstate import von_neumann_entropy
+from .qstate import check_sequence, von_neumann_entropy
 
 # Strong subadditivity guarantees non-negativity analytically; anything in
 # (-NEGATIVITY_TOL, 0) is rounding and is clamped, anything below is a bug.
@@ -49,7 +49,7 @@ class Partition:
     c: tuple[int, ...] = ()
 
     def __post_init__(self):
-        a, b, c = check_sites(self.a), check_sites(self.b), tuple(self.c)
+        a, b, c = check_sites(self.a), check_sites(self.b), check_sequence(self.c, "C")
         c = check_sites(c) if c else ()
         combined = a + b + c
         if len(set(combined)) != len(combined):

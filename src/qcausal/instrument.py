@@ -13,7 +13,7 @@ from .exceptions import (
     InvalidInput,
     NumericalInstability,
 )
-from .qstate import DensityMatrix, check_instance, check_sites, partial_trace_matrix
+from .qstate import DensityMatrix, check_array, check_instance, check_sites, partial_trace_matrix
 
 COMPLETENESS_TOL = 1e-10
 IMAGINARY_TOL = 1e-12
@@ -37,19 +37,13 @@ class Instrument:
 
     def __post_init__(self):
         targets = check_sites(self.target_sites)
-        ops = tuple(np.array(op, dtype=complex) for op in self.operators)
-        if not ops:
-            raise InvalidInput("instrument needs at least one measurement operator")
         dim = 2 ** len(targets)
-        for op in ops:
-            if op.shape != (dim, dim):
-                raise InvalidInput(
-                    f"operators must be {dim}x{dim} for {len(targets)} target sites, "
-                    f"got shape {op.shape}"
-                )
-            op.setflags(write=False)
+        ops = check_array(self.operators, "operators", complex, (None, dim, dim)).copy()
+        if not len(ops):
+            raise InvalidInput("instrument needs at least one measurement operator")
+        ops.setflags(write=False)
         object.__setattr__(self, "target_sites", targets)
-        object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "operators", tuple(ops))
 
     @property
     def describe(self) -> str:
@@ -129,7 +123,7 @@ def apply_instrument(rho: DensityMatrix, instrument: Instrument) -> BranchEnsemb
     n = check_instance(rho, DensityMatrix, "rho").n_sites
     targets = check_sites(check_instance(instrument, Instrument, "instrument").target_sites, n)
     defect = validate_instrument(instrument)
-    if defect > COMPLETENESS_TOL:
+    if not defect <= COMPLETENESS_TOL:
         raise IncompleteInstrument(f"completeness defect {defect:.3e} exceeds {COMPLETENESS_TOL}")
 
     keep = [s for s in range(n) if s not in targets]
@@ -141,7 +135,7 @@ def apply_instrument(rho: DensityMatrix, instrument: Instrument) -> BranchEnsemb
     for label, op in enumerate(instrument.operators):
         hit = _sandwich(rho.matrix, op, targets, n)
         trace = complex(np.trace(hit))
-        if abs(trace.imag) > IMAGINARY_TOL:
+        if not abs(trace.imag) <= IMAGINARY_TOL:
             raise NumericalInstability(f"outcome probability has imaginary part {trace.imag:.3e}")
         raw.append((trace.real, label, hit))
 

@@ -9,8 +9,8 @@ so |1000> on four sites sits at index 8 and tensor factors follow np.kron
 order (site 0 leftmost).
 
 The package's input rules live here too: `check_integer`, `check_real`,
-`check_n_sites`, `check_sites` and `check_site_pair`; a violation raises
-`InvalidInput`.
+`check_instance`, `check_sequence`, `check_array`, `check_n_sites`,
+`check_sites` and `check_site_pair`; a violation raises `InvalidInput`.
 """
 
 from __future__ import annotations
@@ -76,6 +76,32 @@ def check_instance(value, kind: type, name: str):
     return value
 
 
+def check_sequence(value, name: str) -> tuple:
+    """`value` as a tuple of its items; anything that cannot be iterated raises `InvalidInput`."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be a sequence, got {value!r}") from None
+
+
+def check_array(value, name: str, dtype: type, shape: tuple) -> np.ndarray:
+    """`value` as a `dtype` (float or complex) array of `shape`, whose None entries
+    match any length. Integer and float arrays pass, complex ones only into a
+    complex slot; bools, strings, objects and ragged sequences raise `InvalidInput`."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged nested sequence
+        array = np.asarray(None)
+    if (
+        array.dtype.kind not in ("iufc" if dtype is complex else "iuf")
+        or array.ndim != len(shape)
+        or any(want not in (None, got) for got, want in zip(array.shape, shape))
+    ):
+        kind = dtype.__name__
+        raise InvalidInput(f"{name} must be a {kind} array of shape {shape}, got {value!r:.80}")
+    return array.astype(dtype, copy=False)
+
+
 def check_sites(sites: Iterable[int], n_sites: int | None = None) -> tuple[int, ...]:
     """The one site-set rule: a non-empty, strictly increasing tuple of integer
     sites in [0, n_sites).
@@ -83,7 +109,7 @@ def check_sites(sites: Iterable[int], n_sites: int | None = None) -> tuple[int, 
     Every public entry that takes sites validates them here; each site and
     n_sites must pass `check_integer`. n_sites=None skips the upper bound.
     """
-    out = tuple(check_integer(s, "site index") for s in sites)
+    out = tuple(check_integer(s, "site index") for s in check_sequence(sites, "site set"))
     if not out:
         raise InvalidInput("site set must not be empty")
     if any(s < 0 for s in out):
@@ -123,9 +149,7 @@ class Ket:
 
     def __post_init__(self):
         n = check_n_sites(self.n_sites)
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (2**n,):
-            raise InvalidInput(f"expected {2**n} amplitudes for {n} sites, got shape {amp.shape}")
+        amp = check_array(self.amplitudes, "amplitudes", complex, (2**n,))
         norm = np.linalg.norm(amp)
         if not abs(norm - 1.0) <= NORM_TOL:
             raise InvalidInput(f"ket norm {norm!r} deviates from 1 beyond {NORM_TOL}")
@@ -150,10 +174,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         n = check_n_sites(self.n_sites)
-        mat = np.asarray(self.matrix, dtype=complex)
-        dim = 2**n
-        if mat.shape != (dim, dim):
-            raise InvalidInput(f"expected {dim}x{dim} matrix for {n} sites, got shape {mat.shape}")
+        mat = check_array(self.matrix, "matrix", complex, (2**n, 2**n))
         herm = np.max(np.abs(mat - mat.conj().T))
         if not herm <= HERMITICITY_TOL:
             raise InvalidInput(f"hermiticity defect {herm:.3e} exceeds {HERMITICITY_TOL}")
@@ -197,7 +218,7 @@ def basis_index(bits: Sequence[int]) -> int:
 
 def basis_ket(bits: Sequence[int]) -> Ket:
     """Computational basis state |q0 q1 ... q_{N-1}>."""
-    bits = list(bits)
+    bits = check_sequence(bits, "bits")
     n = check_n_sites(len(bits))
     amp = np.zeros(2**n, dtype=complex)
     amp[basis_index(bits)] = 1.0
@@ -224,9 +245,9 @@ def embed_on_sites(op: np.ndarray, sites: Sequence[int], n_sites: int) -> np.nda
     n = check_integer(n_sites, "n_sites")
     sites = check_sites(sites, n)
     k = len(sites)
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (2**k, 2**k):
-        raise InvalidInput(f"operator on {k} sites must be {2**k}x{2**k}, got shape {op.shape}")
+    op = check_array(op, "operator", complex, (2**k, 2**k))
+    if not np.all(np.isfinite(op)):
+        raise InvalidInput("operator entries must be finite")
     full = np.kron(op, np.eye(2 ** (n - k)))
     # Axis s of `full` currently belongs to `order[s]`; permute back to 0..n-1.
     order = list(sites) + [s for s in range(n) if s not in sites]
@@ -282,12 +303,10 @@ def validate_density_matrix(matrix: np.ndarray | DensityMatrix) -> DensityMatrix
     """Report hermiticity, trace and positivity defects of a candidate state."""
     if isinstance(matrix, DensityMatrix):
         matrix = matrix.matrix
-    mat = np.asarray(matrix, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise InvalidInput(f"expected a square matrix, got shape {mat.shape}")
+    mat = check_array(matrix, "matrix", complex, (None, None))
     dim = mat.shape[0]
-    if dim < 2 or dim & (dim - 1) != 0:
-        raise InvalidInput(f"dimension {dim} is not a power of two")
+    if mat.shape[1] != dim or dim < 2 or dim & (dim - 1) != 0:
+        raise InvalidInput(f"expected a square power-of-two matrix, got shape {mat.shape}")
     herm = float(np.max(np.abs(mat - mat.conj().T)))
     trace = float(abs(np.trace(mat) - 1.0))
     # eigvalsh returns arbitrary numbers for non-finite input; NaN fails the check.

@@ -24,7 +24,7 @@ import numpy as np
 
 from .exceptions import InvalidInput, NumericalInstability
 from .qstate import MAX_SITES, NORM_TOL, DensityMatrix, Ket, check_instance, check_n_sites
-from .qstate import check_real
+from .qstate import check_array, check_real
 
 BUILD_HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-9
@@ -315,11 +315,10 @@ class Propagator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = check_array(self.matrix, "matrix", complex, (None, None)).copy()
         defect = np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0])))
-        if defect > UNITARITY_TOL:
+        if not defect <= UNITARITY_TOL:
             raise NumericalInstability(f"unitarity defect {defect:.3e} exceeds {UNITARITY_TOL}")
-        mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 

@@ -3,11 +3,12 @@
 Usage: python tests/compare_series.py GOT WANT
 
 The data rows are the lines that start with a digit. The script exits 0 when
-both files have the same number of rows and every value lies within 1e-9 of
-the reference; otherwise it prints the row counts and the largest difference
-and exits 1.
+both files have the same number of rows, each row has as many columns as its
+reference row, and every value lies within 1e-9 of the reference (a NaN on
+either side never does); otherwise it prints what differs and exits 1.
 """
 
+import math
 import sys
 
 
@@ -18,10 +19,13 @@ def rows(path):
 
 def main(got_path, want_path):
     got, want = rows(got_path), rows(want_path)
-    d = max((abs(a - b) for g, w in zip(got, want) for a, b in zip(g, w)), default=float("inf"))
-    if len(got) == len(want) and d <= 1e-9:
+    if [len(g) for g in got] != [len(w) for w in want]:
+        return f"{len(got)} rows, {len(want)} expected, or a row has the wrong number of columns"
+    deltas = [abs(a - b) for g, w in zip(got, want) for a, b in zip(g, w)]
+    d = math.nan if any(map(math.isnan, deltas)) else max(deltas, default=math.inf)
+    if d <= 1e-9:
         return 0
-    return f"{len(got)} rows, {len(want)} expected, max |delta| {d:.3g} (limit 1e-9)"
+    return f"max |delta| {d:.3g} over {len(got)} rows (limit 1e-9)"
 
 
 if __name__ == "__main__":

@@ -87,6 +87,13 @@ def chain():
 
 
 class TestCommutatorFrontNorm:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operator_rejected(self, chain, bad):
+        op = np.array([[1.0, 0.0], [0.0, bad]])
+        for op_a, op_b in ((op, PAULI_Z), (PAULI_Z, op)):
+            with pytest.raises(InvalidInput):
+                commutator_front_norm(chain, 0, op_a, 7, op_b, 0.5)
+
     def test_zero_time_commutes(self, chain):
         assert commutator_front_norm(chain, 0, PAULI_Z, 7, PAULI_Z, 0.0) < 1e-12
 

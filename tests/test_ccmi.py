@@ -79,6 +79,11 @@ class TestJointDistribution:
         with pytest.raises(InvalidInput):
             JointDistribution(("a",), np.array([1.1, -0.1]))
 
+    @pytest.mark.parametrize("table", [[np.nan, 1.0], [np.nan, np.nan], []], ids=repr)
+    def test_nan_or_empty_table_rejected(self, table):
+        with pytest.raises(InvalidInput):
+            JointDistribution(("a",), table)
+
 
 class TestCcmiSymmetric:
     def test_copied_bit_with_independent_conditioner(self):

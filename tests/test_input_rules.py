@@ -1,8 +1,13 @@
 """One input rule at every public entry: integers, sites and register sizes
 are never rounded, real parameters must be finite numbers, and a violation is
-always `InvalidInput` (CLI exit code 2), never a raw `TypeError`. Series of
-reals must be 1-d arrays of finite numbers, and a slot that takes a qcausal
-object (a model, a grid, a scan config, a Hamiltonian, a state, a propagator, a
+always `InvalidInput` (CLI exit code 2), never a raw `TypeError` or
+`ValueError`. A site set or a list of variable names must be iterable. Every
+numeric array (amplitudes, matrices, operators, tables, series) passes
+`qstate.check_array`: a float or integer array of the slot's shape, or a
+complex one where the slot is complex; strings, scalars, ragged lists, bool
+arrays and complex arrays in a real slot are refused. Series of reals for
+`arrival_time` must also be finite, and a slot that takes a qcausal object (a
+model, a grid, a scan config, a Hamiltonian, a state, a propagator, a
 partition, an instrument, an arrival table, a series embedding, a joint
 distribution) takes nothing else."""
 
@@ -21,6 +26,7 @@ from qcausal import (
     JointDistribution,
     Ket,
     Partition,
+    Propagator,
     ScanConfig,
     SeriesEmbedding,
     TimeGrid,
@@ -54,10 +60,12 @@ from qcausal import (
     surrogate_baseline,
     symmetric_qcmi,
     total_sigma_z,
+    validate_density_matrix,
     validate_instrument,
     von_neumann_entropy,
     xx_group_velocity,
 )
+from qcausal.qstate import check_array, check_sites
 
 CHAIN3 = ChainModel("xx", 3, 1.0, 0.3)
 H3 = build_model(CHAIN3)
@@ -235,6 +243,109 @@ def test_validated_integers_are_stored_as_python_ints():
         _embedding(horizon=np.int64(2)).horizon,
     )
     assert all(type(v) is int for v in values)
+
+
+SERIES = np.arange(20) % 7
+ONE_QUBIT = [[1, 0], [0, 0]]
+
+# entry -> (call with the array under test, a valid integer array for that
+# slot, the slot's dtype)
+ARRAY_ENTRIES = {
+    "Ket-amplitudes": (lambda v: Ket(1, v), [0, 1], complex),
+    "DensityMatrix-matrix": (lambda v: DensityMatrix(1, v), ONE_QUBIT, complex),
+    "validate_density_matrix-matrix": (validate_density_matrix, ONE_QUBIT, complex),
+    "Propagator-matrix": (lambda v: Propagator(0.1, v), [[0, 1], [1, 0]], complex),
+    "Instrument-operators": (
+        lambda v: Instrument((1,), v), [ONE_QUBIT, [[0, 0], [0, 1]]], complex
+    ),
+    "embed_on_sites-op": (lambda v: embed_on_sites(v, (0, 2), 3), np.eye(4, dtype=int), complex),
+    "embed_operator-op": (lambda v: embed_operator(v, 1, 3), ONE_QUBIT, complex),
+    "commutator_front_norm-op_a": (
+        lambda v: commutator_front_norm(H3, 0, v, 2, PAULI_Z, 0.1), ONE_QUBIT, complex
+    ),
+    "commutator_front_norm-op_b": (
+        lambda v: commutator_front_norm(H3, 0, PAULI_Z, 2, v, 0.1), ONE_QUBIT, complex
+    ),
+    "JointDistribution-table": (lambda v: JointDistribution(("x", "y"), v), ONE_QUBIT, float),
+    "SeriesEmbedding-driver": (lambda v: SeriesEmbedding(v, SERIES, 1, 1, 2), SERIES, float),
+    "SeriesEmbedding-response": (lambda v: SeriesEmbedding(SERIES, v, 1, 1, 2), SERIES, float),
+    "equiquantal_bins-values": (lambda v: equiquantal_bins(v, 2), [3, 1, 2], float),
+    "arrival_time-times": (lambda v: arrival_time(v, [0.0, 1.0], 0.5), [0, 1], float),
+    "arrival_time-values": (lambda v: arrival_time([0.0, 0.1], v, 0.5), [0, 1], float),
+}
+
+# bad value -> how to make it from the slot's valid array
+NOT_ARRAYS = {
+    "string": lambda good: "xx",
+    "scalar": lambda good: 5,
+    "ragged": lambda good: [[0.0], [1.0, 2.0]],
+    "bools": lambda good: np.asarray(good).astype(bool),
+    "extra axis": lambda good: np.asarray(good)[..., None],
+}
+
+
+@pytest.mark.parametrize("entry", ARRAY_ENTRIES.values(), ids=ARRAY_ENTRIES.keys())
+@pytest.mark.parametrize("bad", NOT_ARRAYS.values(), ids=NOT_ARRAYS.keys())
+def test_not_an_array_of_the_slot_rejected(entry, bad):
+    call, good, _ = entry
+    with pytest.raises(InvalidInput):
+        call(bad(good))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [entry for entry in ARRAY_ENTRIES.values() if entry[2] is float],
+    ids=[name for name, entry in ARRAY_ENTRIES.items() if entry[2] is float],
+)
+def test_complex_array_in_a_real_slot_rejected(entry):
+    call, good, _ = entry
+    with pytest.raises(InvalidInput):
+        call(np.asarray(good, dtype=complex))
+
+
+@pytest.mark.parametrize("entry", ARRAY_ENTRIES.values(), ids=ARRAY_ENTRIES.keys())
+def test_integer_float_and_slot_dtype_arrays_accepted(entry):
+    call, good, dtype = entry
+    for value in (good, np.asarray(good, dtype=float), np.asarray(good, dtype=dtype)):
+        call(value)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_check_array_matches_none_to_any_length(dtype):
+    array = check_array([[1, 2, 3]], "a", dtype, (1, None))
+    assert array.dtype == dtype and array.shape == (1, 3)
+    with pytest.raises(InvalidInput, match="shape"):
+        check_array([[1, 2, 3]], "a", dtype, (None, 2))
+
+
+def test_check_array_copies_nothing_of_the_slot_dtype():
+    array = np.ones(3)
+    assert check_array(array, "a", float, (3,)) is array
+
+
+# entry -> call with the sequence under test; 5 and a 0-d array cannot be iterated
+SEQUENCE_ENTRIES = {
+    "check_sites": lambda v: check_sites(v),
+    "basis_ket-bits": lambda v: basis_ket(v),
+    "Partition-a": lambda v: Partition(v, (1,), (2,)),
+    "Partition-c": lambda v: Partition((0,), (1,), v),
+    "Instrument-targets": lambda v: Instrument(v, PROJECTORS),
+    "partial_trace-keep": lambda v: partial_trace(RHO3, v),
+    "embed_on_sites-sites": lambda v: embed_on_sites(PAULI_Z, v, 3),
+    "mutual_information_sites-b": lambda v: mutual_information_sites(RHO3, v, (1,)),
+    "JointDistribution-names": lambda v: JointDistribution(v, [1.0]),
+    "shannon_entropy-variables": lambda v: shannon_entropy(DIST, v),
+    "ccmi_symmetric-a": lambda v: ccmi_symmetric(DIST, v, ("y",)),
+    "ccmi_symmetric-b": lambda v: ccmi_symmetric(DIST, ("x",), v),
+    "ccmi_symmetric-c": lambda v: ccmi_symmetric(DIST, ("x",), ("y",), v),
+}
+
+
+@pytest.mark.parametrize("entry", SEQUENCE_ENTRIES.values(), ids=SEQUENCE_ENTRIES.keys())
+@pytest.mark.parametrize("bad", [5, np.array(1), None], ids=repr)
+def test_non_iterable_sequence_rejected(entry, bad):
+    with pytest.raises(InvalidInput):
+        entry(bad)
 
 
 # None of these is a 1-d array of finite reals.

@@ -132,6 +132,11 @@ class TestApplyInstrument:
         with pytest.raises(IncompleteInstrument):
             apply_instrument(rho, broken)
 
+    def test_nan_operator_fails_completeness(self):
+        broken = Instrument((0,), (np.diag([1.0, np.nan]), np.diag([0.0, 1.0])))
+        with pytest.raises(IncompleteInstrument):
+            apply_instrument(ghz_state(2).density_matrix(), broken)
+
     def test_impossible_outcome_dropped(self):
         rho = basis_ket([0, 0]).density_matrix()
         ensemble = apply_instrument(rho, projective_z_instrument(0, 2))

@@ -7,8 +7,10 @@ from qcausal import (
     ChainModel,
     Hamiltonian,
     InvalidInput,
+    NumericalInstability,
     PAULI_X,
     PAULI_Z,
+    Propagator,
     basis_ket,
     build_model,
     embed_operator,
@@ -364,6 +366,10 @@ class TestPropagator:
     def test_non_finite_time_rejected(self):
         with pytest.raises(InvalidInput):
             propagator(Hamiltonian(ChainModel("xx", 2, 1.0, 0.0)), float("nan"))
+
+    def test_nan_matrix_fails_the_unitarity_check(self):
+        with pytest.raises(NumericalInstability, match="unitarity"):
+            Propagator(0.1, np.full((2, 2), np.nan))
 
 
 class TestEvolve:
