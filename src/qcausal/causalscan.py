@@ -34,8 +34,8 @@ import numpy as np
 from .exceptions import DegenerateMeasurement, EmptyConditioner, InsufficientData, InvalidInput
 from .infomeasures import Partition, _clamped_values
 from .instrument import PROBABILITY_FLOOR, projective_z_instrument
-from .qstate import Ket, basis_ket, entropies_from_eigenvalues
-from .qstate import check_array, check_instance, check_integer, check_real, check_site_pair
+from .qstate import Ket, basis_ket, check_site_pair, entropies_from_eigenvalues
+from .qstate import check_array, check_instance, check_integer, check_real, check_sequence
 from .spinchain import DEGENERACY_GAP, ChainModel, Hamiltonian, _evolve_grid, _site_bits
 from .spinchain import build_model, ground_state
 
@@ -145,9 +145,21 @@ class QcmiSeries:
 
 @dataclass(frozen=True)
 class ArrivalTable:
-    """Per-distance arrival times; None marks a threshold never crossed."""
+    """Per-distance arrival times, each row an integer distance and a finite
+    real time, or None for a threshold never crossed; checked once, here."""
 
     rows: tuple[tuple[int, float | None], ...]
+
+    def __post_init__(self):
+        rows = []
+        for row in check_sequence(self.rows, "arrival table"):
+            pair = check_sequence(row, "arrival table row")
+            if len(pair) != 2:
+                raise InvalidInput(f"an arrival table row is a (distance, time) pair, got {row!r}")
+            d, t = pair
+            t = None if t is None else check_real(t, "arrival time")
+            rows.append((check_integer(d, "distance"), t))
+        object.__setattr__(self, "rows", tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -415,14 +427,10 @@ def arrival_scan(config: ScanConfig) -> ArrivalTable:
 def fit_velocity(table: ArrivalTable) -> FitResult:
     """Ordinary least squares of arrival time on distance; v_eff = 1/slope.
 
-    Distances must be integers and arrival times finite reals; the rows with
-    an arrival must span at least two distinct distances.
+    The rows with an arrival must span at least two distinct distances.
     """
-    usable = [
-        (check_integer(d, "distance"), check_real(t, "arrival time"))
-        for d, t in check_instance(table, ArrivalTable, "table").rows
-        if t is not None
-    ]
+    rows = check_instance(table, ArrivalTable, "table").rows
+    usable = [(d, t) for d, t in rows if t is not None]
     if len(usable) < 2:
         raise InsufficientData(
             f"velocity fit needs at least 2 arrival times, got {len(usable)}"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from .exceptions import (
     InvalidInput,
     NumericalInstability,
 )
-from .qstate import DensityMatrix, check_array, check_instance, check_sites, partial_trace_matrix
+from .qstate import DensityMatrix, _grouped, check_array, check_instance, check_sites
 
 COMPLETENESS_TOL = 1e-10
 IMAGINARY_TOL = 1e-12
@@ -93,59 +93,39 @@ def validate_instrument(instrument: Instrument) -> float:
     return float(np.max(np.abs(total - np.eye(dim))))
 
 
-def _sandwich(matrix: np.ndarray, op: np.ndarray, sites: Sequence[int], n_sites: int) -> np.ndarray:
-    """(M x I) rho (M^dagger x I) applied on the target axes directly."""
-    k = len(sites)
-    op_tensor = op.reshape([2] * (2 * k))
-    in_axes = list(range(k, 2 * k))
-    tensor = matrix.reshape([2] * (2 * n_sites))
-
-    row_axes = list(sites)
-    tensor = np.tensordot(op_tensor, tensor, axes=(in_axes, row_axes))
-    tensor = np.moveaxis(tensor, range(k), row_axes)
-
-    col_axes = [n_sites + s for s in sites]
-    tensor = np.tensordot(op_tensor.conj(), tensor, axes=(in_axes, col_axes))
-    tensor = np.moveaxis(tensor, range(k), col_axes)
-
-    dim = 2**n_sites
-    return tensor.reshape(dim, dim)
-
-
 def apply_instrument(rho: DensityMatrix, instrument: Instrument) -> BranchEnsemble:
-    """Outcome probabilities and normalized post-measurement states.
+    """Outcome probabilities and normalized branch states on the non-target sites.
 
-    Outcomes whose probability falls below `PROBABILITY_FLOOR` are dropped
-    and the kept probabilities renormalized to sum to one; if none is kept,
-    `DegenerateMeasurement` is raised. Each branch state lives on the
-    non-target sites, in site order: the target is traced out.
+    Outcome x leaves Tr_A[(M_x^dagger M_x x I) rho], which equals Tr_A[(M_x x I)
+    rho (M_x^dagger x I)] without forming the whole register. Its trace is p_x,
+    and the branch state, on the non-target sites in site order, is it over p_x.
+    Outcomes below `PROBABILITY_FLOOR` are dropped and the rest renormalized to
+    sum to one; if none is kept, `DegenerateMeasurement` is raised.
     """
     n = check_instance(rho, DensityMatrix, "rho").n_sites
     targets = check_sites(check_instance(instrument, Instrument, "instrument").target_sites, n)
     defect = validate_instrument(instrument)
     if not defect <= COMPLETENESS_TOL:
         raise IncompleteInstrument(f"completeness defect {defect:.3e} exceeds {COMPLETENESS_TOL}")
-
-    keep = [s for s in range(n) if s not in targets]
-    if not keep:
+    if len(targets) == n:
         raise InvalidInput(
             "instrument covers the whole register; nothing remains after tracing the target"
         )
-    raw = []
+
+    tensor = _grouped(rho.matrix, n, targets)  # rho[(a, r), (c, s)], target sites a, c first
+    surviving = []
     for label, op in enumerate(instrument.operators):
-        hit = _sandwich(rho.matrix, op, targets, n)
-        trace = complex(np.trace(hit))
+        reduced = np.einsum("ca,arcs->rs", op.conj().T @ op, tensor)
+        trace = complex(np.trace(reduced))
         if not abs(trace.imag) <= IMAGINARY_TOL:
             raise NumericalInstability(f"outcome probability has imaginary part {trace.imag:.3e}")
-        raw.append((trace.real, label, hit))
-
-    surviving = [(p, label, hit) for p, label, hit in raw if p >= PROBABILITY_FLOOR]
+        if trace.real >= PROBABILITY_FLOOR:
+            surviving.append((trace.real, label, reduced))
     if not surviving:
         raise DegenerateMeasurement("every outcome fell below the probability floor")
 
     total = sum(p for p, _, _ in surviving)
-    branches = []
-    for p, label, hit in surviving:
-        state = DensityMatrix(len(keep), partial_trace_matrix(hit, n, keep) / p)
-        branches.append(Branch(probability=p / total, label=label, state=state))
-    return BranchEnsemble(tuple(branches))
+    return BranchEnsemble(tuple(
+        Branch(p / total, label, DensityMatrix(n - len(targets), reduced / p))
+        for p, label, reduced in surviving
+    ))

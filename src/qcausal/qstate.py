@@ -257,25 +257,24 @@ def embed_on_sites(op: np.ndarray, sites: Sequence[int], n_sites: int) -> np.nda
     return np.ascontiguousarray(tensor.reshape(2**n, 2**n))
 
 
-def partial_trace_matrix(matrix: np.ndarray, n_sites: int, keep: Sequence[int]) -> np.ndarray:
-    """Partial trace on a raw 2^n x 2^n array; kept sites stay in site order."""
-    keep = list(keep)
-    traced = [s for s in range(n_sites) if s not in keep]
-    tensor = matrix.reshape([2] * (2 * n_sites))
-    perm = keep + traced
-    tensor = tensor.transpose(perm + [p + n_sites for p in perm])
-    d_keep = 2 ** len(keep)
-    d_traced = 2 ** len(traced)
-    tensor = tensor.reshape(d_keep, d_traced, d_keep, d_traced)
-    return np.einsum("ibjb->ij", tensor)
+def _grouped(matrix: np.ndarray, n_sites: int, first: Sequence[int]) -> np.ndarray:
+    """A 2^n x 2^n `matrix` as a (2^k, 2^(n-k), 2^k, 2^(n-k)) tensor: on rows
+    and on columns, the k sites of `first` in the order given, then the other
+    sites in site order."""
+    first = list(first)
+    order = first + [s for s in range(n_sites) if s not in first]
+    tensor = matrix.reshape([2] * (2 * n_sites)).transpose(order + [s + n_sites for s in order])
+    d_first, d_rest = 2 ** len(first), 2 ** (n_sites - len(first))
+    return tensor.reshape(d_first, d_rest, d_first, d_rest)
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Reduce `rho` to the subsystem `keep`, relabeling sites 0..len(keep)-1."""
+    """Reduce `rho` to the subsystem `keep`, relabeling sites 0..len(keep)-1:
+    out[i, j] = sum_m rho[(i, m), (j, m)], with i, j over `keep` in site order."""
     keep = check_sites(keep, check_instance(rho, DensityMatrix, "rho").n_sites)
     if len(keep) == rho.n_sites:  # the whole register: nothing to trace, and rho is immutable
         return rho
-    reduced = partial_trace_matrix(rho.matrix, rho.n_sites, keep)
+    reduced = np.einsum("ibjb->ij", _grouped(rho.matrix, rho.n_sites, keep))
     return DensityMatrix(len(keep), reduced)
 
 

@@ -315,7 +315,10 @@ class Propagator:
     matrix: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "time", check_real(self.time, "time"))
         mat = check_array(self.matrix, "matrix", complex, (None, None)).copy()
+        if mat.shape[0] != mat.shape[1]:
+            raise InvalidInput(f"propagator must be a square matrix, got shape {mat.shape}")
         defect = np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0])))
         if not defect <= UNITARITY_TOL:
             raise NumericalInstability(f"unitarity defect {defect:.3e} exceeds {UNITARITY_TOL}")

@@ -16,6 +16,8 @@ from qcausal import (
     ccmi_symmetric,
     embed_operator,
 )
+from qcausal.instrument import PROBABILITY_FLOOR
+from qcausal.qstate import EIG_CLAMP
 
 
 def random_ket(n_sites, rng):
@@ -71,19 +73,78 @@ def matrix_log_entropy(matrix):
     return float(np.real(-np.trace(matrix @ log_rho)))
 
 
-def brute_apply_instrument(matrix, n_sites, site, operators):
-    """Outcome probabilities and BC states via explicit Kronecker embedding."""
+def _site_bits_of(index, n_sites, sites):
+    """The bits of `sites` in basis index `index` as a number, first site highest."""
+    value = 0
+    for site in sites:
+        value = (value << 1) | ((index >> (n_sites - 1 - site)) & 1)
+    return value
+
+
+def brute_embed(op, n_sites, sites):
+    """op on `sites`, identity elsewhere, entry by entry from the basis-index bits:
+    <i|E|j> = op[bits_sites(i), bits_sites(j)] when i and j agree off `sites`, else 0."""
+    dim = 2**n_sites
+    mask = sum(1 << (n_sites - 1 - site) for site in sites)
+    embedded = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            if i & ~mask == j & ~mask:
+                row, col = (_site_bits_of(k, n_sites, sites) for k in (i, j))
+                embedded[i, j] = op[row, col]
+    return embedded
+
+
+def brute_apply_instrument(matrix, n_sites, sites, operators):
+    """Outcome probabilities and reduced states: M rho M^dagger on the whole
+    register with M embedded by `brute_embed`, then `brute_partial_trace`."""
+    keep = [s for s in range(n_sites) if s not in sites]
     results = []
     for op in operators:
-        embedded = np.kron(
-            np.kron(np.eye(2**site), op), np.eye(2 ** (n_sites - site - 1))
-        )
+        embedded = brute_embed(op, n_sites, sites)
         hit = embedded @ matrix @ embedded.conj().T
         p = float(np.real(np.trace(hit)))
-        keep = [s for s in range(n_sites) if s != site]
         reduced = brute_partial_trace(hit, n_sites, keep)
         results.append((p, reduced / p if p > 1e-12 else None))
     return results
+
+
+def _binary_entropy(p):
+    """h2(p) in bits; p and 1 - p at or below EIG_CLAMP add nothing, as in the library."""
+    total = np.zeros_like(p)
+    for q in (p, 1.0 - p):
+        kept = q > EIG_CLAMP
+        total -= np.where(kept, q * np.log2(np.where(kept, q, 1.0)), 0.0)
+    return total
+
+
+def single_excitation_qcmi(n_sites, coupling, times, distance, protocol):
+    """Closed-form directional QCMI of sender 0 and receiver `distance` on an
+    XX chain started in |10...0>, at every time in `times`.
+
+    One excitation hops with amplitude J, so U_j0 = sum_k phi_k(j) phi_k(0)
+    exp(-i eps_k t) with phi_k(j) = sqrt(2/(N+1)) sin(pi k (j+1)/(N+1)) and
+    eps_k = 2J cos(pi k/(N+1)); the field only adds a global phase. In a
+    one-excitation state of weights p_S on site sets S, every S has entropy
+    h2(p_S). measure-at-t: finding site 0 up leaves a product state (I = 0),
+    and the other branch has weight w = 1 - |U_00|^2 and p_S = sum_{j in S}
+    |U_j0|^2 / w; a w below PROBABILITY_FLOOR is dropped. quench-at-zero
+    keeps the excitation, so w = 1. Then, with C = {1..d-1},
+
+        I_d = w [h2(p_d) + h2(p_C) - h2(p_d + p_C)].
+    """
+    n = n_sites
+    k = np.arange(1, n + 1)  # also j + 1 for the sites j = 0..N-1
+    phi = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))  # phi[j, k - 1]
+    energies = 2.0 * coupling * np.cos(np.pi * k / (n + 1))
+    weights = np.abs((phi * phi[0]) @ np.exp(-1j * np.outer(energies, times))) ** 2
+    w = 1.0 - weights[0] if protocol == "measure-at-t" else np.ones(len(times))
+    kept = w >= PROBABILITY_FLOOR
+    w_safe = np.where(kept, w, 1.0)
+    p_b = weights[distance] / w_safe
+    p_c = weights[1:distance].sum(axis=0) / w_safe
+    values = w * (_binary_entropy(p_b) + _binary_entropy(p_c) - _binary_entropy(p_b + p_c))
+    return np.where(kept & (values > 0.0), values, 0.0)
 
 
 def stable_rank_bins(values, bins):

@@ -38,7 +38,7 @@ from qcausal.infomeasures import NEGATIVITY_TOL, _clamped
 from qcausal.instrument import PROBABILITY_FLOOR
 from qcausal.qstate import entropies_from_eigenvalues
 from qcausal.spinchain import _evolve_grid
-from helpers import count_eigh
+from helpers import count_eigh, single_excitation_qcmi
 
 
 def xx_config(**overrides):
@@ -633,6 +633,31 @@ class TestBatchedBranchSum:
         table[0, (0, 1)][row] = table[0, (0,)][row] + table[0, (1,)][row] + bad
         values = causalscan._branch_average(branches, (0,), (1,))
         assert np.array_equal(values, loop_branch_average(branches, table))
+
+
+class TestSingleExcitationClosedForm:
+    """Scans from basis:10...0 on XX against the one-excitation closed form."""
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_series_match_closed_form(self, monkeypatch, n):
+        for coupling, field in ((1.0, 0.0), (1.0, 0.3), (-0.7, 0.5)):
+            model = ChainModel("xx", n, coupling, field)
+            use_chain(monkeypatch, build_model(model))
+            for protocol in causalscan.PROTOCOLS:
+                for d in range(2, n):
+                    config = ScanConfig(
+                        model, initial="basis:1" + "0" * (n - 1), protocol=protocol,
+                        grid=TimeGrid(5.0, 0.02), site_a=0, site_b=d,
+                    )
+                    series = qcmi_time_series(config)
+                    exact = single_excitation_qcmi(n, coupling, series.times, d, protocol)
+                    assert np.max(np.abs(series.values - exact)) <= 1e-12
+
+    def test_paper_scan_arrivals_are_closed_form_crossings(self):
+        times = PAPER_SCAN.grid.times
+        for d, t_arr in arrival_scan(PAPER_SCAN).rows:
+            exact = single_excitation_qcmi(8, 1.0, times, d, "measure-at-t")
+            assert abs(t_arr - arrival_time(times, exact, 0.03, "interp")) <= 1e-9
 
 
 class TestArrivalTime:

@@ -9,7 +9,8 @@ arrays and complex arrays in a real slot are refused. Series of reals for
 `arrival_time` must also be finite, and a slot that takes a qcausal object (a
 model, a grid, a scan config, a Hamiltonian, a state, a propagator, a
 partition, an instrument, an arrival table, a series embedding, a joint
-distribution) takes nothing else."""
+distribution) takes nothing else. A slot that needs a square matrix refuses any
+other, and an arrival table's rows are (distance, time) pairs."""
 
 import numpy as np
 import pytest
@@ -135,6 +136,7 @@ REAL_ENTRIES = {
     "ScanConfig-threshold": lambda v: ScanConfig(CHAIN3, threshold=v),
     "arrival_time-threshold": lambda v: arrival_time([0.0, 0.1], [0.0, 1.0], v),
     "propagator-time": lambda v: propagator(H3, v),
+    "Propagator-time": lambda v: Propagator(v, np.eye(2)),
     "evolve_ket-time": lambda v: evolve_ket(H3, basis_ket([1, 0, 0]), v),
     "xx_group_velocity-coupling": lambda v: xx_group_velocity(v),
     "dispersion-k": lambda v: dispersion(v, 1.0),
@@ -292,6 +294,24 @@ def test_not_an_array_of_the_slot_rejected(entry, bad):
         call(bad(good))
 
 
+# entry -> call with a matrix under test, for the slots that take a square one
+SQUARE_ENTRIES = {
+    "DensityMatrix-matrix": lambda v: DensityMatrix(1, v),
+    "validate_density_matrix-matrix": validate_density_matrix,
+    "Propagator-matrix": lambda v: Propagator(0.1, v),
+    "Instrument-operators": lambda v: Instrument((1,), (v,)),
+    "embed_on_sites-op": lambda v: embed_on_sites(v, (1,), 3),
+}
+
+
+@pytest.mark.parametrize("entry", SQUARE_ENTRIES.values(), ids=SQUARE_ENTRIES.keys())
+@pytest.mark.parametrize("shape", [(2, 4), (4, 2)])
+def test_non_square_matrix_rejected(entry, shape):
+    # (2, 4): orthonormal rows, so U U^dagger = 1 would pass a propagator.
+    with pytest.raises(InvalidInput):
+        entry(np.eye(*shape))
+
+
 @pytest.mark.parametrize(
     "entry",
     [entry for entry in ARRAY_ENTRIES.values() if entry[2] is float],
@@ -338,6 +358,8 @@ SEQUENCE_ENTRIES = {
     "ccmi_symmetric-a": lambda v: ccmi_symmetric(DIST, v, ("y",)),
     "ccmi_symmetric-b": lambda v: ccmi_symmetric(DIST, ("x",), v),
     "ccmi_symmetric-c": lambda v: ccmi_symmetric(DIST, ("x",), ("y",), v),
+    "ArrivalTable-rows": lambda v: fit_velocity(ArrivalTable(v)),
+    "ArrivalTable-row": lambda v: fit_velocity(ArrivalTable(((2, 0.5), v))),
 }
 
 
@@ -388,6 +410,20 @@ def test_fit_velocity_rejects_a_non_finite_arrival_time(bad):
 def test_fit_velocity_rejects_a_non_integer_distance(bad):
     with pytest.raises(InvalidInput):
         fit_velocity(ArrivalTable(((2, 0.5), (bad, 1.0), (4, 1.5))))
+
+
+@pytest.mark.parametrize("row", [(), (3,), (3, 1.0, 0.5), "31"], ids=repr)
+def test_arrival_table_row_must_be_a_distance_time_pair(row):
+    with pytest.raises(InvalidInput):
+        fit_velocity(ArrivalTable(((2, 0.5), row, (4, 1.5))))
+
+
+def test_arrival_table_checks_rows_without_an_arrival():
+    with pytest.raises(InvalidInput):
+        ArrivalTable(((2, 0.5), (2.5, None)))
+    rows = ArrivalTable(((np.int64(2), np.float64(0.5)), [3, None])).rows
+    assert rows == ((2, 0.5), (3, None))
+    assert [type(v) for row in rows for v in row] == [int, float, int, type(None)]
 
 
 @pytest.mark.parametrize(

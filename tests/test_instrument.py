@@ -16,7 +16,13 @@ from qcausal import (
     validate_instrument,
 )
 from qcausal import instrument
-from helpers import brute_apply_instrument, random_density, random_ket, random_unitary
+from helpers import (
+    brute_apply_instrument,
+    brute_embed,
+    random_density,
+    random_ket,
+    random_unitary,
+)
 
 
 class TestProjectiveZ:
@@ -92,7 +98,7 @@ class TestApplyInstrument:
             rho = random_ket(3, rng).density_matrix()
             instr = projective_z_instrument(site, 3)
             ensemble = apply_instrument(rho, instr)
-            oracle = brute_apply_instrument(rho.matrix, 3, site, instr.operators)
+            oracle = brute_apply_instrument(rho.matrix, 3, (site,), instr.operators)
             assert abs(sum(b.probability for b in ensemble) - 1.0) <= 1e-10
             for branch in ensemble:
                 p_ref, state_ref = oracle[branch.label]
@@ -106,7 +112,7 @@ class TestApplyInstrument:
         instr = projective_z_instrument(1, 3)
         ensemble = apply_instrument(rho, instr)
         averaged = sum(b.probability * b.state.matrix for b in ensemble)
-        oracle = brute_apply_instrument(rho.matrix, 3, 1, instr.operators)
+        oracle = brute_apply_instrument(rho.matrix, 3, (1,), instr.operators)
         unconditional = sum(p * state for p, state in oracle)
         assert np.max(np.abs(averaged - unconditional)) <= 1e-10
 
@@ -176,3 +182,28 @@ class TestMultiSiteTarget:
         assert np.allclose(ensemble.probabilities, [0.5, 0.5], atol=1e-12)
         for branch, bit in zip(ensemble, (0, 1)):
             assert np.max(np.abs(branch.state.matrix - basis_ket([bit]).density_matrix().matrix)) < 1e-12
+
+    def test_bit_built_embedding_matches_kronecker_on_one_site(self):
+        rng = np.random.default_rng(36)
+        op = random_unitary(2, rng)
+        for site in range(3):
+            kron = np.kron(np.kron(np.eye(2**site), op), np.eye(2 ** (2 - site)))
+            assert np.array_equal(brute_embed(op, 3, (site,)), kron)
+
+    @pytest.mark.parametrize("n, targets", [(3, (0, 2)), (4, (1, 3)), (5, (0, 3))])
+    def test_kraus_sets_on_separated_sites_match_bit_built_oracle(self, n, targets):
+        # Three blocks of a random isometry: sum M^dagger M = 1, yet no
+        # M^dagger M equals M, so only the effect M^dagger M gives these branches.
+        rng = np.random.default_rng(37 + n)
+        dim = 2 ** len(targets)
+        ops = random_unitary(3 * dim, rng)[:, :dim].reshape(3, dim, dim)
+        assert all(np.max(np.abs(op.conj().T @ op - op)) > 0.1 for op in ops)
+        instr = Instrument(targets, tuple(ops))
+        for rho in (random_density(n, rng), random_ket(n, rng).density_matrix()):
+            ensemble = apply_instrument(rho, instr)
+            oracle = brute_apply_instrument(rho.matrix, n, targets, ops)
+            assert [b.label for b in ensemble] == [0, 1, 2]
+            for branch in ensemble:
+                p_ref, state_ref = oracle[branch.label]
+                assert abs(branch.probability - p_ref) <= 1e-10
+                assert np.max(np.abs(branch.state.matrix - state_ref)) <= 1e-10
