@@ -11,19 +11,23 @@ collapses to a single bin carrying zero entropy.
 Ranks come from one unstable sort: a sample's rank is the number of strictly
 smaller samples, read off the start of its run of equal values in sorted
 order, plus, for tied samples only, the number of earlier samples of the same
-value. `_DriverRanker` is the only labeller: `equiquantal_bins` is the ranker
-on the identity window, the whole series in sample order.
+value. That run start is the sample's key, and equal values share a key.
+`_DriverRanker` is the only labeller: it labels any window of a series given
+the series' keys in some sample order, and `equiquantal_bins` is the ranker
+on the whole series in sample order.
 
 The series path never builds a bins^5 table. Everything that does not depend
-on the driver is computed once per embedding: the four response columns are
-binned, the rows of C and of BC are packed into dense ids, and H(C), H(BC)
-are taken from their counts. For each driver labelling, H(AC) and H(ABC)
-come from bincounts over at most (#distinct BC rows) * bins cells. The
-driver is ranked once; the labels of each shuffled window follow from those
-ranks by gathers, a table of how many of the 2 * delay + horizon excluded
-samples lie below each rank (one sort of those samples and one fill of n
-entries, whatever the delay), and a sort of the tied samples only. The
-estimate is the identity shuffle.
+on the driver is computed once per embedding: the response is ranked with one
+sort, its four lagged columns are labelled from contiguous slices of those
+keys, the rows of C and of BC are packed into dense ids, and H(C), H(BC) are
+taken from their counts. For each driver labelling, H(AC) and H(ABC) come
+from bincounts over at most (#distinct BC rows) * bins cells. The driver is
+ranked once. A surrogate shuffles a copy of the driver's keys, and the
+estimate reads them unshuffled. A window's labels follow from its keys by a
+table of how many of the 2 * delay + horizon excluded samples lie below each
+key (one sort of those samples and one fill of n entries, whatever the
+delay), and a sort of the tied samples only, skipped when the series has no
+ties.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ EQUIVALENCE_TOL = 1e-12
 # Largest (distinct BC rows) x bins span of the two per-labelling bincounts:
 # 2^26 cells, 512 MiB of int64 counters. `qcausal ccmi` on 100k samples peaks
 # at about 48 MiB plus 9 bytes per cell (the counter and its `counts > 0`
-# mask): 488 MiB at 512 bins, 928 MiB at 1024, so a run at the limit stays
+# mask): 490 MiB at 512 bins, 928 MiB at 1024, so a run at the limit stays
 # near 0.6 GiB. On 100k samples 512 bins pass and 1024 bins are refused.
 MAX_COUNTER_CELLS = 2**26
 
@@ -162,14 +166,17 @@ def equiquantal_bins(values: Sequence[float], bins: int) -> np.ndarray:
     bins = _check_bins(bins)
     if not np.all(np.isfinite(v)):
         raise DegenerateSeries("series contains non-finite values; quantile bins undefined")
-    return _DriverRanker(v, 0, v.size, bins).labels(np.arange(v.size))
+    ranker = _DriverRanker(v, bins)
+    return ranker.labels(ranker.below, 0, v.size)
 
 
-def _value_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per sample: how many samples are strictly smaller, and whether another shares its value.
+def _value_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per sample, how many samples are strictly smaller; per such count, whether it is tied.
 
     One unstable sort puts equal values in one run; every sample of a run
-    gets the run's start position, and a run longer than one is tied.
+    gets the run's start position as its key, and the key of a run longer
+    than one is tied. The tie flags are indexed by key, and are None when
+    no two samples are equal.
     """
     n = values.size
     order = np.argsort(values)
@@ -177,13 +184,14 @@ def _value_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # new_run[i]: sorted position i starts a run; position n closes the last.
     new_run = np.ones(n + 1, dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=new_run[1:n])
+    del ordered  # 0.8 MB for 100k samples, not held through the rest
     run_start = np.where(new_run[:n], np.arange(n), 0)
     np.maximum.accumulate(run_start, out=run_start)
     below = np.empty(n, dtype=np.intp)
     below[order] = run_start
-    tied = np.empty(n, dtype=bool)
-    tied[order] = ~(new_run[:n] & new_run[1:])
-    return below, tied
+    if new_run.all():
+        return below, None
+    return below, new_run[:n] & ~new_run[1:]
 
 
 def _add_tie_offsets(ranks: np.ndarray, keys: np.ndarray, tied: np.ndarray) -> None:
@@ -247,33 +255,35 @@ def _count_entropy(codes: np.ndarray) -> float:
 
 
 class _DriverRanker:
-    """Equiquantal labels of driver[perm][start:stop] from one ranking of the driver.
+    """Equiquantal labels of any window of a series, from one ranking of the series.
 
-    The stable rank of a window sample is the number of samples of smaller
-    value in the whole series, minus those among the excluded samples, plus
-    the earlier window samples of equal value. Only tied samples need the
-    last term.
+    `below` holds each sample's key (`_value_ranks`). `labels` takes those
+    keys in some sample order, `below` itself or a shuffled copy, and labels
+    the samples at positions start:stop. The stable rank of a window sample
+    is its key, minus the excluded samples of smaller key, plus the earlier
+    window samples of equal key. Only tied keys need the last term, and a
+    series without ties skips it.
     """
 
-    def __init__(self, driver: np.ndarray, start: int, stop: int, bins: int):
-        self.below, self.tied = _value_ranks(driver)
-        self.start, self.stop, self.bins = start, stop, bins
+    def __init__(self, values: np.ndarray, bins: int):
+        self.below, self.tied = _value_ranks(values)
+        self.bins = bins
 
-    def labels(self, perm: np.ndarray) -> np.ndarray:
-        start, stop = self.start, self.stop
-        window = perm[start:stop]
-        keys = self.below[window]
-        if keys.min() == keys.max():
-            return np.zeros(keys.size, dtype=np.intp)
-        excluded = np.sort(self.below[np.concatenate((perm[:start], perm[stop:]))])
+    def labels(self, keys: np.ndarray, start: int, stop: int) -> np.ndarray:
+        window = keys[start:stop]
+        # Without ties a window of two or more samples holds distinct keys.
+        if self.tied is not None and window.min() == window.max():
+            return np.zeros(window.size, dtype=np.intp)
+        excluded = np.sort(np.concatenate((keys[:start], keys[stop:])))
         # The table counts, for every key j, the excluded keys below j: i
         # fills the keys after the i-th excluded key up to the next. O(n +
-        # k log k) for k excluded; subtracting in place keeps the surrogate's
-        # peak at three n-sized arrays.
-        edges = np.concatenate(([-1], excluded, [self.below.size - 1]))
-        rank = np.repeat(np.arange(edges.size - 1), np.diff(edges))[keys]
-        np.subtract(keys, rank, out=rank)
-        _add_tie_offsets(rank, keys, self.tied[window])
+        # k log k) for k excluded. Its counts go up to k, so it takes the
+        # smallest signed type that holds k; byte-sized for a small delay.
+        edges = np.concatenate(([-1], excluded, [keys.size - 1]))
+        counts = np.arange(edges.size - 1, dtype=np.min_scalar_type(-edges.size))
+        rank = np.subtract(window, np.repeat(counts, np.diff(edges))[window])
+        if self.tied is not None:
+            _add_tie_offsets(rank, window, self.tied[window])
         rank *= self.bins
         rank //= rank.size
         return rank
@@ -282,21 +292,23 @@ class _DriverRanker:
 class _SeriesCmi:
     """Driver-independent parts of the series CMI, computed once per embedding.
 
-    C = (response now, past1, past2) and BC = (response future, C) are binned
-    and packed into dense row ids, and H(C), H(BC) taken here; each driver
-    labelling then costs two bincounts over occupied cells only. A span of
-    more than MAX_COUNTER_CELLS cells is refused before any bincount.
+    The response is ranked once. C = (response now, past1, past2) and
+    BC = (response future, C) are labelled from contiguous slices of its
+    keys and packed into dense row ids, and H(C), H(BC) taken here; each
+    driver labelling then costs two bincounts over occupied cells only. A
+    span of more than MAX_COUNTER_CELLS cells is refused before any bincount.
     """
 
     def __init__(self, emb: SeriesEmbedding):
         tau, eta, bins = emb.horizon, emb.delay, emb.bins
         start, stop = 2 * eta, emb.driver.size - tau
+        response = _DriverRanker(emb.response, bins)
 
         def column(lag: int) -> np.ndarray:
-            return equiquantal_bins(emb.response[start - lag : stop - lag], bins)
+            return response.labels(response.below, start - lag, stop - lag)
 
         # Compressing to dense ids after every column keeps codes below
-        # n_samples * bins, the range equiquantal_bins already needs.
+        # n_samples * bins, the range the labels already need.
         codes = column(0)
         for lag in (eta, 2 * eta):
             codes *= bins
@@ -305,6 +317,7 @@ class _SeriesCmi:
         self.c_id = codes
         codes = self.c_id * bins
         codes += column(-tau)
+        del response  # before the driver is ranked: one ranking held at a time
         bc_rows, self.bc_id = np.unique(codes, return_inverse=True)
         del codes
         cells = bc_rows.size * bins
@@ -315,20 +328,30 @@ class _SeriesCmi:
             )
         self.h_c = _count_entropy(self.c_id)
         self.h_bc = _count_entropy(self.bc_id)
-        self.ranker = _DriverRanker(emb.driver, start, stop, bins)
+        self.ranker = _DriverRanker(emb.driver, bins)
+        self.start, self.stop, self.bins = start, stop, bins
 
-    def __call__(self, perm: np.ndarray) -> float:
-        """CMI of the driver permuted by `perm` against the fixed response."""
-        a = self.ranker.labels(perm)
-        n_a = int(a.max()) + 1
-        h_ac = _count_entropy(self.c_id * n_a + a)
-        h_abc = _count_entropy(self.bc_id * n_a + a)
+    def __call__(self, keys: np.ndarray) -> float:
+        """CMI against the fixed response of the driver whose keys, in sample order, are `keys`.
+
+        `keys` is the ranker's `below`, or a shuffled copy of it for a surrogate.
+        """
+        a = self.ranker.labels(keys, self.start, self.stop)
+        # Every label is below bins, so the cells keep (row, label) order
+        # whatever labels occur, and so do the counts the entropy sums.
+        codes = self.c_id * self.bins
+        codes += a
+        h_ac = _count_entropy(codes)
+        np.multiply(self.bc_id, self.bins, out=codes)
+        codes += a
+        h_abc = _count_entropy(codes)
         return _checked_cmi(h_ac, self.h_bc, self.h_c, h_abc)
 
 
 def ccmi_asymmetric_series(emb: SeriesEmbedding) -> float:
     """Plug-in estimate of the directional time-series CMI, in bits."""
-    return _SeriesCmi(check_instance(emb, SeriesEmbedding, "emb"))(np.arange(emb.driver.size))
+    cmi = _SeriesCmi(check_instance(emb, SeriesEmbedding, "emb"))
+    return cmi(cmi.ranker.below)
 
 
 def surrogate_baseline(emb: SeriesEmbedding, n_surrogates: int, seed: int = 0) -> np.ndarray:
@@ -346,4 +369,13 @@ def surrogate_baseline(emb: SeriesEmbedding, n_surrogates: int, seed: int = 0) -
         raise InvalidInput(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     cmi = _SeriesCmi(emb)
-    return np.array([cmi(rng.permutation(emb.driver.size)) for _ in range(n_surrogates)])
+    below = cmi.ranker.below
+    keys = np.empty_like(below)
+    values = np.empty(n_surrogates)
+    for i in range(n_surrogates):
+        # Shuffling draws exactly what permutation(n) does, so keys become
+        # below[rng.permutation(n)]: the keys of the permuted driver.
+        np.copyto(keys, below)
+        rng.shuffle(keys)
+        values[i] = cmi(keys)
+    return values

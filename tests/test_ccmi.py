@@ -283,6 +283,14 @@ def tied_series(rng, n, levels):
     return rng.integers(0, levels, n).astype(float)
 
 
+def signed_zero_series(rng, n, levels):
+    """A tied series, scaled, whose zeros are -0.0 or 0.0 at random."""
+    x = tied_series(rng, n, levels) * rng.choice([0.5, 1.0, 3.0])
+    zero = x == 0.0
+    x[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+    return x
+
+
 class TestSurrogateInputs:
     @pytest.fixture
     def emb(self):
@@ -342,9 +350,9 @@ class TestOccupiedCellPath:
             start = int(rng.integers(0, n // 2))
             stop = int(rng.integers(start + 1, n + 1))
             bins = int(rng.integers(2, 9))
-            ranker = _DriverRanker(x, start, stop, bins)
+            ranker = _DriverRanker(x, bins)
             for perm in (np.arange(n), rng.permutation(n)):
-                got = ranker.labels(perm)
+                got = ranker.labels(ranker.below[perm], start, stop)
                 want = stable_rank_bins(x[perm][start:stop], bins)
                 assert got.dtype.kind == "i"
                 assert np.array_equal(got, want)
@@ -355,9 +363,7 @@ class TestOccupiedCellPath:
         rng = np.random.default_rng(700 + seed)
         for _ in range(100):
             n = int(rng.integers(1, 201))
-            x = tied_series(rng, n, int(rng.integers(1, 9))) * rng.choice([0.5, 1.0, 3.0])
-            zero = x == 0.0
-            x[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+            x = signed_zero_series(rng, n, int(rng.integers(1, 9)))
             bins = int(rng.integers(2, 10))
             got = equiquantal_bins(x, bins)
             assert got.dtype.kind == "i"
@@ -376,3 +382,122 @@ class TestOccupiedCellPath:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+def surrogate_pair(kind, n=2600):
+    rng = np.random.default_rng(71)
+    if kind == "untied":
+        x = rng.standard_normal(n)
+        return x, np.roll(x, 1) + 0.5 * rng.standard_normal(n)
+    if kind == "tied":
+        x = tied_series(rng, n, 5)
+        return x, np.roll(x, 1) + tied_series(rng, n, 3)
+    return np.zeros(n), rng.standard_normal(n)
+
+
+# surrogate_baseline(emb, 3, seed=5) for the pairs of `surrogate_pair`, horizon 1,
+# as computed when each surrogate indexed the driver by a drawn permutation.
+PINNED_SURROGATES = {
+    ("untied", 2, 1): (0.003796111982912187, 0.004494743189409789, 0.0038496262441078954),
+    ("untied", 2, 1000): (0.01165675230513763, 0.012099766976239046, 0.016720281995829644),
+    ("untied", 8, 1): (1.4379646989228192, 1.4296353550992027, 1.4732366448247411),
+    ("untied", 8, 1000): (0.6820701637114155, 0.669091136147447, 0.6720534692205931),
+    ("untied", 64, 1): (0.0123219098960341, 0.0123219098960341, 0.0123219098960341),
+    ("untied", 64, 1000): (0.0, 0.0, 0.0),
+    ("tied", 2, 1): (0.0021354448866537368, 0.0029024386444671535, 0.0018876725182428444),
+    ("tied", 2, 1000): (0.010631727593215068, 0.005277166989112736, 0.011131921625794128),
+    ("tied", 8, 1): (1.2987809401404231, 1.2746238488699877, 1.2751879697719986),
+    ("tied", 8, 1000): (0.7131542561406832, 0.7252496025477537, 0.6868196359222871),
+    ("tied", 64, 1): (0.3550688388856251, 0.34072724762731355, 0.3391870088903097),
+    ("tied", 64, 1000): (0.03590947413076151, 0.05260396494879416, 0.04592616862158039),
+    ("constant", 2, 1): (0.0, 0.0, 0.0),
+    ("constant", 2, 1000): (0.0, 0.0, 0.0),
+    ("constant", 8, 1): (1.7763568394002505e-15,) * 3,
+    ("constant", 8, 1000): (0.0, 0.0, 0.0),
+    ("constant", 64, 1): (1.7763568394002505e-15,) * 3,
+    ("constant", 64, 1000): (0.0, 0.0, 0.0),
+}
+
+
+class TestSurrogateContract:
+    @pytest.mark.parametrize("kind, bins, delay", PINNED_SURROGATES)
+    def test_surrogate_i_is_the_driver_indexed_by_the_ith_permutation(self, kind, bins, delay):
+        x, y = surrogate_pair(kind)
+        got = surrogate_baseline(SeriesEmbedding(x, y, 1, delay, bins), 3, seed=5)
+        draws = np.random.default_rng(5)
+        index_form = [
+            ccmi_asymmetric_series(SeriesEmbedding(x[draws.permutation(x.size)], y, 1, delay, bins))
+            for _ in range(3)
+        ]
+        assert np.array_equal(got, index_form)
+        assert np.array_equal(got, PINNED_SURROGATES[kind, bins, delay])
+
+
+class TestResponseRows:
+    """The response is ranked once; its lagged columns must bin as if each were sorted alone."""
+
+    @pytest.mark.parametrize("delay", [1, 2, 3, 150])
+    @pytest.mark.parametrize("horizon", [1, 2, 3])
+    def test_row_ids_match_per_window_bins(self, horizon, delay):
+        rng = np.random.default_rng(80 + 10 * horizon + delay)
+        for levels, bins in ((1, 2), (2, 3), (3, 2), (5, 4), (9, 3)):  # one level: constant
+            y = signed_zero_series(rng, 400, levels)
+            cmi = _SeriesCmi(SeriesEmbedding(rng.standard_normal(400), y, horizon, delay, bins))
+            start, stop = 2 * delay, y.size - horizon
+            columns = np.stack(
+                [
+                    equiquantal_bins(y[start - lag : stop - lag], bins)
+                    for lag in (0, delay, 2 * delay, -horizon)
+                ],
+                axis=1,
+            )
+            _, c_id = np.unique(columns[:, :3], axis=0, return_inverse=True)
+            _, bc_id = np.unique(columns, axis=0, return_inverse=True)
+            assert np.array_equal(cmi.c_id, c_id.reshape(-1))
+            assert np.array_equal(cmi.bc_id, bc_id.reshape(-1))
+
+
+def tie_edge_driver(case, n=60):
+    """A driver of distinct values, then tied as `case` says; horizon 1 and delay 2
+    exclude positions 0-3 and n - 1."""
+    x = np.random.default_rng(72).permutation(n).astype(float)
+    if case == "only among excluded samples":
+        x[[0, 1, n - 1]] = -1.0
+    elif case == "only inside the window":
+        x[[10, 20, 30]] = x[10]
+    elif case == "one pair":
+        x[11] = x[10]
+    elif case == "one pair across the window edge":
+        x[0] = x[30]
+    elif case == "all samples":
+        x[:] = 3.0
+    return x
+
+
+class TestTieEdgeCases:
+    CASES = (
+        "none",
+        "only among excluded samples",
+        "only inside the window",
+        "one pair",
+        "one pair across the window edge",
+        "all samples",
+    )
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_labels_and_cmi_match_the_oracles(self, case):
+        x = tie_edge_driver(case)
+        rng = np.random.default_rng(73)
+        y = np.roll(x, 1) + tied_series(rng, x.size, 3)
+        start, stop = 4, x.size - 1
+        ranker = _DriverRanker(x, 3)
+        assert (ranker.tied is None) == (case == "none")  # no ties: the tie pass is skipped
+        for perm in [np.arange(x.size)] + [rng.permutation(x.size) for _ in range(20)]:
+            got = ranker.labels(ranker.below[perm], start, stop)
+            assert np.array_equal(got, stable_rank_bins(x[perm][start:stop], 3))
+        emb = SeriesEmbedding(x, y, horizon=1, delay=2, bins=3)
+        assert abs(ccmi_asymmetric_series(emb) - dense_series_ccmi(x, y, 1, 2, 3)) <= 1e-12
+        draws = np.random.default_rng(9)
+        for value in surrogate_baseline(emb, 4, seed=9):
+            want = dense_series_ccmi(x[draws.permutation(x.size)], y, 1, 2, 3)
+            assert abs(value - want) <= 1e-12
