@@ -48,7 +48,6 @@ from .infomeasures import (
 )
 from .instrument import (
     Branch,
-    BranchEnsemble,
     Instrument,
     apply_instrument,
     projective_z_instrument,

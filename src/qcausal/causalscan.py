@@ -197,10 +197,9 @@ def initial_ket(hamiltonian: Hamiltonian, spec: str) -> Ket:
         return basis_ket(bits)
     ground = ground_state(hamiltonian)
     if ground.degenerate:
-        values = hamiltonian.spectrum[0]
         warnings.warn(
             f"degenerate ground state: the two lowest energies differ by "
-            f"{values[1] - values[0]:.3e} < {DEGENERACY_GAP:g}; using the lowest state of the "
+            f"{ground.gap:.3e} < {DEGENERACY_GAP:g}; using the lowest state of the "
             f"first sector in the fixed order (ascending popcount, else even spin-flip parity "
             f"first; site-reversal even before odd)",
             RuntimeWarning,
@@ -216,18 +215,14 @@ def _check_scan_inputs(config: ScanConfig) -> None:
 
 
 def _series_partition(config: ScanConfig, n_sites: int) -> Partition:
-    """(A, B, C) of a time series; the sites follow `check_site_pair`."""
+    """(A, B, C) of a time series; the sites follow `check_site_pair`, and
+    adjacent sites leave C empty (`EmptyConditioner`)."""
     if config.site_a is None or config.site_b is None:
         raise InvalidInput("time series needs both site_a and site_b")
     if config.d_min is not None or config.d_max is not None:
         raise InvalidInput("a time series takes site_a and site_b, not d_min or d_max")
     a, b = check_site_pair(config.site_a, config.site_b, n_sites)
-    between = tuple(range(min(a, b) + 1, max(a, b)))
-    if not between:
-        raise EmptyConditioner(
-            f"no intermediate sites between {a} and {b}; distances start at 2"
-        )
-    return Partition((a,), (b,), between)
+    return Partition((a,), (b,), range(min(a, b) + 1, max(a, b)))
 
 
 def _measure_z(kets: np.ndarray, site: int, n_sites: int) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -23,12 +23,7 @@ from .bounds import commutator_front_norm, lr_velocity, xx_group_velocity
 from .causalscan import CROSSINGS, DEFAULT_DT, DEFAULT_T_MAX, DEFAULT_THRESHOLD, PROTOCOLS
 from .causalscan import ScanConfig, TimeGrid, arrival_scan, fit_velocity, qcmi_time_series
 from .ccmi import SeriesEmbedding, ccmi_asymmetric_series, surrogate_baseline
-from .exceptions import (
-    EmptyConditioner,
-    InsufficientData,
-    InvalidInput,
-    QcausalError,
-)
+from .exceptions import InsufficientData, InvalidInput, QcausalError
 from .infomeasures import Partition, asymmetric_qcmi, mutual_information_sites, symmetric_qcmi
 from .instrument import apply_instrument, projective_z_instrument
 from .qstate import PAULI_X, PAULI_Y, PAULI_Z, check_site_pair, ghz_state, partial_trace
@@ -395,7 +390,7 @@ def main(argv=None) -> int:
     handler, _, options = COMMANDS[args.command]
     try:
         return handler(args, {key: getattr(args, key.replace("-", "_")) for key in options})
-    except (InvalidInput, EmptyConditioner) as exc:
+    except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InsufficientData as exc:

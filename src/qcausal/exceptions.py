@@ -21,8 +21,11 @@ class DegenerateMeasurement(QcausalError):
     """Every measurement outcome has probability below the floor."""
 
 
-class EmptyConditioner(QcausalError):
-    """The conditioning subsystem C is empty, so the conditional form is undefined."""
+class EmptyConditioner(InvalidInput):
+    """The conditioning subsystem C is empty, so the conditional form is undefined.
+
+    Raised by every empty C (a `Partition`, a time series of adjacent sites, an
+    arrival scan from d = 1); an `InvalidInput`, so the CLI exits 2."""
 
 
 class NumericalInstability(QcausalError):

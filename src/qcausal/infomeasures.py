@@ -42,15 +42,21 @@ def _clamped(value: float) -> float:
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint site sets (A, B, C); C may be empty, A and B may not."""
+    """Disjoint, non-empty site sets (A, B, C): sender, receiver and the
+    conditioning sites. An empty C raises `EmptyConditioner`: neither
+    conditional form is defined without it (`mutual_information` is)."""
 
     a: tuple[int, ...]
     b: tuple[int, ...]
-    c: tuple[int, ...] = ()
+    c: tuple[int, ...]
 
     def __post_init__(self):
         a, b, c = check_sites(self.a), check_sites(self.b), check_sequence(self.c, "C")
-        c = check_sites(c) if c else ()
+        if not c:
+            raise EmptyConditioner(
+                f"C is empty: no intermediate sites between A={a} and B={b}; distances start at 2"
+            )
+        c = check_sites(c)
         combined = a + b + c
         if len(set(combined)) != len(combined):
             raise InvalidInput(f"A, B, C must be pairwise disjoint, got {a}, {b}, {c}")
@@ -77,10 +83,12 @@ def mutual_information(rho: DensityMatrix, n_first: int) -> float:
 def mutual_information_sites(
     rho: DensityMatrix, sites_b: Sequence[int], sites_c: Sequence[int]
 ) -> float:
-    """I(B:C) for arbitrary disjoint site sets of `rho`, checked as a `Partition`."""
+    """I(B:C) for two disjoint site sets of `rho`, each by the `check_sites` rule."""
     check_instance(rho, DensityMatrix, "rho")
-    parts = Partition(sites_b, sites_c)
-    sites_b, sites_c, joint = parts.a, parts.b, parts.sites
+    sites_b, sites_c = check_sites(sites_b), check_sites(sites_c)
+    if set(sites_b) & set(sites_c):
+        raise InvalidInput(f"B and C must be disjoint, got {sites_b}, {sites_c}")
+    joint = tuple(sorted(sites_b + sites_c))
     rho_bc = partial_trace(rho, joint)
     b_local = tuple(i for i, s in enumerate(joint) if s in sites_b)
     c_local = tuple(i for i, s in enumerate(joint) if s in sites_c)
@@ -92,10 +100,7 @@ def mutual_information_sites(
 def symmetric_qcmi(rho: DensityMatrix, partition: Partition) -> float:
     """S(AC) + S(BC) - S(C) - S(ABC), the direction-blind conditional form."""
     check_instance(rho, DensityMatrix, "rho")
-    if not check_instance(partition, Partition, "partition").c:
-        raise InvalidInput(
-            "symmetric form needs a non-empty C; use mutual_information for I(A:B)"
-        )
+    check_instance(partition, Partition, "partition")
     check_sites(partition.sites, rho.n_sites)
     s_ac = von_neumann_entropy(partial_trace(rho, sorted(partition.a + partition.c)))
     s_bc = von_neumann_entropy(partial_trace(rho, sorted(partition.b + partition.c)))
@@ -108,8 +113,7 @@ def asymmetric_qcmi(rho: DensityMatrix, partition: Partition, instrument: Instru
     """Measure A, then average I(B:C) over the outcome branches.
 
     The value depends on the chosen instrument, so callers that persist
-    results should record ``instrument.describe`` next to it. With an empty
-    C the average is ill-formed and `EmptyConditioner` is raised.
+    results should record ``instrument.describe`` next to it.
     """
     check_instance(rho, DensityMatrix, "rho")
     check_instance(partition, Partition, "partition")
@@ -119,16 +123,14 @@ def asymmetric_qcmi(rho: DensityMatrix, partition: Partition, instrument: Instru
             f"instrument targets {instrument.target_sites} but A is {partition.a}"
         )
     check_sites(partition.sites, rho.n_sites)
-    if not partition.c:
-        raise EmptyConditioner("C is empty; the asymmetric form conditions on C")
 
-    ensemble = apply_instrument(rho, instrument)
+    branches = apply_instrument(rho, instrument)
     remaining = [s for s in range(rho.n_sites) if s not in partition.a]
     local = {site: i for i, site in enumerate(remaining)}
     b_local = tuple(local[s] for s in partition.b)
     c_local = tuple(local[s] for s in partition.c)
 
     total = 0.0
-    for branch in ensemble:
+    for branch in branches:
         total += branch.probability * mutual_information_sites(branch.state, b_local, c_local)
     return _clamped(total)

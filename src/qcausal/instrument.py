@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,26 +52,12 @@ class Instrument:
 
 @dataclass(frozen=True)
 class Branch:
+    """One kept outcome: its renormalized probability, its label (the index of
+    its operator) and its state on the non-target sites."""
+
     probability: float
     label: int
     state: DensityMatrix
-
-
-@dataclass(frozen=True)
-class BranchEnsemble:
-    """Post-measurement outcomes: probabilities summing to one plus states."""
-
-    branches: tuple[Branch, ...] = field(default_factory=tuple)
-
-    def __iter__(self) -> Iterator[Branch]:
-        return iter(self.branches)
-
-    def __len__(self) -> int:
-        return len(self.branches)
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.array([b.probability for b in self.branches])
 
 
 def projective_z_instrument(site: int, n_sites: int) -> Instrument:
@@ -93,8 +78,9 @@ def validate_instrument(instrument: Instrument) -> float:
     return float(np.max(np.abs(total - np.eye(dim))))
 
 
-def apply_instrument(rho: DensityMatrix, instrument: Instrument) -> BranchEnsemble:
-    """Outcome probabilities and normalized branch states on the non-target sites.
+def apply_instrument(rho: DensityMatrix, instrument: Instrument) -> tuple[Branch, ...]:
+    """One `Branch` per kept outcome, in label order: its probability and its
+    normalized state on the non-target sites.
 
     Outcome x leaves Tr_A[(M_x^dagger M_x x I) rho], which equals Tr_A[(M_x x I)
     rho (M_x^dagger x I)] without forming the whole register. Its trace is p_x,
@@ -125,7 +111,7 @@ def apply_instrument(rho: DensityMatrix, instrument: Instrument) -> BranchEnsemb
         raise DegenerateMeasurement("every outcome fell below the probability floor")
 
     total = sum(p for p, _, _ in surviving)
-    return BranchEnsemble(tuple(
+    return tuple(
         Branch(p / total, label, DensityMatrix(n - len(targets), reduced / p))
         for p, label, reduced in surviving
-    ))
+    )

@@ -9,10 +9,11 @@ h = 0), else the spin-flip parity, each split once more by site reversal.
 Every sector basis Q has one layout, `_Block`'s (rows, factors) per
 symmetry element, which projects, scatters and places vectors. Blocks are
 diagonalized on first use and cached. Pure states evolve block by block,
-only in the sectors they occupy. The dense matrix (`Hamiltonian.matrix`)
-and the dense eigenvector matrix (`spectrum`, which `ground_state` and
-`propagator` read; `evolve` takes a `Propagator`) are formed only when
-read. Units: hbar = 1, couplings dimensionless, time in units of 1/J.
+only in the sectors they occupy. The one dense form of H is its
+eigendecomposition `spectrum`, placed from the blocks when read; it is what
+`ground_state` and `propagator` read, and `evolve` takes a `Propagator`. The
+tests hold the blocks to a Pauli-Kronecker oracle. Units: hbar = 1, couplings
+dimensionless, time in units of 1/J.
 """
 
 from __future__ import annotations
@@ -79,12 +80,6 @@ class Hamiltonian:
         return 2**self.n_sites
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """The dense dim x dim matrix (read-only), placed from the bit action
-        on first use. Scans never read it."""
-        return self._action.dense()
-
-    @cached_property
     def _blocks(self) -> list[_Block]:
         """One `_Block` per sector, in sector order; none diagonalized yet."""
         return [_Block(self._action, rows, factors) for rows, factors in self._action.sectors()]
@@ -123,13 +118,6 @@ class _BitAction:
         self.n_sites = n_sites
         self.masks = masks
         self.amplitudes = amplitudes
-
-    def dense(self) -> np.ndarray:
-        states = np.arange(2**self.n_sites)
-        matrix = np.zeros((states.size, states.size))
-        matrix[states ^ self.masks[:, None], states] = self.amplitudes
-        matrix.setflags(write=False)
-        return matrix
 
     def sectors(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Popcount sectors when no term changes the popcount (XX; TFIM at
@@ -289,9 +277,16 @@ def build_model(model: ChainModel) -> Hamiltonian:
 
 @dataclass(frozen=True)
 class GroundState:
+    """The lowest eigenvector, its energy E0 and the gap E1 - E0 to the next
+    level; degenerate when the gap is below `DEGENERACY_GAP`."""
+
     state: Ket
     energy: float
-    degenerate: bool
+    gap: float
+
+    @property
+    def degenerate(self) -> bool:
+        return self.gap < DEGENERACY_GAP
 
 
 def ground_state(hamiltonian: Hamiltonian) -> GroundState:
@@ -302,9 +297,8 @@ def ground_state(hamiltonian: Hamiltonian) -> GroundState:
     (ascending popcount, else even parity first; reversal-even before odd),
     on every build: TFIM with h = 0 gives |0...0>."""
     values, vectors = check_instance(hamiltonian, Hamiltonian, "hamiltonian").spectrum
-    degenerate = values.size > 1 and values[1] - values[0] < DEGENERACY_GAP
     ket = Ket(hamiltonian.n_sites, vectors[:, 0])
-    return GroundState(state=ket, energy=float(values[0]), degenerate=degenerate)
+    return GroundState(state=ket, energy=float(values[0]), gap=float(values[1] - values[0]))
 
 
 @dataclass(frozen=True)

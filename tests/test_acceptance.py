@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, one printed pass/fail line each.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-lines. The distance scan in criterion 4 dominates the runtime (~20 s).
+lines. The whole file runs in about 2 s; criterion 4's N = 8 distance scan
+takes about 0.04 s of that.
 """
 
 import itertools

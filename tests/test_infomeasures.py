@@ -59,18 +59,15 @@ class TestPartition:
         with pytest.raises(InvalidInput):
             Partition((), (1,), (2,))
 
-    def test_empty_c_allowed_by_type(self):
-        part = Partition((0,), (1,))
-        assert part.c == ()
-        assert part.sites == (0, 1)
-
     @pytest.mark.parametrize(
         "empty",
         [(), [], range(0), (s for s in ()), np.array([], dtype=int)],
         ids=["tuple", "list", "range", "generator", "array"],
     )
-    def test_every_empty_c_becomes_the_empty_tuple(self, empty):
-        assert Partition((0,), (1,), empty).c == ()
+    def test_every_empty_c_raises_empty_conditioner(self, empty):
+        with pytest.raises(EmptyConditioner, match="no intermediate sites") as caught:
+            Partition((0,), (1,), empty)
+        assert isinstance(caught.value, InvalidInput)
 
     @pytest.mark.parametrize(
         "c", [(3, 2), (2, 2), (-1,), (2.0,), (True,), ("2",)], ids=repr
@@ -116,6 +113,14 @@ class TestMutualInformation:
             mutual_information(rho, 0)
         with pytest.raises(InvalidInput):
             mutual_information(rho, 2)
+
+    @pytest.mark.parametrize(
+        "b, c", [((0,), (0,)), ((0, 1), (1, 2)), ((), (1,)), ((0,), ())],
+        ids=["same", "overlap", "empty-b", "empty-c"],
+    )
+    def test_sites_variant_refuses_overlapping_or_empty_sets(self, b, c):
+        with pytest.raises(InvalidInput):
+            mutual_information_sites(ghz_state(3).density_matrix(), b, c)
 
     def test_sites_variant_handles_interleaved_blocks(self):
         # B = {2}, C = {0, 1}: same value as the contiguous layout.
@@ -167,9 +172,10 @@ class TestSymmetricQcmi:
             assert forward == backward
 
     def test_empty_c_rejected(self):
+        # The partition itself refuses an empty C, before the measure is called.
         rho = ghz_state(2).density_matrix()
-        with pytest.raises(InvalidInput):
-            symmetric_qcmi(rho, Partition((0,), (1,)))
+        with pytest.raises(EmptyConditioner):
+            symmetric_qcmi(rho, Partition((0,), (1,), ()))
 
     def test_partition_outside_register_rejected(self):
         rho = ghz_state(2).density_matrix()
@@ -227,6 +233,6 @@ class TestAsymmetricQcmi:
 
     def test_empty_c_raises_empty_conditioner(self):
         instr = projective_z_instrument(0, 3)
-        for part in (Partition((0,), (1,)), Partition((0,), (2,))):
+        for b, c in (((1,), ()), ((2,), [])):
             with pytest.raises(EmptyConditioner):
-                asymmetric_qcmi(ghz_state(3).density_matrix(), part, instr)
+                asymmetric_qcmi(ghz_state(3).density_matrix(), Partition((0,), b, c), instr)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qcausal import (
+    Branch,
     DegenerateMeasurement,
     DensityMatrix,
     IncompleteInstrument,
@@ -37,8 +38,9 @@ class TestProjectiveZ:
 
     def test_ghz_outcomes_are_even(self):
         rho = ghz_state(3).density_matrix()
-        ensemble = apply_instrument(rho, projective_z_instrument(0, 3))
-        assert np.allclose(ensemble.probabilities, [0.5, 0.5], atol=1e-12)
+        branches = apply_instrument(rho, projective_z_instrument(0, 3))
+        assert type(branches) is tuple and all(type(b) is Branch for b in branches)
+        assert np.allclose([b.probability for b in branches], [0.5, 0.5], atol=1e-12)
 
     def test_site_out_of_range(self):
         with pytest.raises(InvalidInput):
@@ -125,11 +127,10 @@ class TestApplyInstrument:
             # The post-measurement state on the full register: P_x rho P_x / p_x.
             projector = embed_operator(instr.operators[branch.label], 0, 2)
             hit = projector @ rho.matrix @ projector
-            again = apply_instrument(DensityMatrix(2, hit / np.trace(hit).real), instr)
-            assert len(again) == 1
-            assert again.branches[0].label == branch.label
-            assert abs(again.branches[0].probability - 1.0) <= 1e-10
-            assert np.max(np.abs(again.branches[0].state.matrix - branch.state.matrix)) <= 1e-10
+            (again,) = apply_instrument(DensityMatrix(2, hit / np.trace(hit).real), instr)
+            assert again.label == branch.label
+            assert abs(again.probability - 1.0) <= 1e-10
+            assert np.max(np.abs(again.state.matrix - branch.state.matrix)) <= 1e-10
 
     def test_incomplete_instrument_rejected(self):
         p0 = np.diag([1.0, 0.0]).astype(complex)
@@ -145,9 +146,9 @@ class TestApplyInstrument:
 
     def test_impossible_outcome_dropped(self):
         rho = basis_ket([0, 0]).density_matrix()
-        ensemble = apply_instrument(rho, projective_z_instrument(0, 2))
-        assert [b.label for b in ensemble] == [0]
-        assert abs(ensemble.branches[0].probability - 1.0) < 1e-12
+        (branch,) = apply_instrument(rho, projective_z_instrument(0, 2))
+        assert branch.label == 0
+        assert abs(branch.probability - 1.0) < 1e-12
 
     def test_all_outcomes_below_floor_rejected(self, monkeypatch):
         rho = basis_ket([0, 1]).density_matrix()
@@ -179,7 +180,7 @@ class TestMultiSiteTarget:
         rho = ghz_state(3).density_matrix()
         ensemble = apply_instrument(rho, instr)
         assert [b.label for b in ensemble] == [0, 3]
-        assert np.allclose(ensemble.probabilities, [0.5, 0.5], atol=1e-12)
+        assert np.allclose([b.probability for b in ensemble], [0.5, 0.5], atol=1e-12)
         for branch, bit in zip(ensemble, (0, 1)):
             assert np.max(np.abs(branch.state.matrix - basis_ket([bit]).density_matrix().matrix)) < 1e-12
 

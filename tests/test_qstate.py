@@ -324,7 +324,7 @@ class TestCheckSites:
             check_sites([1, 4], 4)
 
     def test_empty_needs_opt_in(self):
-        # Only a Partition's C may be empty, and Partition maps it to () itself.
+        # Every site set is non-empty; an empty C is refused by `Partition`.
         with pytest.raises(InvalidInput):
             check_sites([], 4)
 
@@ -333,7 +333,7 @@ class TestCheckSites:
         with pytest.raises(InvalidInput):
             check_sites(sites)
         with pytest.raises(InvalidInput):
-            Partition(sites, (5,), ())
+            Partition(sites, (5,), (6,))
         with pytest.raises(InvalidInput):
             Instrument(sites, (np.eye(2 ** len(sites)),))
         with pytest.raises(InvalidInput):
