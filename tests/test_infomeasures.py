@@ -59,6 +59,11 @@ class TestPartition:
         with pytest.raises(InvalidInput):
             Partition((), (1,), (2,))
 
+    def test_c_is_required(self):
+        with pytest.raises(TypeError):
+            Partition((0,), (1,))
+        assert Partition((0,), (3,), (1, 2)).sites == (0, 1, 2, 3)
+
     @pytest.mark.parametrize(
         "empty",
         [(), [], range(0), (s for s in ()), np.array([], dtype=int)],
