@@ -6,20 +6,25 @@ behind arrival times. ``quench-at-zero`` measures A once at t=0 and evolves
 every outcome branch separately. Distances start at d=2: at d=1 the
 conditioning set C is empty and every scan raises `EmptyConditioner`.
 
+Both scans take one path: each checks its own fields, then `_scan` checks
+the initial-state spec and the batch size, builds the chain once and
+resolves the initial ket, and the kernel `_pure_series(chain, amplitudes,
+protocol, times, sender, receivers)` returns one read-only (receivers, times)
+array. The kernel reads no config, so it runs at any times.
+
 Every initial state is pure and a projective-z measurement keeps it pure, so
-scans run on amplitudes: psi(t) is evolved once for the whole grid, A is
+the kernel runs on amplitudes: psi(t) is evolved once for all times, A is
 measured by slicing its axis, and entropies come from Gram matrices on the
-smaller side of each cut. Each distinct site set among the receivers' B, C
-and BC is taken once per branch and shared by every receiver. When every
-nonzero amplitude of a branch has one popcount M (the XX chain conserves
-it, and the sector-block evolution leaves exact zeros outside the occupied
-sectors), each cut splits into one block per subsystem popcount q, against
-complement popcount M - q; otherwise the cut is one block. Entropies and
-branch sums are batched over the whole grid: one `eigvalsh` call per block,
-site set and branch, and the clamp rules of `asymmetric_qcmi` applied to
-every time at once. The dense density-matrix functions (`asymmetric_qcmi`,
-`apply_instrument`, `evolve`) compute the same values and are the oracle
-the tests hold this kernel to.
+smaller side of each cut. Each distinct B, C or BC site set is taken once
+per branch and shared by every receiver. When every nonzero amplitude of a
+branch has one popcount M (the XX chain conserves it, and the sector-block
+evolution leaves exact zeros outside the occupied sectors), each cut splits
+into one block per subsystem popcount q, against complement popcount M - q;
+otherwise the cut is one block. Entropies and branch sums are batched over
+all times: one `eigvalsh` call per block, site set and branch, and the clamp
+rules of `asymmetric_qcmi` applied to every time at once. The dense
+density-matrix functions (`asymmetric_qcmi`, `apply_instrument`, `evolve`)
+compute the same values and are the oracle the tests hold this kernel to.
 """
 
 from __future__ import annotations
@@ -39,8 +44,7 @@ from .qstate import check_array, check_instance, check_integer, check_real, chec
 from .spinchain import DEGENERACY_GAP, ChainModel, Hamiltonian, _evolve_grid, _site_bits
 from .spinchain import build_model, ground_state
 
-# Unused here since scans run on amplitudes; perfbench/test_perfbench.py
-# checks that the tracer patches this imported name, so it stays importable.
+# Unused here; perfbench/test_perfbench.py checks the tracer patches this name.
 from .spinchain import evolve  # noqa: F401
 
 PROTOCOLS = ("measure-at-t", "quench-at-zero")
@@ -214,17 +218,6 @@ def _check_scan_inputs(config: ScanConfig) -> None:
     config.grid.check_batch(config.model.n_sites)
 
 
-def _series_partition(config: ScanConfig, n_sites: int) -> Partition:
-    """(A, B, C) of a time series; the sites follow `check_site_pair`, and
-    adjacent sites leave C empty (`EmptyConditioner`)."""
-    if config.site_a is None or config.site_b is None:
-        raise InvalidInput("time series needs both site_a and site_b")
-    if config.d_min is not None or config.d_max is not None:
-        raise InvalidInput("a time series takes site_a and site_b, not d_min or d_max")
-    a, b = check_site_pair(config.site_a, config.site_b, n_sites)
-    return Partition((a,), (b,), range(min(a, b) + 1, max(a, b)))
-
-
 def _measure_z(kets: np.ndarray, site: int, n_sites: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Projective-z measurement of `site` on every row of a (T, 2^n) ket batch.
 
@@ -308,36 +301,30 @@ def _branch_average(
 
 
 def _pure_series(
-    h: Hamiltonian, config: ScanConfig, site_a: int, receivers: list[tuple[int, tuple[int, ...]]]
-) -> list[np.ndarray]:
-    """QCMI series of sender `site_a` against each (B site, C sites) receiver.
+    h: Hamiltonian, psi0: np.ndarray, protocol: str, times: np.ndarray, site_a: int,
+    receivers: list[tuple[int, tuple[int, ...]]],
+) -> np.ndarray:
+    """QCMI of sender `site_a` against each (B site, C sites) receiver at any
+    1-d `times`, from initial amplitudes `psi0`: a read-only (receivers, times) array.
 
-    psi(t) (or, for quench-at-zero, each branch ket) is evolved once for the
-    whole grid and shared by every receiver. measure-at-t slices A out of
-    psi(t), so sites after A move down by one in the branch register;
-    quench-at-zero keeps A, in its measured state, on the full register.
-    The entropy of each distinct B, C or BC site set is taken once per
-    branch, with the branch's popcount checked once, and read by every
-    receiver.
+    measure-at-t slices A out of psi(t), so sites after A move down by one in
+    the branch register; quench-at-zero keeps A, in its measured state, on
+    the full register.
     """
-    psi0 = initial_ket(h, config.initial)
-    times = config.grid.times
     n = h.n_sites
-    if config.protocol == "measure-at-t":
-        branches = _measure_z(_evolve_grid(h, psi0.amplitudes, times), site_a, n)
-        register = n - 1
-        shift = [s - (s > site_a) for s in range(n)]
+    if protocol == "measure-at-t":
+        branches = _measure_z(_evolve_grid(h, psi0, times), site_a, n)
+        register, shift = n - 1, [s - (s > site_a) for s in range(n)]
     else:  # quench-at-zero
         branches = []
-        for x, (weight, ket) in enumerate(_measure_z(psi0.amplitudes[None, :], site_a, n)):
+        for x, (weight, ket) in enumerate(_measure_z(psi0[None, :], site_a, n)):
             if weight[0] > 0.0:
                 full = np.zeros((2**site_a, 2, 2 ** (n - site_a - 1)), dtype=complex)
                 full[:, x, :] = ket.reshape(2**site_a, -1)
                 branches.append(
                     (np.full(times.size, weight[0]), _evolve_grid(h, full.reshape(-1), times))
                 )
-        register = n
-        shift = list(range(n))
+        register, shift = n, list(range(n))
     pairs = [((shift[b],), tuple(shift[s] for s in c)) for b, c in receivers]
     site_sets = {sites for b, c in pairs for sites in (b, c, tuple(sorted(b + c)))}
     tables = []
@@ -346,21 +333,36 @@ def _pure_series(
         tables.append(
             (weights, {sites: _entropies(kets, register, sites, charge) for sites in site_sets})
         )
-    return [_branch_average(tables, b, c) for b, c in pairs]
+    values = np.array([_branch_average(tables, b, c) for b, c in pairs])
+    values.setflags(write=False)
+    return values
+
+
+def _scan(
+    config: ScanConfig, site_a: int, receivers: list[tuple[int, tuple[int, ...]]]
+) -> np.ndarray:
+    """Check the spec and batch size, build once, resolve the ket, run the kernel."""
+    _check_scan_inputs(config)
+    h = build_model(config.model)
+    psi0 = initial_ket(h, config.initial).amplitudes
+    return _pure_series(h, psi0, config.protocol, config.grid.times, site_a, receivers)
 
 
 def qcmi_time_series(config: ScanConfig) -> QcmiSeries:
-    """Directional QCMI over the configured time grid for one partition."""
+    """Directional QCMI over the configured time grid for one site pair; the
+    sites follow `check_site_pair`, and adjacent sites leave C empty
+    (`EmptyConditioner`)."""
     check_instance(config, ScanConfig, "config")
-    partition = _series_partition(config, config.model.n_sites)
-    _check_scan_inputs(config)
-    h = build_model(config.model)
-    instrument = projective_z_instrument(partition.a[0], h.n_sites)
-    values = _pure_series(h, config, partition.a[0], [(partition.b[0], partition.c)])[0]
-    values.setflags(write=False)
+    if config.site_a is None or config.site_b is None:
+        raise InvalidInput("time series needs both site_a and site_b")
+    if config.d_min is not None or config.d_max is not None:
+        raise InvalidInput("a time series takes site_a and site_b, not d_min or d_max")
+    a, b = check_site_pair(config.site_a, config.site_b, config.model.n_sites)
+    c = Partition((a,), (b,), range(min(a, b) + 1, max(a, b))).c
+    (values,) = _scan(config, a, [(b, c)])
     return QcmiSeries(
         config=config,
-        instrument_label=instrument.describe,
+        instrument_label=projective_z_instrument(a, config.model.n_sites).describe,
         times=config.grid.times,
         values=values,
     )
@@ -407,12 +409,8 @@ def arrival_scan(config: ScanConfig) -> ArrivalTable:
         raise InvalidInput(f"distances must start at 2, got {lo}")
     if lo > hi or hi > n - 1:
         raise InvalidInput(f"distance range {lo}:{hi} invalid for {n} sites")
-    _check_scan_inputs(config)
-
-    h = build_model(config.model)
     distances = range(lo, hi + 1)
-    receivers = [(d, tuple(range(1, d))) for d in distances]
-    series = _pure_series(h, config, 0, receivers)
+    series = _scan(config, 0, [(d, tuple(range(1, d))) for d in distances])
     return ArrivalTable(tuple(
         (d, arrival_time(config.grid.times, values, config.threshold, config.crossing))
         for d, values in zip(distances, series)

@@ -1,4 +1,4 @@
-"""Compare a series CSV with a reference series CSV, value by value.
+"""Compare a numeric CSV (a series or an arrival table) with a reference, value by value.
 
 Usage: python tests/compare_series.py GOT WANT
 

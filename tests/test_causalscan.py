@@ -260,14 +260,17 @@ def use_chain(monkeypatch, hamiltonian):
 
 
 def dense_series(config):
-    """The density-matrix path, one grid time at a time: the kernel's oracle."""
+    """The density-matrix path over the config's grid: the kernel's oracle."""
     h = build_model(config.model)
-    a, b = config.site_a, config.site_b
+    psi0 = initial_ket(h, config.initial)
+    return dense_values(h, psi0, config.protocol, config.grid.times, config.site_a, config.site_b)
+
+
+def dense_values(h, psi0, protocol, times, a, b):
+    """I(B:C) after measuring A, one density matrix per time, with C the sites between A and B."""
     part = Partition((a,), (b,), tuple(range(min(a, b) + 1, max(a, b))))
     instr = projective_z_instrument(a, h.n_sites)
-    psi0 = initial_ket(h, config.initial)
-    times = config.grid.times
-    if config.protocol == "measure-at-t":
+    if protocol == "measure-at-t":
         return np.array([
             asymmetric_qcmi(evolve_ket(h, psi0, t).density_matrix(), part, instr)
             for t in times
@@ -317,6 +320,25 @@ class TestPureStateKernel:
             series = qcmi_time_series(config)
             assert series.values.size == 6
             assert np.max(np.abs(series.values - dense_series(config))) <= 1e-12
+
+    @pytest.mark.parametrize("protocol", ["measure-at-t", "quench-at-zero"])
+    @pytest.mark.parametrize("initial", ["basis", "ground"])
+    @pytest.mark.parametrize("kind", ["xx", "tfim"])
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_kernel_needs_no_grid(self, n, kind, initial, protocol):
+        # Off-grid, unsorted times straight into the kernel: no config, no grid.
+        h = build_model(ChainModel(kind, n, 1.0, 0.7 if kind == "tfim" else 0.3))
+        spec = "ground" if initial == "ground" else "basis:" + ("10" * n)[:n]
+        psi0 = initial_ket(h, spec)
+        times = np.array([0.37, 0.05, 1.234])
+        for a, bs in ((0, range(2, n)), (n - 2, (0, n - 4))):
+            receivers = [(b, tuple(range(min(a, b) + 1, max(a, b)))) for b in bs]
+            values = causalscan._pure_series(h, psi0.amplitudes, protocol, times, a, receivers)
+            assert values.shape == (len(receivers), times.size)
+            assert not values.flags.writeable
+            for (b, _), row in zip(receivers, values):
+                oracle = dense_values(h, psi0, protocol, times, a, b)
+                assert np.max(np.abs(row - oracle)) <= 1e-12
 
     def test_evolved_norms_are_checked(self, monkeypatch):
         h = build_model(ChainModel("xx", 4, 1.0, 0.5))
@@ -414,15 +436,27 @@ class TestPureStateKernel:
             with pytest.raises(EmptyConditioner):
                 qcmi_time_series(config)
 
-    def test_arrival_scan_matches_per_distance_series(self):
+    @pytest.mark.parametrize("protocol", ["measure-at-t", "quench-at-zero"])
+    @pytest.mark.parametrize("initial", ["basis:100000", "ground"])
+    def test_arrival_scan_matches_per_distance_series(self, monkeypatch, initial, protocol):
+        kernel, computed = causalscan._pure_series, []
+
+        def recorded(*args):
+            computed.append(kernel(*args))
+            return computed[-1]
+
+        monkeypatch.setattr(causalscan, "_pure_series", recorded)
         config = xx_config(
-            model=ChainModel("xx", 6, 1.0, 0.3), initial="basis:100000",
-            protocol="quench-at-zero", grid=TimeGrid(3.0, 0.05),
+            model=ChainModel("xx", 6, 1.0, 0.3), initial=initial,
+            protocol=protocol, grid=TimeGrid(3.0, 0.05),
             site_a=None, site_b=None, d_min=2, d_max=5, crossing="interp",
         )
         table = arrival_scan(config)
-        for d, t_arr in table.rows:
+        (scanned,) = computed
+        assert scanned.shape == (4, 61)
+        for (d, t_arr), row in zip(table.rows, scanned):
             series = qcmi_time_series(replace(config, site_a=0, site_b=d, d_min=None, d_max=None))
+            assert np.array_equal(row, series.values)
             assert t_arr == arrival_time(series.times, series.values, 0.03, "interp")
 
     def test_paper_scan_reproduces_reference_arrivals(self):
@@ -742,7 +776,7 @@ class TestArrivalScan:
         table = arrival_scan(config)
         assert all(t is None for _, t in table.rows)
 
-    def test_distance_one_needs_opt_in(self):
+    def test_distance_one_raises_empty_conditioner(self):
         config = xx_config(site_a=None, site_b=None, d_min=1, d_max=3)
         with pytest.raises(EmptyConditioner):
             arrival_scan(config)

@@ -323,7 +323,7 @@ class TestCheckSites:
         with pytest.raises(InvalidInput):
             check_sites([1, 4], 4)
 
-    def test_empty_needs_opt_in(self):
+    def test_empty_site_set_is_refused(self):
         # Every site set is non-empty; an empty C is refused by `Partition`.
         with pytest.raises(InvalidInput):
             check_sites([], 4)
