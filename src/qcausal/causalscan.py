@@ -6,25 +6,22 @@ behind arrival times. ``quench-at-zero`` measures A once at t=0 and evolves
 every outcome branch separately. Distances start at d=2: at d=1 the
 conditioning set C is empty and every scan raises `EmptyConditioner`.
 
-Both scans take one path: each checks its own fields, then `_scan` checks
-the initial-state spec and the batch size, builds the chain once and
-resolves the initial ket, and the kernel `_pure_series(chain, amplitudes,
-protocol, times, sender, receivers)` returns one read-only (receivers, times)
-array. The kernel reads no config, so it runs at any times.
+Both scans check their fields and call `_scan`: spec and batch checks, one
+chain build, the initial ket, then the kernel `_pure_series`, which reads no
+config and returns one read-only (receivers, times) array.
 
 Every initial state is pure and a projective-z measurement keeps it pure, so
-the kernel runs on amplitudes: psi(t) is evolved once for all times, A is
-measured by slicing its axis, and entropies come from Gram matrices on the
-smaller side of each cut. Each distinct B, C or BC site set is taken once
-per branch and shared by every receiver. When every nonzero amplitude of a
-branch has one popcount M (the XX chain conserves it, and the sector-block
-evolution leaves exact zeros outside the occupied sectors), each cut splits
-into one block per subsystem popcount q, against complement popcount M - q;
-otherwise the cut is one block. Entropies and branch sums are batched over
-all times: one `eigvalsh` call per block, site set and branch, and the clamp
-rules of `asymmetric_qcmi` applied to every time at once. The dense
-density-matrix functions (`asymmetric_qcmi`, `apply_instrument`, `evolve`)
-compute the same values and are the oracle the tests hold this kernel to.
+the kernel runs on batches (states, amplitudes): the sorted register indices
+the occupied sectors span and a (times, states) array: all 2^N for a TFIM
+scan at h != 0, the C(N, M) of popcount M for an XX basis state. psi(t)
+is evolved once for all times and A measured by splitting `states` on its
+bit. Each distinct B, C or BC site set is taken once per branch. When every
+nonzero amplitude of a branch has one popcount M (the XX chain conserves
+it), each cut splits into one block per subsystem popcount q, against
+complement popcount M - q; otherwise it is one block. One `eigvalsh` call
+per block, site set and branch covers all times, on the Gram matrix of the
+smaller side, and the clamp rules of `asymmetric_qcmi` apply to every time
+at once. The tests hold this kernel to the dense density-matrix functions.
 """
 
 from __future__ import annotations
@@ -54,14 +51,14 @@ DEFAULT_DT = 0.02
 DEFAULT_T_MAX = 5.0
 DEFAULT_THRESHOLD = 0.03
 
-# Largest (grid points) x 2^N complex amplitude batch a scan may hold: 2^25
-# amplitudes, 512 MiB. Measured scan peaks (tracemalloc, build included; N =
-# 4, 8, 12, both protocols, basis and ground states, series and arrival
-# scans) grow by 2 to 5.25 times the batch, the most for a quench-at-zero
-# scan from the ground state at N = 4. A ground-state scan at N = 12 adds
-# about 160 MiB for the dense eigenvector matrix. So a scan at the limit stays
-# under about 3 GiB. At N = 12 that is 8192 grid points; at 4096 points a
-# TFIM ground-state quench-at-zero series peaked at 1514 MiB resident.
+# Largest (grid points) x 2^N complex amplitude count a scan may reach: 2^25,
+# 512 MiB, checked before the build. It is the worst case, which a TFIM state
+# fills; an XX basis state with M ones holds points x C(N, M). Measured
+# full-batch scan peaks (tracemalloc, build included; N = 4, 8, 12, both
+# protocols, basis and ground states) were 2 to 5.25 times the batch, plus
+# about 160 MiB of dense eigenvectors for a ground state at N = 12: under
+# about 3 GiB at the limit, 8192 points at N = 12. At 4096 points a TFIM
+# ground-state quench-at-zero series peaked at 1514 MiB resident.
 MAX_SCAN_AMPLITUDES = 2**25
 
 
@@ -218,48 +215,51 @@ def _check_scan_inputs(config: ScanConfig) -> None:
     config.grid.check_batch(config.model.n_sites)
 
 
-def _measure_z(kets: np.ndarray, site: int, n_sites: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Projective-z measurement of `site` on every row of a (T, 2^n) ket batch.
-
-    Slicing the site's axis gives the branch kets without that site; their
-    squared norms are the outcome probabilities. Floor, renormalization and
-    degeneracy follow `apply_instrument`. Returns (weights, normalized kets)
-    per outcome; a branch dropped at some row has weight 0 and a zero ket there.
-    """
-    rows = kets.shape[0]
-    tensor = kets.reshape(rows, 2**site, 2, 2 ** (n_sites - site - 1))
-    slices = [tensor[:, :, x, :].reshape(rows, -1) for x in (0, 1)]
-    probs = np.stack([np.sum(np.abs(branch) ** 2, axis=1) for branch in slices], axis=1)
+def _measure_z(states: np.ndarray, kets: np.ndarray, site: int, n_sites: int, keep_site=False):
+    """Projective-z measurement of `site` on every row of a (states, kets) batch:
+    (weights, (states, normalized kets)) per outcome kept at some row, the
+    site's bit dropped unless `keep_site`; a row that drops a branch gives it
+    weight 0 and zeros. Floor, renormalization and degeneracy follow
+    `apply_instrument`."""
+    bit = n_sites - 1 - site
+    split = [np.flatnonzero((states >> bit) & 1 == x) for x in (0, 1)]
+    parts = [np.take(kets, columns, axis=1) for columns in split]
+    probs = np.stack([np.sum(np.abs(branch) ** 2, axis=1) for branch in parts], axis=1)
     kept = probs >= PROBABILITY_FLOOR
     if not np.all(np.any(kept, axis=1)):
         raise DegenerateMeasurement("every outcome fell below the probability floor")
     total = np.sum(np.where(kept, probs, 0.0), axis=1)
     scale = np.where(kept, 1.0 / np.sqrt(np.where(kept, probs, 1.0)), 0.0)
     weights = np.where(kept, probs / total[:, None], 0.0)
-    return [(weights[:, x], slices[x] * scale[:, x, None]) for x in (0, 1)]
+    if not keep_site:
+        states = states >> (bit + 1) << bit | states & ((1 << bit) - 1)
+    return [
+        (weights[:, x], (states[split[x]], np.multiply(parts[x], scale[:, x, None], out=parts[x])))
+        for x in (0, 1) if np.any(kept[:, x])
+    ]
 
 
-def _charge(kets: np.ndarray, n_sites: int) -> int | None:
-    """The popcount that every nonzero amplitude of a (T, 2^n) batch has, on
-    every row; None if they have more than one (or the batch is all zero)."""
-    occupied = np.any(kets != 0.0, axis=0)
+def _charge(states: np.ndarray, kets: np.ndarray, n_sites: int) -> int | None:
+    """The popcount of every state whose batch column is nonzero; None if
+    they have more than one (or none)."""
+    occupied = states[np.any(kets != 0.0, axis=0)]
     # bincount, not np.unique: a sort pages in about 1 MiB more of numpy's code.
     counts = np.flatnonzero(np.bincount(_site_bits(n_sites).sum(axis=1)[occupied]))
     return int(counts[0]) if counts.size == 1 else None
 
 
 def _entropies(
-    kets: np.ndarray, n_sites: int, sites: tuple[int, ...], charge: int | None
+    states: np.ndarray, kets: np.ndarray, n_sites: int, sites: tuple[int, ...], charge: int | None
 ) -> np.ndarray:
-    """Entropy of `sites` for every pure state in a (T, 2^n) ket batch.
+    """Entropy of `sites` for every pure state in a (states, kets) batch.
 
-    A state's amplitudes form a matrix, subsystem configurations by
-    complement configurations. If every state has popcount `charge` M, it is
-    block diagonal: q ones on `sites` go with M - q on the complement, so
-    each block is gathered on its own and the joined spectra give the
-    entropy. With `charge` None the whole matrix is one block. The reduced
-    state of `sites` and of its complement share their nonzero spectrum, so
-    each block's Gram matrix is formed on its smaller side.
+    A state's amplitudes form a matrix, subsystem by complement
+    configurations; an index outside `states` reads zero. If every state has
+    popcount `charge` M, it is block diagonal: q ones on `sites` go with M - q
+    on the complement, and the blocks' joined spectra give the entropy. With
+    `charge` None the matrix is one block. The reduced states of `sites` and
+    of its complement share their nonzero spectrum, so each block's Gram
+    matrix is formed on its smaller side.
     """
     rest = tuple(s for s in range(n_sites) if s not in sites)
     row_bits, col_bits = _site_bits(len(sites)), _site_bits(len(rest))
@@ -274,10 +274,14 @@ def _entropies(
             (rows[row_ones == q], cols[col_ones == charge - q])
             for q in range(max(0, charge - len(rest)), min(len(sites), charge) + 1)
         ]
+    column = np.full(2**n_sites, -1)
+    column[states] = np.arange(states.size)
     spectra = []
     for block in blocks:
         small, large = sorted(block, key=len)
-        mat = np.take(kets, small[:, None] + large, axis=1)
+        index = column[small[:, None] + large]
+        mat = np.take(kets, index, axis=1)
+        mat[:, index < 0] = 0.0
         spectra.append(np.linalg.eigvalsh(mat @ mat.conj().transpose(0, 2, 1)))
     return entropies_from_eigenvalues(np.concatenate(spectra, axis=-1))
 
@@ -307,32 +311,28 @@ def _pure_series(
     """QCMI of sender `site_a` against each (B site, C sites) receiver at any
     1-d `times`, from initial amplitudes `psi0`: a read-only (receivers, times) array.
 
-    measure-at-t slices A out of psi(t), so sites after A move down by one in
-    the branch register; quench-at-zero keeps A, in its measured state, on
-    the full register.
+    measure-at-t drops A's bit from psi(t)'s states, so later sites move down by
+    one; quench-at-zero keeps A, in its measured state, in the register.
     """
     n = h.n_sites
     if protocol == "measure-at-t":
-        branches = _measure_z(_evolve_grid(h, psi0, times), site_a, n)
+        branches = _measure_z(*_evolve_grid(h, psi0, times), site_a, n)
         register, shift = n - 1, [s - (s > site_a) for s in range(n)]
     else:  # quench-at-zero
         branches = []
-        for x, (weight, ket) in enumerate(_measure_z(psi0[None, :], site_a, n)):
-            if weight[0] > 0.0:
-                full = np.zeros((2**site_a, 2, 2 ** (n - site_a - 1)), dtype=complex)
-                full[:, x, :] = ket.reshape(2**site_a, -1)
-                branches.append(
-                    (np.full(times.size, weight[0]), _evolve_grid(h, full.reshape(-1), times))
-                )
+        measured = _measure_z(np.arange(2**n), psi0[None], site_a, n, keep_site=True)
+        for weight, (states, ket) in measured:
+            full = np.zeros(2**n, dtype=complex)
+            full[states] = ket[0]
+            branches.append((np.full(times.size, weight[0]), _evolve_grid(h, full, times)))
         register, shift = n, list(range(n))
     pairs = [((shift[b],), tuple(shift[s] for s in c)) for b, c in receivers]
     site_sets = {sites for b, c in pairs for sites in (b, c, tuple(sorted(b + c)))}
     tables = []
-    for weights, kets in branches:
-        charge = _charge(kets, register)
-        tables.append(
-            (weights, {sites: _entropies(kets, register, sites, charge) for sites in site_sets})
-        )
+    for weights, batch in branches:
+        charge = _charge(*batch, register)
+        entropies = {sites: _entropies(*batch, register, sites, charge) for sites in site_sets}
+        tables.append((weights, entropies))
     values = np.array([_branch_average(tables, b, c) for b, c in pairs])
     values.setflags(write=False)
     return values

@@ -1,19 +1,15 @@
 """Chain Hamiltonians (transverse-field Ising, XX) and exact time evolution.
 
-Both models are open-boundary and real symmetric. A `Hamiltonian` is built
-from its `ChainModel` alone and never forms the 2^N x 2^N matrix: it
-describes H by its action on the basis bits (a diagonal, plus flip masks
-with per-state amplitudes) and fills each sector block Q^T H Q straight
-from it. The sectors are the popcount when no term changes it (XX; TFIM at
-h = 0), else the spin-flip parity, each split once more by site reversal.
-Every sector basis Q has one layout, `_Block`'s (rows, factors) per
-symmetry element, which projects, scatters and places vectors. Blocks are
-diagonalized on first use and cached. Pure states evolve block by block,
-only in the sectors they occupy. The one dense form of H is its
-eigendecomposition `spectrum`, placed from the blocks when read; it is what
-`ground_state` and `propagator` read, and `evolve` takes a `Propagator`. The
-tests hold the blocks to a Pauli-Kronecker oracle. Units: hbar = 1, couplings
-dimensionless, time in units of 1/J.
+Both models are open-boundary and real symmetric. A `Hamiltonian` never
+forms the 2^N x 2^N matrix: it acts on the basis bits and fills each sector
+block Q^T H Q straight from that action. The sectors are the popcount when
+no term changes it (XX; TFIM at h = 0), else the spin-flip parity, each
+split once more by site reversal. Blocks are diagonalized on first use. A
+pure state evolves only in the sectors it occupies, into a batch (states,
+amplitudes): the sorted register indices those sectors span and a (times,
+states) array. The one dense form of H is its eigendecomposition
+`spectrum`, read by `ground_state` and `propagator`. Units: hbar = 1,
+couplings dimensionless, time in units of 1/J.
 """
 
 from __future__ import annotations
@@ -60,12 +56,8 @@ class ChainModel:
 
 
 class Hamiltonian:
-    """The real symmetric Hamiltonian of a `ChainModel`.
-
-    Built from the model's bit action (`_BitAction`), never as a matrix. The
-    eigendecomposition is kept per sector, one `_Block` each, and each block
-    is diagonalized on first use.
-    """
+    """The real symmetric Hamiltonian of a `ChainModel`, built from its bit
+    action (`_BitAction`) and eigendecomposed per sector, one `_Block` each."""
 
     def __init__(self, model: ChainModel):
         self.model = check_instance(model, ChainModel, "model")
@@ -88,9 +80,8 @@ class Hamiltonian:
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and sign-fixed orthonormal eigenvectors.
 
-        The blocks placed into one dense dim x dim matrix, for `ground_state`
-        and `propagator`; pure-state evolution reads the blocks.
-        Equal eigenvalues keep the sector order (stable sort).
+        The blocks placed into one dense dim x dim matrix; scans read the
+        blocks instead. Equal eigenvalues keep the sector order.
         """
         blocks = self._blocks
         values = np.concatenate([block.eigen[0] for block in blocks])
@@ -194,10 +185,10 @@ class _Block:
         """Q^T psi: the coordinates of a 2^N ket on the block's basis."""
         return np.sum(self.factors * amplitudes[self.rows], axis=0)
 
-    def scatter(self, out: np.ndarray, part: np.ndarray) -> None:
-        """Add Q part (rows of block coordinates) into the 2^N rows of `out`."""
+    def scatter(self, out: np.ndarray, part: np.ndarray, column: np.ndarray) -> None:
+        """Add Q part (rows of block coordinates) into `out`, state i at column[i]."""
         for rows, factors in zip(self.rows, self.factors):
-            out[..., rows] += factors * part
+            out[..., column[rows]] += factors * part
 
     def place(self, out: np.ndarray, columns: np.ndarray) -> None:
         """Add Q times the block's vectors into `columns` of the zero dim x dim `out`."""
@@ -351,33 +342,40 @@ def evolve_ket(hamiltonian: Hamiltonian, ket: Ket, time: float) -> Ket:
             f"dimension mismatch: state {ket.n_sites} sites, chain {hamiltonian.n_sites}"
         )
     time = check_real(time, "time")
-    return Ket(ket.n_sites, _evolve_grid(hamiltonian, ket.amplitudes, np.array([time]))[0])
+    states, grid = _evolve_grid(hamiltonian, ket.amplitudes, np.array([time]))
+    amplitudes = np.zeros(hamiltonian.dim, dtype=complex)
+    amplitudes[states] = grid[0]
+    return Ket(ket.n_sites, amplitudes)
 
 
-def _evolve_grid(hamiltonian: Hamiltonian, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Rows psi(t) = V exp(-iEt) V^T psi for every t, as one (T, dim) array.
+def _evolve_grid(hamiltonian: Hamiltonian, amplitudes: np.ndarray, times: np.ndarray) -> tuple:
+    """psi(t) = V exp(-iEt) V^T psi for every t, as a batch (states, grid):
+    the register indices the occupied sectors span, ascending, and grid[t, j]
+    the amplitude of states[j].
 
-    Block by block: psi is projected onto each sector, a sector where the
-    projection is exactly zero is skipped (and never diagonalized), and each
-    other sector is evolved in its own eigenbasis and scattered back. The
-    norm of every row is checked once here, so callers that consume the rows
-    directly need no per-time `Ket`.
+    A sector where psi's projection is exactly zero is skipped (and never
+    diagonalized); each other one is evolved in its own eigenbasis and
+    scattered back. Every row's norm is checked here, so callers that
+    consume the rows need no per-time `Ket`.
     """
-    grid = np.zeros((times.size, hamiltonian.dim), dtype=complex)
-    for block in hamiltonian._blocks:
-        inside = block.project(amplitudes)
-        if not np.any(inside):
-            continue
+    occupied = [(block, block.project(amplitudes)) for block in hamiltonian._blocks]
+    occupied = [(block, inside) for block, inside in occupied if np.any(inside)]
+    span = np.zeros(hamiltonian.dim, dtype=bool)
+    span[np.concatenate([block.rows.ravel() for block, _ in occupied])] = True
+    states = np.flatnonzero(span)
+    column = np.cumsum(span) - 1  # each spanned state's batch column
+    grid = np.zeros((times.size, states.size), dtype=complex)
+    for block, inside in occupied:
         values, vectors = block.eigen
         phases = np.outer(times, -1j * values)
         np.exp(phases, out=phases)
         phases *= vectors.T @ inside
-        block.scatter(grid, phases @ vectors.T)
+        block.scatter(grid, phases @ vectors.T, column)
     parts = grid.view(float)  # squared row norms without a complex temporary
     defect = np.max(np.abs(np.sqrt(np.einsum("ij,ij->i", parts, parts)) - 1.0))
     if not defect <= NORM_TOL:
         raise NumericalInstability(f"evolved norm defect {defect:.3e} exceeds {NORM_TOL}")
-    return grid
+    return states, grid
 
 
 def total_sigma_z(n_sites: int) -> np.ndarray:

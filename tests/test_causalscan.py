@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -263,18 +264,20 @@ def dense_series(config):
     """The density-matrix path over the config's grid: the kernel's oracle."""
     h = build_model(config.model)
     psi0 = initial_ket(h, config.initial)
-    return dense_values(h, psi0, config.protocol, config.grid.times, config.site_a, config.site_b)
+    (values,) = dense_values(
+        h, psi0, config.protocol, config.grid.times, config.site_a, [config.site_b]
+    )
+    return values
 
 
-def dense_values(h, psi0, protocol, times, a, b):
-    """I(B:C) after measuring A, one density matrix per time, with C the sites between A and B."""
-    part = Partition((a,), (b,), tuple(range(min(a, b) + 1, max(a, b))))
+def dense_values(h, psi0, protocol, times, a, bs):
+    """I(B:C) after measuring A, one density matrix per time, for each B in
+    `bs` with C the sites between A and B: a (len(bs), times) array."""
+    parts = [Partition((a,), (b,), tuple(range(min(a, b) + 1, max(a, b)))) for b in bs]
     instr = projective_z_instrument(a, h.n_sites)
     if protocol == "measure-at-t":
-        return np.array([
-            asymmetric_qcmi(evolve_ket(h, psi0, t).density_matrix(), part, instr)
-            for t in times
-        ])
+        states = [evolve_ket(h, psi0, t).density_matrix() for t in times]
+        return np.array([[asymmetric_qcmi(rho, part, instr) for rho in states] for part in parts])
     # Full-register branches P_x rho P_x / p_x, kept at or above the floor.
     rho = psi0.density_matrix().matrix
     hits = []
@@ -288,11 +291,12 @@ def dense_values(h, psi0, protocol, times, a, b):
     values = []
     for t in times:
         u = propagator(h, t)
-        values.append(sum(
-            p / total * mutual_information_sites(evolve(state, u), part.b, part.c)
-            for p, state in hits
-        ))
-    return np.array(values)
+        branches = [(p / total, evolve(state, u)) for p, state in hits]
+        values.append([
+            sum(w * mutual_information_sites(state, part.b, part.c) for w, state in branches)
+            for part in parts
+        ])
+    return np.array(values).T
 
 
 def oracle_cases():
@@ -305,6 +309,23 @@ def oracle_cases():
                     yield pytest.param(
                         n, kind, initial, protocol, pairs, id=f"{kind}{n}-{initial}-{protocol}"
                     )
+
+
+def reversal_odd_ket(n_sites):
+    """(|110...0> - |0...011>) / sqrt(2): site-reversal odd, so its span
+    leaves out the popcount-2 palindromes, which each charge block reads as zero."""
+    amplitudes = np.zeros(2**n_sites)
+    amplitudes[[3 << (n_sites - 2), 3]] = [2**-0.5, -(2**-0.5)]
+    return Ket(n_sites, amplitudes)
+
+
+def span_cases():
+    for n in range(3, 10):
+        for ones in sorted({1, 2, n // 2}):
+            yield pytest.param(n, "xx", "basis:" + "1" * ones + "0" * (n - ones), id=f"xx{n}-{ones}")
+        yield pytest.param(n, "xx", "ground", id=f"xx{n}-ground")
+        yield pytest.param(n, "xx", "reversal-odd", id=f"xx{n}-reversal-odd")
+        yield pytest.param(n, "tfim", "ground", id=f"tfim{n}-ground")
 
 
 class TestPureStateKernel:
@@ -336,9 +357,26 @@ class TestPureStateKernel:
             values = causalscan._pure_series(h, psi0.amplitudes, protocol, times, a, receivers)
             assert values.shape == (len(receivers), times.size)
             assert not values.flags.writeable
-            for (b, _), row in zip(receivers, values):
-                oracle = dense_values(h, psi0, protocol, times, a, b)
-                assert np.max(np.abs(row - oracle)) <= 1e-12
+            oracle = dense_values(h, psi0, protocol, times, a, [b for b, _ in receivers])
+            assert np.max(np.abs(values - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("protocol", ["measure-at-t", "quench-at-zero"])
+    @pytest.mark.parametrize("n, kind, spec", span_cases())
+    def test_kernel_matches_dense_values_on_every_span(self, n, kind, spec, protocol):
+        # Spans of C(N, 1), C(N, 2), C(N, N//2), at most C(N, N//2) and
+        # C(N, 2) - N//2 (XX) states, and of all 2^N (TFIM); senders at both
+        # ends and inside.
+        h = build_model(ChainModel(kind, n, 1.0, 0.7 if kind == "tfim" else 0.3))
+        psi0 = reversal_odd_ket(n) if spec == "reversal-odd" else initial_ket(h, spec)
+        times = np.array([0.37, 1.234])
+        senders = {0: {2, n - 1}, n - 1: {n - 3}, n // 2: {n // 2 + 2, n // 2 - 2}}
+        for a, bs in senders.items():
+            receivers = [(b, tuple(range(min(a, b) + 1, max(a, b)))) for b in bs if 0 <= b < n]
+            if not receivers:  # the middle sender of a short chain
+                continue
+            values = causalscan._pure_series(h, psi0.amplitudes, protocol, times, a, receivers)
+            oracle = dense_values(h, psi0, protocol, times, a, [b for b, _ in receivers])
+            assert np.max(np.abs(values - oracle)) <= 1e-12
 
     def test_evolved_norms_are_checked(self, monkeypatch):
         h = build_model(ChainModel("xx", 4, 1.0, 0.5))
@@ -521,15 +559,16 @@ class TestChargeBlocks:
         rng = np.random.default_rng(100 + n)
         for charge in range(n + 1):
             kets = sector_kets(n, [charge], 2, rng)
-            assert causalscan._charge(kets, n) == charge
+            register = np.arange(2**n)
+            assert causalscan._charge(register, kets, n) == charge
             states = [Ket(n, row).density_matrix() for row in kets]
             for sites in cuts(n):
-                blocks = causalscan._entropies(kets, n, sites, charge)
+                blocks = causalscan._entropies(register, kets, n, sites, charge)
                 oracle = [von_neumann_entropy(partial_trace(rho, sites)) for rho in states]
                 assert np.max(np.abs(blocks - oracle)) <= 1e-12
                 assert np.max(np.abs(blocks - one_block_formula(kets, n, sites))) <= 1e-12
             # The whole register leaves an empty complement; a pure state has entropy 0.
-            whole = causalscan._entropies(kets, n, tuple(range(n)), charge)
+            whole = causalscan._entropies(register, kets, n, tuple(range(n)), charge)
             assert np.max(np.abs(whole)) <= 1e-12
 
     @pytest.mark.parametrize("n", range(2, 11))
@@ -539,20 +578,20 @@ class TestChargeBlocks:
         for charge in range(n):
             kets = sector_kets(n, [charge], 3, rng)
             kets[2] = sector_kets(n, [charge, charge + 1], 1, rng)[0]
-            found = causalscan._charge(kets, n)
+            register = np.arange(2**n)
+            found = causalscan._charge(register, kets, n)
             assert found is None
             for sites in cuts(n) + [tuple(range(n))]:
-                assert np.array_equal(
-                    causalscan._entropies(kets, n, sites, found), one_block_formula(kets, n, sites)
-                )
+                entropies = causalscan._entropies(register, kets, n, sites, found)
+                assert np.array_equal(entropies, one_block_formula(kets, n, sites))
 
     def test_paper_scan_takes_each_site_set_once_per_branch(self, monkeypatch):
         calls = []
         entropies = causalscan._entropies
 
-        def counted(kets, n_sites, sites, charge):
+        def counted(states, kets, n_sites, sites, charge):
             calls.append((id(kets), sites))
-            return entropies(kets, n_sites, sites, charge)
+            return entropies(states, kets, n_sites, sites, charge)
 
         monkeypatch.setattr(causalscan, "_entropies", counted)
         arrival_scan(PAPER_SCAN)
@@ -583,28 +622,82 @@ class TestChargeBlocks:
         assert sorted(shapes) == sorted([(11, 2, 2), (11, 4, 4), (11, 8, 8)] * 2)
 
     @pytest.mark.parametrize("n", range(2, 11))
-    def test_evolution_leaves_exact_zeros_outside_the_occupied_sector(self, n):
+    def test_batches_span_exactly_the_occupied_popcount(self, n):
+        # An XX basis state with M ones spans the C(N, M) states of popcount M;
+        # measure-at-t branch x (the measured site dropped), the C(N-1, M-x) of
+        # popcount M - x.
         h = build_model(ChainModel("xx", n, 1.0, 0.3))
         ones, branch_ones = popcounts(n), popcounts(n - 1)
         times = TimeGrid(1.0, 0.1).times
-        for spec in ("basis:1" + "0" * (n - 1), "basis:" + ("10" * n)[:n], "ground"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)  # a degenerate ground state
-                psi0 = initial_ket(h, spec).amplitudes
-            (charge,) = np.unique(ones[psi0 != 0.0])
-            # measure-at-t: site 0 sliced out of psi(t); the branch keeps charge - x.
-            grid = _evolve_grid(h, psi0, times)
-            for x, (weights, kets) in enumerate(causalscan._measure_z(grid, 0, n)):
-                assert np.all(kets[:, branch_ones != charge - x] == 0.0)
-                if np.any(weights > 0.0):
-                    assert causalscan._charge(kets, n - 1) == charge - x
-            # quench-at-zero: each outcome of site 0 at t = 0, evolved on the full register.
-            for x in (0, 1):
-                branch = np.where(np.arange(2**n) >> (n - 1) == x, psi0, 0.0)
-                if np.any(branch != 0.0):
-                    kets = _evolve_grid(h, branch / np.linalg.norm(branch), times)
-                    assert np.all(kets[:, ones != charge] == 0.0)
-                    assert causalscan._charge(kets, n) == charge
+        for spec in ("basis:1" + "0" * (n - 1), "basis:" + ("10" * n)[:n], "basis:" + "1" * n):
+            psi0 = initial_ket(h, spec).amplitudes
+            charge = spec.count("1")
+            states, kets = _evolve_grid(h, psi0, times)
+            assert np.array_equal(states, np.flatnonzero(ones == charge))
+            assert states.size == math.comb(n, charge) and kets.shape == (times.size, states.size)
+            assert causalscan._charge(states, kets, n) == charge
+            for a in sorted({0, n // 2, n - 1}):
+                branches = causalscan._measure_z(states, kets, a, n)
+                kept = causalscan._measure_z(states, kets, a, n, keep_site=True)
+                assert len(branches) == len(kept) == (2 if 0 < charge < n else 1)
+                for (_, (inside, branch)), (_, (full, _)) in zip(branches, kept):
+                    bits = [format(s, f"0{n}b") for s in full]
+                    (x,) = {int(b[a]) for b in bits}
+                    assert np.array_equal(full, np.flatnonzero((ones == charge) & (
+                        np.arange(2**n) >> (n - 1 - a) & 1 == x
+                    )))
+                    assert list(inside) == [int(b[:a] + b[a + 1:], 2) for b in bits]
+                    assert np.array_equal(inside, np.flatnonzero(branch_ones == charge - x))
+                    assert inside.size == math.comb(n - 1, charge - x)
+                    assert causalscan._charge(inside, branch, n - 1) == charge - x
+            # quench-at-zero: an outcome of site 0 at t = 0 keeps popcount M.
+            for _, (full, ket) in causalscan._measure_z(
+                np.arange(2**n), psi0[None], 0, n, keep_site=True
+            ):
+                branch = np.zeros(2**n, dtype=complex)
+                branch[full] = ket[0]
+                assert np.array_equal(_evolve_grid(h, branch, times)[0], states)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_ground_states_span_their_sectors(self, n):
+        times = TimeGrid(1.0, 0.1).times
+        tfim = build_model(ChainModel("tfim", n, 1.0, 0.7))
+        states, kets = _evolve_grid(tfim, initial_ket(tfim, "ground").amplitudes, times)
+        assert np.array_equal(states, np.arange(2**n))
+        assert causalscan._charge(states, kets, n) is None
+        # The XX ground state lies in one popcount sector, perhaps in one site-
+        # reversal block of it, so its span is that popcount's states or fewer.
+        xx = build_model(ChainModel("xx", n, 1.0, 0.3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a degenerate ground state
+            psi0 = initial_ket(xx, "ground").amplitudes
+        (charge,) = np.unique(popcounts(n)[psi0 != 0.0])
+        states, kets = _evolve_grid(xx, psi0, times)
+        assert np.all(popcounts(n)[states] == charge)
+        assert np.all(np.isin(np.flatnonzero(psi0), states))
+        assert causalscan._charge(states, kets, n) == charge
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_a_reversal_odd_state_spans_no_palindrome(self, n):
+        h = build_model(ChainModel("xx", n, 1.0, 0.3))
+        states, kets = _evolve_grid(h, reversal_odd_ket(n).amplitudes, TimeGrid(1.0, 0.1).times)
+        bits = [format(s, f"0{n}b") for s in range(2**n)]
+        odd = [i for i, b in enumerate(bits) if b.count("1") == 2 and b != b[::-1]]
+        assert list(states) == odd and states.size == math.comb(n, 2) - n // 2
+        assert causalscan._charge(states, kets, n) == 2
+
+    def test_paper_scan_evolves_one_excitation_batch(self, monkeypatch):
+        batches = []
+
+        def recorded(*args):
+            batches.append(_evolve_grid(*args))
+            return batches[-1]
+
+        monkeypatch.setattr(causalscan, "_evolve_grid", recorded)
+        arrival_scan(PAPER_SCAN)
+        ((states, kets),) = batches
+        assert kets.shape == (501, 8)
+        assert np.array_equal(states, 1 << np.arange(8))
 
 
 def fake_branches(rows, rng):

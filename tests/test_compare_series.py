@@ -32,3 +32,28 @@ def test_an_empty_series_fails(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("# command: timeseries\nt,qcmi_bits\n")
     assert main(empty, empty) != 0
+
+
+ARRIVALS = "# command: arrival-scan\nd,t_arr\n2,0.31\n3,0.64\n4,\n"
+
+
+@pytest.mark.parametrize(
+    "got, passes",
+    [
+        (ARRIVALS, True),
+        (ARRIVALS.replace("0.64", "0.6400000000001"), True),
+        (ARRIVALS.replace("3,0.64", "3,"), False),
+        (ARRIVALS.replace("4,\n", "4,1.02\n"), False),
+    ],
+    ids=["never crossed on both sides", "within 1e-9", "crossed only in the reference",
+         "crossed only in the run"],
+)
+def test_a_row_that_never_crossed_matches_only_its_like(tmp_path, got, passes):
+    got_path, want_path = tmp_path / "got.csv", tmp_path / "want.csv"
+    got_path.write_text(got)
+    want_path.write_text(ARRIVALS)
+    message = main(got_path, want_path)
+    assert (message == 0) is passes
+    if not passes:
+        row = 2 if "3,\n" in got else 3
+        assert message.startswith(f"data row {row} is ")
