@@ -7,9 +7,9 @@ no term changes it (XX; TFIM at h = 0), else the spin-flip parity, each
 split once more by site reversal. Blocks are diagonalized on first use. A
 pure state evolves only in the sectors it occupies, into a batch (states,
 amplitudes): the sorted register indices those sectors span and a (times,
-states) array. The one dense form of H is its eigendecomposition
-`spectrum`, read by `ground_state` and `propagator`. Units: hbar = 1,
-couplings dimensionless, time in units of 1/J.
+states) array; `ground_state` is read from the blocks too. The one dense
+form of H is its eigendecomposition `spectrum`, read by `propagator`.
+Units: hbar = 1, couplings dimensionless, time in units of 1/J.
 """
 
 from __future__ import annotations
@@ -80,8 +80,9 @@ class Hamiltonian:
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and sign-fixed orthonormal eigenvectors.
 
-        The blocks placed into one dense dim x dim matrix; scans read the
-        blocks instead. Equal eigenvalues keep the sector order.
+        The blocks placed into one dense dim x dim matrix, for `propagator`;
+        scans and `ground_state` read the blocks instead. Equal eigenvalues
+        keep the sector order.
         """
         blocks = self._blocks
         values = np.concatenate([block.eigen[0] for block in blocks])
@@ -283,13 +284,19 @@ class GroundState:
 def ground_state(hamiltonian: Hamiltonian) -> GroundState:
     """Lowest-energy eigenvector; flags (near-)degeneracy instead of failing.
 
-    Column 0 of `spectrum`, so every sector is diagonalized. An exact tie
-    across sectors goes to the first in the fixed order of `_orbit_sectors`
+    Read from the blocks, so every sector is diagonalized but the dense
+    `spectrum` is never placed: the state is column 0 of the block with the
+    lowest value, the gap the next value over all blocks. An exact tie across
+    sectors goes to the first in the fixed order of `_orbit_sectors`
     (ascending popcount, else even parity first; reversal-even before odd),
-    on every build: TFIM with h = 0 gives |0...0>."""
-    values, vectors = check_instance(hamiltonian, Hamiltonian, "hamiltonian").spectrum
-    ket = Ket(hamiltonian.n_sites, vectors[:, 0])
-    return GroundState(state=ket, energy=float(values[0]), gap=float(values[1] - values[0]))
+    as in `spectrum`, on every build: TFIM with h = 0 gives |0...0>."""
+    blocks = check_instance(hamiltonian, Hamiltonian, "hamiltonian")._blocks
+    lowest = blocks[int(np.argmin([block.eigen[0][0] for block in blocks]))]
+    energy, above = np.sort(np.concatenate([block.eigen[0][:2] for block in blocks]))[:2]
+    amplitudes = np.zeros(hamiltonian.dim)
+    lowest.scatter(amplitudes, lowest.eigen[1][:, 0], np.arange(hamiltonian.dim))
+    ket = Ket(hamiltonian.n_sites, amplitudes)
+    return GroundState(state=ket, energy=float(energy), gap=float(above - energy))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from qcausal import (
     PAULI_Y,
     PAULI_Z,
     DensityMatrix,
+    Hamiltonian,
     JointDistribution,
     Ket,
     ccmi_symmetric,
@@ -223,3 +224,12 @@ def count_eigh(monkeypatch, solver="eigh"):
 
     monkeypatch.setattr(np.linalg, solver, counted)
     return shapes
+
+
+def refuse_spectrum(monkeypatch):
+    """Make any read of `Hamiltonian.spectrum`, the dense eigenvector matrix, fail."""
+
+    def refuse(hamiltonian):
+        raise AssertionError("the dense spectrum was formed")
+
+    monkeypatch.setattr(Hamiltonian, "spectrum", property(refuse))

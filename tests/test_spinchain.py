@@ -21,8 +21,9 @@ from qcausal import (
     total_sigma_z,
     von_neumann_entropy,
 )
-from qcausal.spinchain import DEGENERACY_GAP, _BitAction, _evolve_grid
+from qcausal.spinchain import DEGENERACY_GAP, _BitAction, _Block, _evolve_grid
 from helpers import count_eigh, dense_tfim, dense_xx, random_density, random_ket
+from helpers import refuse_spectrum
 
 ORACLES = {"tfim": dense_tfim, "xx": dense_xx}
 PARAMETERS = (0.0, 0.7, -0.7, 1.0, 1.3)
@@ -308,15 +309,51 @@ class TestSectorBlocks:
         assert tied > 0
 
     @pytest.mark.parametrize("kind", sorted(ORACLES))
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_ground_state_is_column_zero_of_the_spectrum(self, kind, n):
-        for h in PARAMETERS:
-            hamiltonian = build_model(ChainModel(kind, n, 1.0, h))
-            gs = ground_state(hamiltonian)
-            values, vectors = hamiltonian.spectrum
-            assert gs.energy == values[0]
-            assert np.array_equal(gs.state.amplitudes, vectors[:, 0])
-            assert gs.degenerate == (values[1] - values[0] < DEGENERACY_GAP)
+        # Every (J, h) in PARAMETERS^2 up to N = 8, J = 1 at N = 9 and 10.
+        for j in PARAMETERS if n <= 8 else (1.0,):
+            for h in PARAMETERS:
+                hamiltonian = build_model(ChainModel(kind, n, j, h))
+                gs = ground_state(hamiltonian)
+                values, vectors = hamiltonian.spectrum
+                assert gs.energy == values[0]
+                assert gs.gap == values[1] - values[0]
+                assert gs.degenerate == (values[1] - values[0] < DEGENERACY_GAP)
+                assert np.array_equal(gs.state.amplitudes, vectors[:, 0])
+
+    @pytest.mark.parametrize(
+        "kind, h", [("xx", 0.3), ("tfim", 0.7), ("tfim", 0.0)],
+        ids=["xx", "tfim", "tfim-degenerate"],
+    )
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_ground_state_never_reads_the_spectrum(self, monkeypatch, kind, h, n):
+        refuse_spectrum(monkeypatch)
+        gs = ground_state(build_model(ChainModel(kind, n, 1.0, h)))
+        oracle = ORACLES[kind](n, 1.0, h)
+        values = np.linalg.eigvalsh(oracle)
+        psi = gs.state.amplitudes
+        assert abs(gs.energy - values[0]) <= 1e-10
+        assert abs(gs.gap - (values[1] - values[0])) <= 1e-10
+        assert np.linalg.norm(oracle @ psi - gs.energy * psi) <= 1e-10
+        assert gs.degenerate == (h == 0.0)
+        if h == 0.0:  # |0...0> and |1...1> tie; the first sector's wins
+            assert np.array_equal(psi, basis_ket([0] * n).amplitudes)
+
+    @pytest.mark.parametrize("kind", sorted(ORACLES))
+    def test_gap_inside_one_block(self, kind):
+        # The chains tested here have their two lowest levels in different
+        # sectors; with the whole register as one block, the gap must come
+        # from inside that block.
+        hamiltonian = build_model(ChainModel(kind, 6, 1.0, 0.7))
+        rows, factors = np.arange(64)[None], np.ones((1, 64))
+        hamiltonian._blocks = [_Block(hamiltonian._action, rows, factors)]
+        gs = ground_state(hamiltonian)
+        values, vectors = hamiltonian.spectrum
+        assert gs.energy == values[0] and gs.gap == values[1] - values[0]
+        assert np.array_equal(gs.state.amplitudes, vectors[:, 0])
+        oracle = np.linalg.eigvalsh(ORACLES[kind](6, 1.0, 0.7))
+        assert abs(gs.gap - (oracle[1] - oracle[0])) <= 1e-10
 
     def test_ground_state_diagonalizes_every_sector(self, monkeypatch):
         # Each popcount block splits into its reversal-even and -odd halves;
