@@ -15,19 +15,21 @@ the kernel runs on batches (states, amplitudes): the sorted register indices
 the occupied sectors span and a (times, states) array: all 2^N for a TFIM
 scan at h != 0, the C(N, M) of popcount M for an XX basis state. psi(t)
 is evolved once for all times and A measured by splitting `states` on its
-bit. Each distinct B, C or BC site set is taken once per branch. When every
-nonzero amplitude of a branch has one popcount M (the XX chain conserves
-it), each cut splits into one block per subsystem popcount q, against
-complement popcount M - q; otherwise it is one block. One `eigvalsh` call
-per block, site set and branch covers all times, on the Gram matrix of the
-smaller side, and the clamp rules of `asymmetric_qcmi` apply to every time
-at once. The tests hold this kernel to the dense density-matrix functions.
+bit. Each branch takes one entropy pass over every distinct B, C or BC site
+set. When all of a branch's `states` have one popcount M (the XX chain
+conserves it, so its batches span one popcount), each cut splits into one
+block per subsystem popcount q, against complement popcount M - q;
+otherwise it is one block. One `eigvalsh` call per block, site set and
+branch covers all times, on the Gram matrix of the smaller side, and the
+clamp rules of `asymmetric_qcmi` apply to every time at once. The tests
+hold this kernel to the dense density-matrix functions.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -53,12 +55,12 @@ DEFAULT_THRESHOLD = 0.03
 
 # Largest (grid points) x 2^N complex amplitude count a scan may reach: 2^25,
 # 512 MiB, checked before the build. It is the worst case, which a TFIM state
-# fills; an XX basis state with M ones holds points x C(N, M). Measured
-# full-batch scan peaks (tracemalloc, build included; N = 4, 8, 12, both
-# protocols, basis and ground states) were 2 to 5.25 times the batch, plus
-# about 160 MiB of dense eigenvectors for a ground state at N = 12: under
-# about 3 GiB at the limit, 8192 points at N = 12. At 4096 points a TFIM
-# ground-state quench-at-zero series peaked at 1514 MiB resident.
+# fills; an XX basis state with M ones holds points x C(N, M). Measured series
+# peaks (tracemalloc, build included; N = 4, 8, 12 at 2^22 amplitudes, TFIM and
+# XX, both protocols, basis and ground states) were at most 5.5 times the batch,
+# for a TFIM ground-state quench-at-zero series: under about 3 GiB at the
+# limit, 8192 points at N = 12. At 4096 points that series at N = 12 took 22 s
+# (2-core x86, one BLAS thread) and peaked at 1388 MiB resident.
 MAX_SCAN_AMPLITUDES = 2**25
 
 
@@ -239,51 +241,49 @@ def _measure_z(states: np.ndarray, kets: np.ndarray, site: int, n_sites: int, ke
     ]
 
 
-def _charge(states: np.ndarray, kets: np.ndarray, n_sites: int) -> int | None:
-    """The popcount of every state whose batch column is nonzero; None if
-    they have more than one (or none)."""
-    occupied = states[np.any(kets != 0.0, axis=0)]
-    # bincount, not np.unique: a sort pages in about 1 MiB more of numpy's code.
-    counts = np.flatnonzero(np.bincount(_site_bits(n_sites).sum(axis=1)[occupied]))
-    return int(counts[0]) if counts.size == 1 else None
-
-
 def _entropies(
-    states: np.ndarray, kets: np.ndarray, n_sites: int, sites: tuple[int, ...], charge: int | None
-) -> np.ndarray:
-    """Entropy of `sites` for every pure state in a (states, kets) batch.
+    states: np.ndarray, kets: np.ndarray, n_sites: int, site_sets: Iterable[tuple[int, ...]]
+) -> dict[tuple[int, ...], np.ndarray]:
+    """Entropy of every site set in `site_sets` for each pure state in a
+    (states, kets) batch, as a dict of per-row arrays.
 
     A state's amplitudes form a matrix, subsystem by complement
-    configurations; an index outside `states` reads zero. If every state has
-    popcount `charge` M, it is block diagonal: q ones on `sites` go with M - q
-    on the complement, and the blocks' joined spectra give the entropy. With
-    `charge` None the matrix is one block. The reduced states of `sites` and
-    of its complement share their nonzero spectrum, so each block's Gram
-    matrix is formed on its smaller side.
+    configurations; an index outside `states` reads zero. If all of `states`
+    have one popcount M, it is block diagonal: q ones on the site set go with
+    M - q on the complement, and the blocks' joined spectra give the entropy.
+    If `states` hold several popcounts, the matrix is one block. The reduced
+    states of a site set and of its complement share their nonzero spectrum,
+    so each block's Gram matrix is formed on its smaller side.
     """
-    rest = tuple(s for s in range(n_sites) if s not in sites)
-    row_bits, col_bits = _site_bits(len(sites)), _site_bits(len(rest))
-    # Register index of each configuration; site s is bit n - 1 - s.
-    rows = row_bits @ (1 << (n_sites - 1 - np.array(sites, dtype=int)))
-    cols = col_bits @ (1 << (n_sites - 1 - np.array(rest, dtype=int)))
-    if charge is None:
-        blocks = [(rows, cols)]
-    else:
-        row_ones, col_ones = row_bits.sum(axis=1), col_bits.sum(axis=1)
-        blocks = [
-            (rows[row_ones == q], cols[col_ones == charge - q])
-            for q in range(max(0, charge - len(rest)), min(len(sites), charge) + 1)
-        ]
+    registers = np.arange(2**n_sites)
+    ones = _site_bits(n_sites).sum(axis=1)
     column = np.full(2**n_sites, -1)
     column[states] = np.arange(states.size)
-    spectra = []
-    for block in blocks:
-        small, large = sorted(block, key=len)
-        index = column[small[:, None] + large]
-        mat = np.take(kets, index, axis=1)
-        mat[:, index < 0] = 0.0
-        spectra.append(np.linalg.eigvalsh(mat @ mat.conj().transpose(0, 2, 1)))
-    return entropies_from_eigenvalues(np.concatenate(spectra, axis=-1))
+    # bincount, not np.unique: a sort pages in about 1 MiB more of numpy's code.
+    charges = np.flatnonzero(np.bincount(ones[states]))
+    charge = int(charges[0]) if charges.size == 1 else None
+    entropies = {}
+    for sites in site_sets:
+        # Register indices of the set's configurations and of its complement's;
+        # site s is bit n - 1 - s.
+        mask = sum(1 << (n_sites - 1 - s) for s in sites)
+        rows, cols = registers[registers & mask == registers], registers[registers & mask == 0]
+        if charge is None:
+            blocks = [(rows, cols)]
+        else:
+            blocks = [
+                (rows[ones[rows] == q], cols[ones[cols] == charge - q])
+                for q in range(max(0, charge - n_sites + len(sites)), min(len(sites), charge) + 1)
+            ]
+        spectra = []
+        for block in blocks:
+            small, large = sorted(block, key=len)
+            index = column[small[:, None] + large]
+            mat = np.take(kets, index, axis=1)
+            mat[:, index < 0] = 0.0
+            spectra.append(np.linalg.eigvalsh(mat @ mat.conj().transpose(0, 2, 1)))
+        entropies[sites] = entropies_from_eigenvalues(np.concatenate(spectra, axis=-1))
+    return entropies
 
 
 def _branch_average(
@@ -328,11 +328,7 @@ def _pure_series(
         register, shift = n, list(range(n))
     pairs = [((shift[b],), tuple(shift[s] for s in c)) for b, c in receivers]
     site_sets = {sites for b, c in pairs for sites in (b, c, tuple(sorted(b + c)))}
-    tables = []
-    for weights, batch in branches:
-        charge = _charge(*batch, register)
-        entropies = {sites: _entropies(*batch, register, sites, charge) for sites in site_sets}
-        tables.append((weights, entropies))
+    tables = [(weights, _entropies(*batch, register, site_sets)) for weights, batch in branches]
     values = np.array([_branch_average(tables, b, c) for b, c in pairs])
     values.setflags(write=False)
     return values

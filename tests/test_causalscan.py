@@ -543,23 +543,36 @@ def one_block_formula(kets, n_sites, sites):
     return entropies_from_eigenvalues(np.linalg.eigvalsh(gram))
 
 
+def sector_batch(n_sites, charges, kets):
+    """The (states, kets) batch of `kets` on the states whose popcount is in
+    `charges`: the span a scan's batch holds."""
+    states = np.flatnonzero(np.isin(popcounts(n_sites), charges))
+    return states, kets[:, states]
+
+
+def partial_trace_entropies(kets, n_sites, sites):
+    """The dense oracle: S(sites) of each row by partial trace."""
+    return [von_neumann_entropy(partial_trace(Ket(n_sites, row).density_matrix(), sites))
+            for row in kets]
+
+
 class TestChargeBlocks:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_sector_kets_match_partial_trace_and_one_block(self, n):
         rng = np.random.default_rng(100 + n)
         for charge in range(n + 1):
             kets = sector_kets(n, [charge], 2, rng)
-            register = np.arange(2**n)
-            assert causalscan._charge(register, kets, n) == charge
-            states = [Ket(n, row).density_matrix() for row in kets]
+            states, batch = sector_batch(n, [charge], kets)
+            assert np.array_equal(np.unique(popcounts(n)[states]), [charge])
+            whole = tuple(range(n))
+            entropies = causalscan._entropies(states, batch, n, cuts(n) + [whole])
             for sites in cuts(n):
-                blocks = causalscan._entropies(register, kets, n, sites, charge)
-                oracle = [von_neumann_entropy(partial_trace(rho, sites)) for rho in states]
+                blocks = entropies[sites]
+                oracle = partial_trace_entropies(kets, n, sites)
                 assert np.max(np.abs(blocks - oracle)) <= 1e-12
                 assert np.max(np.abs(blocks - one_block_formula(kets, n, sites))) <= 1e-12
             # The whole register leaves an empty complement; a pure state has entropy 0.
-            whole = causalscan._entropies(register, kets, n, tuple(range(n)), charge)
-            assert np.max(np.abs(whole)) <= 1e-12
+            assert np.max(np.abs(entropies[whole])) <= 1e-12
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_two_popcounts_take_the_one_block_formula(self, n):
@@ -568,30 +581,48 @@ class TestChargeBlocks:
         for charge in range(n):
             kets = sector_kets(n, [charge], 3, rng)
             kets[2] = sector_kets(n, [charge, charge + 1], 1, rng)[0]
-            register = np.arange(2**n)
-            found = causalscan._charge(register, kets, n)
-            assert found is None
-            for sites in cuts(n) + [tuple(range(n))]:
-                entropies = causalscan._entropies(register, kets, n, sites, found)
-                assert np.array_equal(entropies, one_block_formula(kets, n, sites))
+            states, batch = sector_batch(n, [charge, charge + 1], kets)
+            assert np.array_equal(np.unique(popcounts(n)[states]), [charge, charge + 1])
+            site_sets = cuts(n) + [tuple(range(n))]
+            entropies = causalscan._entropies(states, batch, n, site_sets)
+            for sites in site_sets:
+                assert np.array_equal(entropies[sites], one_block_formula(kets, n, sites))
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_the_span_not_the_amplitudes_sets_the_charge(self, n, monkeypatch):
+        # Every amplitude has popcount 2 both times; only the span differs.
+        kets = sector_kets(n, [2], 3, np.random.default_rng(300 + n))
+        sites = tuple(range(1, n, 2))
+        k = len(sites)
+        oracle = partial_trace_entropies(kets, n, sites)
+        shapes = count_eigh(monkeypatch, "eigvalsh")
+        for charges, sizes in [
+            # One popcount: a block per q ones on the set, formed on its smaller side.
+            ([2], [min(math.comb(k, q), math.comb(n - k, 2 - q)) for q in range(3)]),
+            # Two popcounts: one block over every configuration of the set.
+            ([2, 3], [2 ** min(k, n - k)]),
+        ]:
+            shapes.clear()
+            states, batch = sector_batch(n, charges, kets)
+            (entropies,) = causalscan._entropies(states, batch, n, [sites]).values()
+            assert shapes == [(3, size, size) for size in sizes]
+            assert np.max(np.abs(entropies - oracle)) <= 1e-12
 
     def test_paper_scan_takes_each_site_set_once_per_branch(self, monkeypatch):
         calls = []
         entropies = causalscan._entropies
 
-        def counted(states, kets, n_sites, sites, charge):
-            calls.append((id(kets), sites))
-            return entropies(states, kets, n_sites, sites, charge)
+        def counted(states, kets, n_sites, site_sets):
+            calls.append(list(site_sets))
+            return entropies(states, kets, n_sites, site_sets)
 
         monkeypatch.setattr(causalscan, "_entropies", counted)
         arrival_scan(PAPER_SCAN)
-        # Two branches x 13 site sets: B = {d-1} and C = {0..d-2} for d = 2..7
-        # in the 7-site branch register; BC at d is C at d+1, but for {0..6}.
-        assert len(calls) == 26
-        per_branch = {}
-        for branch, sites in calls:
-            per_branch.setdefault(branch, set()).add(sites)
-        assert [len(sets) for sets in per_branch.values()] == [13, 13]
+        # One call per branch, each with 13 site sets: B = {d-1} and
+        # C = {0..d-2} for d = 2..7 in the 7-site branch register; BC at d is
+        # C at d+1, but for {0..6}.
+        assert [len(site_sets) for site_sets in calls] == [13, 13]
+        assert all(len(set(site_sets)) == 13 for site_sets in calls)
 
     def test_paper_scan_diagonalizes_only_one_by_one_blocks(self, monkeypatch):
         shapes = count_eigh(monkeypatch, "eigvalsh")
@@ -625,7 +656,7 @@ class TestChargeBlocks:
             states, kets = _evolve_grid(h, psi0, times)
             assert np.array_equal(states, np.flatnonzero(ones == charge))
             assert states.size == math.comb(n, charge) and kets.shape == (times.size, states.size)
-            assert causalscan._charge(states, kets, n) == charge
+            assert np.array_equal(np.unique(ones[states]), [charge])
             for a in sorted({0, n // 2, n - 1}):
                 branches = causalscan._measure_z(states, kets, a, n)
                 kept = causalscan._measure_z(states, kets, a, n, keep_site=True)
@@ -639,7 +670,7 @@ class TestChargeBlocks:
                     assert list(inside) == [int(b[:a] + b[a + 1:], 2) for b in bits]
                     assert np.array_equal(inside, np.flatnonzero(branch_ones == charge - x))
                     assert inside.size == math.comb(n - 1, charge - x)
-                    assert causalscan._charge(inside, branch, n - 1) == charge - x
+                    assert np.array_equal(np.unique(branch_ones[inside]), [charge - x])
             # quench-at-zero: an outcome of site 0 at t = 0 keeps popcount M.
             for _, (full, ket) in causalscan._measure_z(
                 np.arange(2**n), psi0[None], 0, n, keep_site=True
@@ -652,9 +683,9 @@ class TestChargeBlocks:
     def test_ground_states_span_their_sectors(self, n):
         times = TimeGrid(1.0, 0.1).times
         tfim = build_model(ChainModel("tfim", n, 1.0, 0.7))
-        states, kets = _evolve_grid(tfim, initial_ket(tfim, "ground").amplitudes, times)
+        states, _ = _evolve_grid(tfim, initial_ket(tfim, "ground").amplitudes, times)
         assert np.array_equal(states, np.arange(2**n))
-        assert causalscan._charge(states, kets, n) is None
+        assert np.array_equal(np.unique(popcounts(n)[states]), np.arange(n + 1))
         # The XX ground state lies in one popcount sector, perhaps in one site-
         # reversal block of it, so its span is that popcount's states or fewer.
         xx = build_model(ChainModel("xx", n, 1.0, 0.3))
@@ -662,19 +693,18 @@ class TestChargeBlocks:
             warnings.simplefilter("ignore", RuntimeWarning)  # a degenerate ground state
             psi0 = initial_ket(xx, "ground").amplitudes
         (charge,) = np.unique(popcounts(n)[psi0 != 0.0])
-        states, kets = _evolve_grid(xx, psi0, times)
-        assert np.all(popcounts(n)[states] == charge)
+        states, _ = _evolve_grid(xx, psi0, times)
+        assert np.array_equal(np.unique(popcounts(n)[states]), [charge])
         assert np.all(np.isin(np.flatnonzero(psi0), states))
-        assert causalscan._charge(states, kets, n) == charge
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_a_reversal_odd_state_spans_no_palindrome(self, n):
         h = build_model(ChainModel("xx", n, 1.0, 0.3))
-        states, kets = _evolve_grid(h, reversal_odd_ket(n).amplitudes, TimeGrid(1.0, 0.1).times)
+        states, _ = _evolve_grid(h, reversal_odd_ket(n).amplitudes, TimeGrid(1.0, 0.1).times)
         bits = [format(s, f"0{n}b") for s in range(2**n)]
         odd = [i for i, b in enumerate(bits) if b.count("1") == 2 and b != b[::-1]]
         assert list(states) == odd and states.size == math.comb(n, 2) - n // 2
-        assert causalscan._charge(states, kets, n) == 2
+        assert np.array_equal(np.unique(popcounts(n)[states]), [2])
 
     def test_paper_scan_evolves_one_excitation_batch(self, monkeypatch):
         batches = []
