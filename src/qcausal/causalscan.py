@@ -19,17 +19,18 @@ bit. Each branch takes one entropy pass over every distinct B, C or BC site
 set. When all of a branch's `states` have one popcount M (the XX chain
 conserves it, so its batches span one popcount), each cut splits into one
 block per subsystem popcount q, against complement popcount M - q;
-otherwise it is one block. One `eigvalsh` call per block, site set and
-branch covers all times, on the Gram matrix of the smaller side, and the
-clamp rules of `asymmetric_qcmi` apply to every time at once. The tests
-hold this kernel to the dense density-matrix functions.
+otherwise it is one block. A block of rank one (one row or column) has its
+weight as its eigenvalue, all of a branch's from one product of |psi_j|^2
+with a 0/1 table; only wider blocks call `eigvalsh`, on their smaller side's
+Gram matrix. One entropy call per branch covers every site set and time,
+and the clamp rules of `asymmetric_qcmi` apply to all rows at once. The
+tests hold this kernel to the dense density-matrix functions.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -242,64 +243,82 @@ def _measure_z(states: np.ndarray, kets: np.ndarray, site: int, n_sites: int, ke
 
 
 def _entropies(
-    states: np.ndarray, kets: np.ndarray, n_sites: int, site_sets: Iterable[tuple[int, ...]]
-) -> dict[tuple[int, ...], np.ndarray]:
+    states: np.ndarray, kets: np.ndarray, n_sites: int, site_sets: list[tuple[int, ...]]
+) -> np.ndarray:
     """Entropy of every site set in `site_sets` for each pure state in a
-    (states, kets) batch, as a dict of per-row arrays.
+    (states, kets) batch: a (site sets, rows) array.
 
     A state's amplitudes form a matrix, subsystem by complement
     configurations; an index outside `states` reads zero. If all of `states`
     have one popcount M, it is block diagonal: q ones on the site set go with
     M - q on the complement, and the blocks' joined spectra give the entropy.
-    If `states` hold several popcounts, the matrix is one block. The reduced
-    states of a site set and of its complement share their nonzero spectrum,
-    so each block's Gram matrix is formed on its smaller side.
+    If `states` hold several popcounts, the matrix is one block. A block one
+    configuration high or wide has rank one, and its one eigenvalue is its
+    weight, the sum of |psi_j|^2 over the states it holds. A wider block
+    takes `eigvalsh` of its Gram matrix on its smaller side: the reduced
+    states of a site set and of its complement share their nonzero spectrum.
     """
-    registers = np.arange(2**n_sites)
     ones = _site_bits(n_sites).sum(axis=1)
-    column = np.full(2**n_sites, -1)
-    column[states] = np.arange(states.size)
     # bincount, not np.unique: a sort pages in about 1 MiB more of numpy's code.
     charges = np.flatnonzero(np.bincount(ones[states]))
     charge = int(charges[0]) if charges.size == 1 else None
-    entropies = {}
+    # Every block as (mask, q ones under it, size of its smaller side), set by
+    # set and in q order. A several-popcount span makes one block per set, with
+    # no q; the whole register's holds every state: 0 ones under an empty mask.
+    blocks, starts = [], []
     for sites in site_sets:
+        mask, size = sum(1 << (n_sites - 1 - s) for s in sites), len(sites)
+        starts.append(len(blocks))
+        if charge is None:
+            rank = 2 ** min(size, n_sites - size)
+            blocks.append((mask, None, rank) if rank > 1 else (0, 0, 1))
+        else:
+            blocks += [
+                (mask, q, min(math.comb(size, q), math.comb(n_sites - size, charge - q)))
+                for q in range(max(0, charge - n_sites + size), min(size, charge) + 1)
+            ]
+    offsets = np.cumsum([0] + [rank for _, _, rank in blocks])
+    eigenvalues = np.empty((kets.shape[0], offsets[-1]))
+    single = [i for i, (_, _, rank) in enumerate(blocks) if rank == 1]
+    if single:
+        # All rank-one weights from one product of |psi_j|^2 with 0/1 picks;
+        # einsum, not @: a float64 matmul here would be the process's first dgemm.
+        masks, qs = np.array([blocks[i][:2] for i in single]).T
+        squares = np.square(kets.real) + np.square(kets.imag)
+        picks = ones[states[:, None] & masks] == qs
+        eigenvalues[:, offsets[single]] = np.einsum("ts,sb->tb", squares, picks)
+    registers = np.arange(2**n_sites)
+    column = np.full(2**n_sites, -1)
+    column[states] = np.arange(states.size)
+    for i, (mask, q, rank) in enumerate(blocks):
+        if rank == 1:
+            continue
         # Register indices of the set's configurations and of its complement's;
         # site s is bit n - 1 - s.
-        mask = sum(1 << (n_sites - 1 - s) for s in sites)
         rows, cols = registers[registers & mask == registers], registers[registers & mask == 0]
-        if charge is None:
-            blocks = [(rows, cols)]
-        else:
-            blocks = [
-                (rows[ones[rows] == q], cols[ones[cols] == charge - q])
-                for q in range(max(0, charge - n_sites + len(sites)), min(len(sites), charge) + 1)
-            ]
-        spectra = []
-        for block in blocks:
-            small, large = sorted(block, key=len)
-            index = column[small[:, None] + large]
-            mat = np.take(kets, index, axis=1)
-            mat[:, index < 0] = 0.0
-            spectra.append(np.linalg.eigvalsh(mat @ mat.conj().transpose(0, 2, 1)))
-        entropies[sites] = entropies_from_eigenvalues(np.concatenate(spectra, axis=-1))
-    return entropies
+        if q is not None:
+            rows, cols = rows[ones[rows] == q], cols[ones[cols] == charge - q]
+        small, large = sorted((rows, cols), key=len)
+        index = column[small[:, None] + large]
+        mat = np.take(kets, index, axis=1)
+        mat[:, index < 0] = 0.0
+        eigenvalues[:, offsets[i]:offsets[i + 1]] = np.linalg.eigvalsh(
+            mat @ mat.conj().transpose(0, 2, 1)
+        )
+    return entropies_from_eigenvalues(eigenvalues, offsets[starts]).T
 
 
-def _branch_average(
-    branches: list[tuple[np.ndarray, dict]], b: tuple[int, ...], c: tuple[int, ...]
-) -> np.ndarray:
-    """Per-row sum over branches of weight * I(B:C), clamped as in `asymmetric_qcmi`.
+def _branch_average(branches: list[tuple[np.ndarray, np.ndarray]], cuts: np.ndarray) -> np.ndarray:
+    """(receivers, rows) sum over branches of weight * I(B:C), clamped as in `asymmetric_qcmi`.
 
-    Each branch is (weights, entropies), where `entropies` maps every site
-    set of the scan (sorted) to its per-row entropy, taken once per branch.
-    A branch's term is checked and clamped only on rows where its weight is
-    positive; elsewhere the branch was dropped and contributes nothing.
+    Each branch is (weights, its (site sets, rows) entropies); row r of `cuts`
+    holds receiver r's B, C and BC site-set indices. A branch's term is checked
+    and clamped only on rows where its weight is positive; elsewhere the branch
+    was dropped and contributes nothing.
     """
-    values = np.zeros(branches[0][0].size)
-    bc = tuple(sorted(b + c))
+    values = np.zeros((len(cuts), branches[0][0].size))
     for weights, entropies in branches:
-        s_b, s_c, s_bc = (entropies[sites] for sites in (b, c, bc))
+        s_b, s_c, s_bc = entropies[cuts.T]
         values += weights * _clamped_values(np.where(weights > 0.0, s_b + s_c - s_bc, 0.0))
     return _clamped_values(values)
 
@@ -315,21 +334,28 @@ def _pure_series(
     one; quench-at-zero keeps A, in its measured state, in the register.
     """
     n = h.n_sites
-    if protocol == "measure-at-t":
-        branches = _measure_z(*_evolve_grid(h, psi0, times), site_a, n)
-        register, shift = n - 1, [s - (s > site_a) for s in range(n)]
+    measure_at_t = protocol == "measure-at-t"
+    register = n - 1 if measure_at_t else n
+    shift = [s - (s > site_a) if measure_at_t else s for s in range(n)]
+    pairs = [((shift[b],), tuple(shift[s] for s in c)) for b, c in receivers]
+    site_sets = sorted({sites for b, c in pairs for sites in (b, c, tuple(sorted(b + c)))})
+    row = {sites: k for k, sites in enumerate(site_sets)}
+    cuts = np.array([[row[b], row[c], row[tuple(sorted(b + c))]] for b, c in pairs])
+    if measure_at_t:
+        branches = [
+            (weights, _entropies(*batch, register, site_sets))
+            for weights, batch in _measure_z(*_evolve_grid(h, psi0, times), site_a, n)
+        ]
     else:  # quench-at-zero
+        # Each branch is evolved and reduced before the next: one batch at a time.
         branches = []
         measured = _measure_z(np.arange(2**n), psi0[None], site_a, n, keep_site=True)
         for weight, (states, ket) in measured:
             full = np.zeros(2**n, dtype=complex)
             full[states] = ket[0]
-            branches.append((np.full(times.size, weight[0]), _evolve_grid(h, full, times)))
-        register, shift = n, list(range(n))
-    pairs = [((shift[b],), tuple(shift[s] for s in c)) for b, c in receivers]
-    site_sets = {sites for b, c in pairs for sites in (b, c, tuple(sorted(b + c)))}
-    tables = [(weights, _entropies(*batch, register, site_sets)) for weights, batch in branches]
-    values = np.array([_branch_average(tables, b, c) for b, c in pairs])
+            entropies = _entropies(*_evolve_grid(h, full, times), register, site_sets)
+            branches.append((np.full(times.size, weight[0]), entropies))
+    values = _branch_average(branches, cuts)
     values.setflags(write=False)
     return values
 
@@ -379,15 +405,27 @@ def arrival_time(
     values = check_array(values, "values", float, times.shape)
     if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
         raise InvalidInput("times and values must be finite")
-    hits = np.nonzero(values >= threshold)[0]
-    if hits.size == 0:
+    if times.size == 0:
         return None
-    i = int(hits[0])
-    if crossing == "first-sample" or i == 0:
-        return float(times[i])
-    t0, t1 = times[i - 1], times[i]
-    v0, v1 = values[i - 1], values[i]
-    return float(t0 + (threshold - v0) * (t1 - t0) / (v1 - v0))
+    (found,) = _crossings(times, values[None], threshold, crossing)
+    return found
+
+
+def _crossings(
+    times: np.ndarray, series: np.ndarray, threshold: float, crossing: str
+) -> list[float | None]:
+    """First time each row of a (rows, times) series reaches the threshold,
+    or None for a row that never does."""
+    hits = series >= threshold
+    first = np.argmax(hits, axis=1)
+    crossed = np.any(hits, axis=1)
+    found = times[first]
+    if crossing == "interp":
+        rows = np.flatnonzero(crossed & (first > 0))
+        i = first[rows]
+        t0, t1, v0, v1 = times[i - 1], times[i], series[rows, i - 1], series[rows, i]
+        found[rows] = t0 + (threshold - v0) * (t1 - t0) / (v1 - v0)
+    return [float(t) if hit else None for t, hit in zip(found, crossed)]
 
 
 def arrival_scan(config: ScanConfig) -> ArrivalTable:
@@ -407,10 +445,8 @@ def arrival_scan(config: ScanConfig) -> ArrivalTable:
         raise InvalidInput(f"distance range {lo}:{hi} invalid for {n} sites")
     distances = range(lo, hi + 1)
     series = _scan(config, 0, [(d, tuple(range(1, d))) for d in distances])
-    return ArrivalTable(tuple(
-        (d, arrival_time(config.grid.times, values, config.threshold, config.crossing))
-        for d, values in zip(distances, series)
-    ))
+    found = _crossings(config.grid.times, series, config.threshold, config.crossing)
+    return ArrivalTable(tuple(zip(distances, found)))
 
 
 def fit_velocity(table: ArrivalTable) -> FitResult:

@@ -566,13 +566,12 @@ class TestChargeBlocks:
             assert np.array_equal(np.unique(popcounts(n)[states]), [charge])
             whole = tuple(range(n))
             entropies = causalscan._entropies(states, batch, n, cuts(n) + [whole])
-            for sites in cuts(n):
-                blocks = entropies[sites]
+            for sites, blocks in zip(cuts(n), entropies):
                 oracle = partial_trace_entropies(kets, n, sites)
                 assert np.max(np.abs(blocks - oracle)) <= 1e-12
                 assert np.max(np.abs(blocks - one_block_formula(kets, n, sites))) <= 1e-12
             # The whole register leaves an empty complement; a pure state has entropy 0.
-            assert np.max(np.abs(entropies[whole])) <= 1e-12
+            assert np.max(np.abs(entropies[-1])) <= 1e-12
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_two_popcounts_take_the_one_block_formula(self, n):
@@ -583,10 +582,13 @@ class TestChargeBlocks:
             kets[2] = sector_kets(n, [charge, charge + 1], 1, rng)[0]
             states, batch = sector_batch(n, [charge, charge + 1], kets)
             assert np.array_equal(np.unique(popcounts(n)[states]), [charge, charge + 1])
-            site_sets = cuts(n) + [tuple(range(n))]
-            entropies = causalscan._entropies(states, batch, n, site_sets)
-            for sites in site_sets:
-                assert np.array_equal(entropies[sites], one_block_formula(kets, n, sites))
+            whole = tuple(range(n))
+            entropies = causalscan._entropies(states, batch, n, cuts(n) + [whole])
+            for sites, values in zip(cuts(n), entropies):
+                assert np.array_equal(values, one_block_formula(kets, n, sites))
+            # The whole register's one block has rank one: its weight, not eigvalsh.
+            assert np.max(np.abs(entropies[-1] - one_block_formula(kets, n, whole))) <= 1e-12
+            assert np.max(np.abs(entropies[-1])) <= 1e-12
 
     @pytest.mark.parametrize("n", [4, 7])
     def test_the_span_not_the_amplitudes_sets_the_charge(self, n, monkeypatch):
@@ -597,15 +599,16 @@ class TestChargeBlocks:
         oracle = partial_trace_entropies(kets, n, sites)
         shapes = count_eigh(monkeypatch, "eigvalsh")
         for charges, sizes in [
-            # One popcount: a block per q ones on the set, formed on its smaller side.
+            # One popcount: a block per q ones on the set, formed on its smaller
+            # side; a block of rank one is read as its weight.
             ([2], [min(math.comb(k, q), math.comb(n - k, 2 - q)) for q in range(3)]),
             # Two popcounts: one block over every configuration of the set.
             ([2, 3], [2 ** min(k, n - k)]),
         ]:
             shapes.clear()
             states, batch = sector_batch(n, charges, kets)
-            (entropies,) = causalscan._entropies(states, batch, n, [sites]).values()
-            assert shapes == [(3, size, size) for size in sizes]
+            (entropies,) = causalscan._entropies(states, batch, n, [sites])
+            assert shapes == [(3, size, size) for size in sizes if size > 1]
             assert np.max(np.abs(entropies - oracle)) <= 1e-12
 
     def test_paper_scan_takes_each_site_set_once_per_branch(self, monkeypatch):
@@ -624,13 +627,45 @@ class TestChargeBlocks:
         assert [len(site_sets) for site_sets in calls] == [13, 13]
         assert all(len(set(site_sets)) == 13 for site_sets in calls)
 
-    def test_paper_scan_diagonalizes_only_one_by_one_blocks(self, monkeypatch):
+    def test_paper_scan_calls_no_eigensolver_for_its_entropies(self, monkeypatch):
         shapes = count_eigh(monkeypatch, "eigvalsh")
         arrival_scan(PAPER_SCAN)
-        # The popcount-1 branch: two blocks per cut, one for the whole
-        # register; the popcount-0 branch: one block per cut.
-        assert len(shapes) == 12 * 2 + 1 + 13
-        assert all(shape == (501, 1, 1) for shape in shapes)
+        # The popcount-1 branch has two blocks per cut and one for the whole
+        # register, the popcount-0 branch one block per cut: all of rank one.
+        assert shapes == []
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_rank_one_blocks_read_as_weights(self, n, monkeypatch):
+        # Evolved XX basis states of every popcount M, cut after every k = 1..N
+        # sites. Only the blocks wider than one configuration on both sides
+        # (2 <= M <= N - 2, at an inner q) reach the eigensolver.
+        h = build_model(ChainModel("xx", n, 1.0, 0.3))
+        shapes = count_eigh(monkeypatch, "eigvalsh")
+        for charge in range(n + 1):
+            spec = "basis:" + "1" * charge + "0" * (n - charge)
+            states, kets = _evolve_grid(h, initial_ket(h, spec).amplitudes, np.array([0.7, 1.9]))
+            site_sets = [tuple(range(k)) for k in range(1, n + 1)]
+            shapes.clear()
+            entropies = causalscan._entropies(states, kets, n, site_sets)
+            wide = [
+                (2, size, size)
+                for k in range(1, n + 1)
+                for q in range(max(0, charge - n + k), min(k, charge) + 1)
+                if (size := min(math.comb(k, q), math.comb(n - k, charge - q))) > 1
+            ]
+            assert shapes == wide and bool(wide) == (2 <= charge <= n - 2 and n >= 4)
+            full = np.zeros((2, 2**n), dtype=complex)
+            full[:, states] = kets
+            for row, ket in enumerate(full):
+                # A pure state's set and complement share their entropy; the
+                # whole register's is 0.
+                rho = Ket(n, ket).density_matrix()
+                oracle = [
+                    von_neumann_entropy(partial_trace(rho, sites if 2 * k <= n else range(k, n)))
+                    for k, sites in enumerate(site_sets[:-1], start=1)
+                ]
+                assert np.max(np.abs(entropies[:-1, row] - oracle)) <= 1e-12
+            assert np.max(np.abs(entropies[-1])) <= 1e-12
 
     def test_tfim_quench_series_takes_one_block_per_cut(self, monkeypatch):
         shapes = count_eigh(monkeypatch, "eigvalsh")
@@ -723,26 +758,28 @@ class TestChargeBlocks:
 def fake_branches(rows, rng):
     """Two branches whose S(B), S(C), S(BC) come from a table, not from kets.
 
-    `_branch_average` reads each branch's entropies from its site-set map, so
-    the map holds the table's arrays: a write to the table reaches it.
+    Each branch's (site sets, rows) entropy array holds B = (0,), C = (1,)
+    and BC = (0, 1) in its rows 0, 1 and 2 (`CUTS`), and the table holds
+    views of those rows: a write to the table reaches the branch.
     """
     weights = rng.dirichlet([1.0, 1.0], size=rows).T.copy()
     weights[0, ::9] = 0.0
     weights[1, ::9] = 1.0
+    entropies = rng.uniform(0.0, 2.0, (2, 3, rows))
     table = {
-        (x, sites): rng.uniform(0.0, 2.0, rows)
-        for x in (0, 1) for sites in ((0,), (1,), (0, 1))
+        (x, sites): entropies[x, k] for x in (0, 1) for k, sites in enumerate(((0,), (1,), (0, 1)))
     }
     for x in (0, 1):
         # S(BC) = S(B) + S(C) - I(B:C), where I is a rounding negative on
         # about 30% of rows, to exercise the clamp.
         mi = rng.uniform(0.0, 1.0, rows)
         mi[rng.random(rows) < 0.3] *= -0.9 * NEGATIVITY_TOL
-        table[x, (0, 1)] = table[x, (0,)] + table[x, (1,)] - mi
-    branches = [
-        (weights[x], {sites: table[x, sites] for sites in ((0,), (1,), (0, 1))}) for x in (0, 1)
-    ]
+        table[x, (0, 1)][:] = table[x, (0,)] + table[x, (1,)] - mi
+    branches = [(weights[x], entropies[x]) for x in (0, 1)]
     return branches, table
+
+
+CUTS = np.array([[0, 1, 2]])
 
 
 def loop_branch_average(branches, table):
@@ -761,15 +798,18 @@ def loop_branch_average(branches, table):
 class TestBatchedBranchSum:
     def test_matches_row_loop(self):
         branches, table = fake_branches(500, np.random.default_rng(31))
-        values = causalscan._branch_average(branches, (0,), (1,))
+        (values,) = causalscan._branch_average(branches, CUTS)
         assert np.array_equal(values, loop_branch_average(branches, table))
         assert np.all(values >= 0.0)
+        # One row per receiver; I(B:C) = I(C:B).
+        swapped = causalscan._branch_average(branches, np.array([[0, 1, 2], [1, 0, 2]]))
+        assert swapped.shape == (2, 500) and np.array_equal(swapped[0], swapped[1])
 
     def test_one_bad_term_in_500_raises(self):
         branches, table = fake_branches(500, np.random.default_rng(32))
         table[1, (0, 1)][317] = table[1, (0,)][317] + table[1, (1,)][317] + 2 * NEGATIVITY_TOL
         with pytest.raises(NumericalInstability):
-            causalscan._branch_average(branches, (0,), (1,))
+            causalscan._branch_average(branches, CUTS)
 
     @pytest.mark.parametrize("bad", [2 * NEGATIVITY_TOL, np.nan])
     def test_bad_term_on_a_zero_weight_row_is_skipped(self, bad):
@@ -777,7 +817,7 @@ class TestBatchedBranchSum:
         row = 18  # a multiple of 9: branch 0 has weight 0 there
         assert branches[0][0][row] == 0.0
         table[0, (0, 1)][row] = table[0, (0,)][row] + table[0, (1,)][row] + bad
-        values = causalscan._branch_average(branches, (0,), (1,))
+        (values,) = causalscan._branch_average(branches, CUTS)
         assert np.array_equal(values, loop_branch_average(branches, table))
 
 
@@ -872,6 +912,44 @@ class TestArrivalTime:
             arrival_time(np.array([0.0, 0.1]), np.array([0.0, 1.0]), threshold)
         with pytest.raises(InvalidInput):
             xx_config(threshold=threshold)
+
+
+def scalar_crossing(times, values, threshold, crossing):
+    """The one-row crossing rule as a scalar loop: the oracle of `_crossings`."""
+    for i, value in enumerate(values):
+        if value >= threshold:
+            if crossing == "first-sample" or i == 0:
+                return float(times[i])
+            t0, t1, v0, v1 = times[i - 1], times[i], values[i - 1], values[i]
+            return float(t0 + (threshold - v0) * (t1 - t0) / (v1 - v0))
+    return None
+
+
+class TestCrossingRows:
+    """`_crossings` reads every row of a (rows, times) series in one pass."""
+
+    @pytest.mark.parametrize("crossing", causalscan.CROSSINGS)
+    def test_rows_match_the_scalar_rule_and_arrival_time(self, crossing):
+        rng = np.random.default_rng(62)
+        times = np.linspace(0.0, 2.0, 41)
+        series = np.cumsum(rng.uniform(0.0, 0.004, (8, times.size)), axis=1)
+        series[1] = 0.0  # never crosses
+        series[2, 0] = 0.5  # crosses at index 0
+        series[3, :-1], series[3, -1] = 0.01, 0.04  # crosses at the last index
+        series[4] = 0.03  # on the threshold at every sample
+        found = causalscan._crossings(times, series, 0.03, crossing)
+        assert found == [scalar_crossing(times, row, 0.03, crossing) for row in series]
+        assert found == [arrival_time(times, row, 0.03, crossing) for row in series]
+        assert found[1] is None and found[2] == found[4] == 0.0 and found[3] > times[-2]
+        assert all(0.0 < found[row] < times[-1] for row in (0, 5, 6, 7))
+
+    @pytest.mark.parametrize("crossing", causalscan.CROSSINGS)
+    def test_one_point_grid(self, crossing):
+        times = np.array([0.0])
+        series = np.array([[0.0], [0.03], [0.7]])
+        found = causalscan._crossings(times, series, 0.03, crossing)
+        assert found == [None, 0.0, 0.0]
+        assert found == [arrival_time(times, row, 0.03, crossing) for row in series]
 
 
 class TestArrivalScan:

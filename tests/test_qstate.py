@@ -234,6 +234,28 @@ class TestBatchedEntropy:
                 assert abs(value - loop_entropy(row)) <= 1e-15
             assert np.all(batched[3::11] == 0.0)
 
+    def test_runs_equal_their_own_calls(self):
+        # Runs of 1, 2, 9, 1, 16 and 3 eigenvalues side by side, one sum each,
+        # bit for bit as each run alone; a 1-d spectrum too.
+        rng = np.random.default_rng(24)
+        sizes = [1, 2, 9, 1, 16, 3]
+        spectra = np.concatenate([random_spectra(200, size, rng) for size in sizes], axis=1)
+        starts = np.cumsum([0] + sizes[:-1])
+        grouped = entropies_from_eigenvalues(spectra, starts)
+        assert grouped.shape == (200, len(sizes))
+        for k, run in enumerate(np.split(spectra, starts[1:], axis=1)):
+            assert np.array_equal(grouped[:, k], entropies_from_eigenvalues(run))
+            assert np.array_equal(
+                entropies_from_eigenvalues(spectra[5], starts)[k],
+                entropies_from_eigenvalues(run[5]),
+            )
+
+    def test_one_negative_run_rejects_every_run(self):
+        spectra = random_spectra(50, 4, np.random.default_rng(25))
+        spectra[17, 3] = 2 * EIG_NEGATIVE_LIMIT
+        with pytest.raises(NotPositiveSemidefinite):
+            entropies_from_eigenvalues(spectra, np.array([0, 3]))
+
     def test_scalar_form_returns_a_float(self):
         assert type(von_neumann_entropy(DensityMatrix(1, np.eye(2) / 2))) is float
 
