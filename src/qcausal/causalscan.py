@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import DegenerateMeasurement, EmptyConditioner, InsufficientData, InvalidInput
+from .exceptions import EmptyConditioner, InsufficientData, InvalidInput
 from .infomeasures import Partition, _clamped_values
 from .instrument import PROBABILITY_FLOOR, projective_z_instrument
 from .qstate import Ket, basis_ket, check_site_pair, entropies_from_eigenvalues
@@ -222,15 +222,14 @@ def _measure_z(states: np.ndarray, kets: np.ndarray, site: int, n_sites: int, ke
     """Projective-z measurement of `site` on every row of a (states, kets) batch:
     (weights, (states, normalized kets)) per outcome kept at some row, the
     site's bit dropped unless `keep_site`; a row that drops a branch gives it
-    weight 0 and zeros. Floor, renormalization and degeneracy follow
-    `apply_instrument`."""
+    weight 0 and zeros. Floor and renormalization follow `apply_instrument`.
+    Every row is a unit ket (`_evolve_grid` checks each, the quench path
+    passes a `Ket`'s), so one outcome always holds half its weight or more."""
     bit = n_sites - 1 - site
     split = [np.flatnonzero((states >> bit) & 1 == x) for x in (0, 1)]
     parts = [np.take(kets, columns, axis=1) for columns in split]
     probs = np.stack([np.sum(np.abs(branch) ** 2, axis=1) for branch in parts], axis=1)
     kept = probs >= PROBABILITY_FLOOR
-    if not np.all(np.any(kept, axis=1)):
-        raise DegenerateMeasurement("every outcome fell below the probability floor")
     total = np.sum(np.where(kept, probs, 0.0), axis=1)
     scale = np.where(kept, 1.0 / np.sqrt(np.where(kept, probs, 1.0)), 0.0)
     weights = np.where(kept, probs / total[:, None], 0.0)
@@ -309,7 +308,7 @@ def _entropies(
 
 
 def _branch_average(branches: list[tuple[np.ndarray, np.ndarray]], cuts: np.ndarray) -> np.ndarray:
-    """(receivers, rows) sum over branches of weight * I(B:C), clamped as in `asymmetric_qcmi`.
+    """(receivers, rows) sum over branches of weight * I(B:C), each term clamped.
 
     Each branch is (weights, its (site sets, rows) entropies); row r of `cuts`
     holds receiver r's B, C and BC site-set indices. A branch's term is checked
@@ -320,7 +319,7 @@ def _branch_average(branches: list[tuple[np.ndarray, np.ndarray]], cuts: np.ndar
     for weights, entropies in branches:
         s_b, s_c, s_bc = entropies[cuts.T]
         values += weights * _clamped_values(np.where(weights > 0.0, s_b + s_c - s_bc, 0.0))
-    return _clamped_values(values)
+    return values
 
 
 def _pure_series(

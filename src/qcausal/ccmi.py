@@ -120,7 +120,7 @@ def ccmi_symmetric(
     b: Sequence[str],
     c: Sequence[str] = (),
 ) -> float:
-    """H(AC) + H(BC) - H(C) - H(ABC), cross-checked against H(A|C) - H(A|BC)."""
+    """H(AC) + H(BC) - H(C) - H(ABC), in bits."""
     check_instance(dist, JointDistribution, "dist")
     a, b, c = check_sequence(a, "A"), check_sequence(b, "B"), check_sequence(c, "C")
     if not a or not b:
@@ -138,14 +138,9 @@ def ccmi_symmetric(
 
 
 def _checked_cmi(h_ac: float, h_bc: float, h_c: float, h_abc: float) -> float:
-    """The CMI from four joint entropies: identity cross-check, sign check, clamp at 0."""
+    """The CMI from four joint entropies: sign check (NaN fails it), clamp at 0."""
     value = h_ac + h_bc - h_c - h_abc
-    conditional_form = (h_ac - h_c) - (h_abc - h_bc)
-    if abs(value - conditional_form) > EQUIVALENCE_TOL:
-        raise NumericalInstability(
-            f"entropy identities disagree by {abs(value - conditional_form):.3e}"
-        )
-    if value < -EQUIVALENCE_TOL:
+    if not value >= -EQUIVALENCE_TOL:
         raise NumericalInstability(f"classical CMI {value:.3e} below -{EQUIVALENCE_TOL}")
     return value if value > 0.0 else 0.0
 

@@ -130,7 +130,8 @@ def asymmetric_qcmi(rho: DensityMatrix, partition: Partition, instrument: Instru
     b_local = tuple(local[s] for s in partition.b)
     c_local = tuple(local[s] for s in partition.c)
 
+    # Each term is a non-negative weight times a clamped, finite I(B:C).
     total = 0.0
     for branch in branches:
         total += branch.probability * mutual_information_sites(branch.state, b_local, c_local)
-    return _clamped(total)
+    return total

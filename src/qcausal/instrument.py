@@ -6,16 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    DegenerateMeasurement,
-    IncompleteInstrument,
-    InvalidInput,
-    NumericalInstability,
-)
+from .exceptions import DegenerateMeasurement, IncompleteInstrument, InvalidInput
 from .qstate import DensityMatrix, _grouped, check_array, check_instance, check_sites
 
 COMPLETENESS_TOL = 1e-10
-IMAGINARY_TOL = 1e-12
 # Branches below this probability are dropped and the rest renormalized,
 # so the branch-state division never sees 0/0.
 PROBABILITY_FLOOR = 1e-12
@@ -83,8 +77,9 @@ def apply_instrument(rho: DensityMatrix, instrument: Instrument) -> tuple[Branch
     normalized state on the non-target sites.
 
     Outcome x leaves Tr_A[(M_x^dagger M_x x I) rho], which equals Tr_A[(M_x x I)
-    rho (M_x^dagger x I)] without forming the whole register. Its trace is p_x,
-    and the branch state, on the non-target sites in site order, is it over p_x.
+    rho (M_x^dagger x I)] without forming the whole register. Its Hermitian
+    part has trace p_x, and the branch state, on the non-target sites in site
+    order, is that part over p_x: no rounding dust grows by 1/p_x.
     Outcomes below `PROBABILITY_FLOOR` are dropped and the rest renormalized to
     sum to one; if none is kept, `DegenerateMeasurement` is raised.
     """
@@ -102,11 +97,10 @@ def apply_instrument(rho: DensityMatrix, instrument: Instrument) -> tuple[Branch
     surviving = []
     for label, op in enumerate(instrument.operators):
         reduced = np.einsum("ca,arcs->rs", op.conj().T @ op, tensor)
-        trace = complex(np.trace(reduced))
-        if not abs(trace.imag) <= IMAGINARY_TOL:
-            raise NumericalInstability(f"outcome probability has imaginary part {trace.imag:.3e}")
-        if trace.real >= PROBABILITY_FLOOR:
-            surviving.append((trace.real, label, reduced))
+        reduced = 0.5 * (reduced + reduced.conj().T)
+        p = float(np.trace(reduced).real)
+        if p >= PROBABILITY_FLOOR:
+            surviving.append((p, label, reduced))
     if not surviving:
         raise DegenerateMeasurement("every outcome fell below the probability floor")
 

@@ -157,16 +157,19 @@ class Ket:
         object.__setattr__(self, "amplitudes", _readonly(amp))
 
     def density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(self.n_sites, np.outer(self.amplitudes, self.amplitudes.conj()))
+        """The projector onto the normalized ket."""
+        unit = self.amplitudes / np.linalg.norm(self.amplitudes)
+        return DensityMatrix(self.n_sites, np.outer(unit, unit.conj()))
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian trace-one operator on an n-qubit register.
 
-    Hermiticity and trace are checked at construction; positivity is checked
-    where eigenvalues are actually consumed (entropies, validation reports),
-    since a full eigendecomposition per construction would dominate scans.
+    Hermiticity and trace are checked on the input, and the state holds its
+    Hermitian part (M + M^dagger)/2, so its partial traces are exactly
+    Hermitian. Positivity is checked where eigenvalues are consumed anyway
+    (entropies, validation reports), so no state is diagonalized twice.
     """
 
     n_sites: int
@@ -181,8 +184,10 @@ class DensityMatrix:
         trace = np.trace(mat)
         if not abs(trace - 1.0) <= TRACE_TOL:
             raise InvalidInput(f"trace {trace!r} deviates from 1 beyond {TRACE_TOL}")
+        hermitian = 0.5 * (mat + mat.conj().T)
+        hermitian.setflags(write=False)
         object.__setattr__(self, "n_sites", n)
-        object.__setattr__(self, "matrix", _readonly(mat))
+        object.__setattr__(self, "matrix", hermitian)
 
     @property
     def dim(self) -> int:

@@ -327,17 +327,14 @@ def propagator(hamiltonian: Hamiltonian, time: float) -> Propagator:
 
 
 def evolve(rho: DensityMatrix, prop: Propagator) -> DensityMatrix:
-    """Conjugate a state by the propagator: U rho U^dagger."""
+    """Conjugate a state by the propagator: U rho U^dagger, made Hermitian by `DensityMatrix`."""
     check_instance(rho, DensityMatrix, "rho")
     check_instance(prop, Propagator, "prop")
     if rho.dim != prop.matrix.shape[0]:
         raise InvalidInput(
             f"dimension mismatch: state {rho.dim}, propagator {prop.matrix.shape[0]}"
         )
-    evolved = prop.matrix @ rho.matrix @ prop.matrix.conj().T
-    # Conjugation keeps hermiticity up to rounding; symmetrize the dust away.
-    evolved = 0.5 * (evolved + evolved.conj().T)
-    return DensityMatrix(rho.n_sites, evolved)
+    return DensityMatrix(rho.n_sites, prop.matrix @ rho.matrix @ prop.matrix.conj().T)
 
 
 def evolve_ket(hamiltonian: Hamiltonian, ket: Ket, time: float) -> Ket:

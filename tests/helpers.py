@@ -4,6 +4,8 @@ The oracles here deliberately avoid the reshape/einsum tricks used by the
 library so that agreement between the two is meaningful.
 """
 
+import math
+
 import numpy as np
 
 from qcausal import (
@@ -233,3 +235,124 @@ def refuse_spectrum(monkeypatch):
         raise AssertionError("the dense spectrum was formed")
 
     monkeypatch.setattr(Hamiltonian, "spectrum", property(refuse))
+
+
+# An independent kernel oracle for basis-state scans: it shares no code with
+# the library's bit action, sector blocks, batch evolution, measurement or
+# entropy passes. H acts term by term on the ket, time steps are Taylor
+# series, a measurement zeroes half of the ket and entropies are SVDs.
+
+def _apply_site_operator(kets, op, site, n_sites):
+    """op on `site` of every (rows, 2^n) ket, through a (2^site, 2, rest) view."""
+    view = kets.reshape(kets.shape[0], 2**site, 2, 2 ** (n_sites - site - 1))
+    return np.einsum("ab,xibj->xiaj", op, view).reshape(kets.shape)
+
+
+def chain_action(kind, n_sites, coupling, field, kets):
+    """H applied to every row of `kets`, one Pauli term at a time.
+
+    tfim: H = -J sum_k Z_k Z_{k+1} - h sum_k X_k;
+    xx:   H = (J/2) sum_k (X_k X_{k+1} + Y_k Y_{k+1}) + h sum_k Z_k.
+    """
+    pair_terms = {
+        "tfim": [(-coupling, PAULI_Z)],
+        "xx": [(0.5 * coupling, PAULI_X), (0.5 * coupling, PAULI_Y)],
+    }[kind]
+    site_term = {"tfim": (-field, PAULI_X), "xx": (field, PAULI_Z)}[kind]
+    out = np.zeros_like(kets)
+    for k in range(n_sites - 1):
+        for scale, op in pair_terms:
+            right = _apply_site_operator(kets, op, k + 1, n_sites)
+            out += scale * _apply_site_operator(right, op, k, n_sites)
+    for k in range(n_sites):
+        out += site_term[0] * _apply_site_operator(kets, site_term[1], k, n_sites)
+    return out
+
+
+def taylor_trajectory(kind, n_sites, coupling, field, kets, times, step=0.05, terms=30):
+    """Every row of `kets` evolved to each of the ascending `times`: a
+    (times, rows, 2^n) array, stepped from one time to the next in equal
+    Taylor steps of at most `step`, each series summed to `terms` terms."""
+    out, now, psi = [], 0.0, np.array(kets, dtype=complex)
+    for t in times:
+        n_steps = math.ceil((t - now) / step)
+        for _ in range(n_steps):
+            term, total = psi, psi.copy()
+            for m in range(1, terms + 1):
+                term = chain_action(kind, n_sites, coupling, field, term)
+                term *= -1j * (t - now) / n_steps / m
+                total += term
+            psi = total
+        out.append(psi)
+        now = t
+    return np.array(out)
+
+
+def zeroed_half(ket, site, n_sites, outcome):
+    """The unnormalized ket with `site` found in `outcome`: the other half zeroed."""
+    view = ket.reshape(2**site, 2, 2 ** (n_sites - site - 1)).copy()
+    view[:, 1 - outcome, :] = 0.0
+    return view.reshape(-1)
+
+
+def svd_entropy(ket, sites, n_sites):
+    """Entropy in bits of `sites` in a unit ket, from the SVD of the ket
+    reshaped to (subsystem, rest); eigenvalues at or below EIG_CLAMP add nothing."""
+    rest = [s for s in range(n_sites) if s not in sites]
+    matrix = ket.reshape([2] * n_sites).transpose(list(sites) + rest).reshape(2 ** len(sites), -1)
+    weights = np.linalg.svd(matrix, compute_uv=False) ** 2
+    weights = weights[weights > EIG_CLAMP]
+    return float(-np.sum(weights * np.log2(weights)))
+
+
+def branch_qcmi(branches, n_sites, receivers):
+    """sum_x p_x I(B:C) over (probability, unit ket) branches, each I(B:C)
+    clamped at 0: one value per (B site, C sites) receiver."""
+    values = []
+    for b, c in receivers:
+        value = 0.0
+        for p, ket in branches:
+            sets = ((b,), tuple(c), tuple(sorted((b, *c))))
+            s_b, s_c, s_bc = (svd_entropy(ket, sites, n_sites) for sites in sets)
+            value += p * max(s_b + s_c - s_bc, 0.0)
+        values.append(value)
+    return values
+
+
+def oracle_series(kind, n_sites, coupling, field, bits, times, senders):
+    """Directional QCMI from the basis state `bits` at ascending `times`, for
+    each sender a in `senders` against its (B site, C sites) receivers
+    senders[a], under both protocols: {(protocol, a): (receivers, times) array}.
+
+    measure-at-t evolves the ket, then measures A; quench-at-zero measures A
+    once and evolves each kept branch. One trajectory carries the ket and
+    every sender's kept branches. A is measured in place: its site stays in
+    the register, in a product state that changes no entropy of B, C or BC.
+    """
+    psi0 = np.zeros(2**n_sites, dtype=complex)
+    psi0[int("".join(map(str, bits)), 2)] = 1.0
+
+    def split(ket, site):
+        """(probability, unit ket) of each outcome of `site` kept at or above the floor."""
+        halves = [zeroed_half(ket, site, n_sites, x) for x in (0, 1)]
+        kept = [(np.vdot(half, half).real, half) for half in halves]
+        kept = [(p, half / np.sqrt(p)) for p, half in kept if p >= PROBABILITY_FLOOR]
+        total = sum(p for p, _ in kept)
+        return [(p / total, half) for p, half in kept]
+
+    quenched = {a: split(psi0, a) for a in senders}
+    rows = [psi0] + [ket for a in senders for _, ket in quenched[a]]
+    trajectory = taylor_trajectory(kind, n_sites, coupling, field, rows, times)
+    series, start = {}, 1
+    for a, receivers in senders.items():
+        weights = [p for p, _ in quenched[a]]
+        stop = start + len(weights)
+        measured = [branch_qcmi(split(kets[0], a), n_sites, receivers) for kets in trajectory]
+        evolved = [
+            branch_qcmi(list(zip(weights, kets[start:stop])), n_sites, receivers)
+            for kets in trajectory
+        ]
+        series["measure-at-t", a] = np.array(measured).T
+        series["quench-at-zero", a] = np.array(evolved).T
+        start = stop
+    return series

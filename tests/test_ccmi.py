@@ -10,6 +10,7 @@ from qcausal import (
     InsufficientData,
     InvalidInput,
     JointDistribution,
+    NumericalInstability,
     SeriesEmbedding,
     ccmi_asymmetric_series,
     ccmi_symmetric,
@@ -134,6 +135,21 @@ class TestCcmiSymmetric:
         dist = JointDistribution(("a", "b"), np.full((2, 2), 0.25))
         with pytest.raises(InvalidInput):
             ccmi_symmetric(dist, ("a",), ("a",))
+
+
+class TestCheckedCmi:
+    def test_rounding_negatives_clamp_and_real_negatives_raise(self):
+        assert ccmi._checked_cmi(1.0, 1.0, 1.0, 1.0 + 5e-13) == 0.0
+        assert ccmi._checked_cmi(1.5, 1.0, 1.0, 1.25) == 0.25
+        with pytest.raises(NumericalInstability):
+            ccmi._checked_cmi(1.0, 1.0, 1.0, 1.0 + 1e-11)
+
+    @pytest.mark.parametrize("slot", range(4))
+    def test_nan_never_becomes_a_number(self, slot):
+        entropies = [1.0, 1.0, 1.0, 1.0]
+        entropies[slot] = np.nan
+        with pytest.raises(NumericalInstability):
+            ccmi._checked_cmi(*entropies)
 
 
 class TestEquiquantalBins:

@@ -189,6 +189,24 @@ class TestArrivalScan:
             outputs.append(csv_path.read_bytes() + json_path.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_distances_without_a_colon_exit_2(self, capsys):
+        assert run_cli("arrival-scan", "--n", "4", "--distances", "2-3") == 2
+        assert "distances must look like 'lo:hi', got '2-3'" in capsys.readouterr().err
+
+    def test_arrivals_all_at_zero_write_no_velocity_and_a_note(self, tmp_path):
+        # A ground state measured at t: the index sits above the threshold from t = 0.
+        csv_path, json_path = tmp_path / "scan.csv", tmp_path / "scan.json"
+        code = run_cli(
+            "arrival-scan", "--model", "tfim", "--n", "6", "--h", "1", "--initial", "ground",
+            "--t-max", "1", "--dt", "0.1", "--out", str(csv_path), "--json-out", str(json_path),
+        )
+        assert code == 0
+        _, _, rows = read_csv(csv_path)
+        assert rows == [[str(d), "0"] for d in range(2, 6)]
+        summary = json.loads(json_path.read_text())
+        assert summary["v_eff"] is None and summary["m"] == 0.0
+        assert summary["note"] == "non-positive slope 0; effective velocity undefined"
+
     def test_distance_one_exits_2_before_the_build(self, capsys, monkeypatch):
         refuse_build(monkeypatch, causalscan)
         assert run_cli("arrival-scan", "--model", "xx", "--n", "8", "--distances", "1:7") == 2
@@ -206,6 +224,13 @@ class TestBounds:
         assert run_cli("bounds", "--j", "0", "--h", "0") == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["g"] == payload["g_prop"] == payload["v_lr"] == payload["v0"] == 0.0
+
+    def test_output_into_a_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "bounds.json"
+        assert run_cli("bounds", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: [Errno 2]")
+        assert not out.parent.exists()
 
     def test_norm_arithmetic(self, capsys):
         assert run_cli("bounds", "--j", "2", "--h", "1") == 0
@@ -292,6 +317,19 @@ class TestCcmi:
         response = self.write_series(tmp_path, "y.txt", [1.0, 2.0, 3.0])
         assert run_cli("ccmi", "--driver", str(driver), "--response", str(response)) == 3
         capsys.readouterr()
+
+    def test_a_nan_in_a_series_exits_3(self, tmp_path, capsys):
+        driver = self.write_series(tmp_path, "x.txt", [np.nan, *range(20)])
+        response = self.write_series(tmp_path, "y.txt", range(21))
+        assert run_cli("ccmi", "--driver", str(driver), "--response", str(response)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: series contain non-finite values\n"
+
+    def test_a_line_that_is_not_a_number_names_file_and_line(self, tmp_path, capsys):
+        driver = tmp_path / "x.txt"
+        driver.write_text("# recorded\n1.0\n\n2.5\nabc\n")
+        assert run_cli("ccmi", "--driver", str(driver), "--response", str(driver)) == 2
+        assert capsys.readouterr().err == f"error: {driver}:5: not a number: 'abc'\n"
 
     @pytest.mark.parametrize("flags", [("--surrogates", "-3"), ("--surrogates", "2", "--seed", "-1")])
     def test_negative_surrogates_or_seed_exit_2(self, tmp_path, capsys, flags):
@@ -416,6 +454,22 @@ class TestConfigFile:
 def test_help_exits_0(command, capsys):
     assert run_cli(command, "--help") == 0
     assert capsys.readouterr().out.startswith(f"usage: qcausal {command}")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["qcausal", "bounds", "--n", "4"], 0),
+        (["qcausal", "arrival-scan", "--n", "4", "--distances", "2-3"], 2),
+        (["qcausal", "arrival-scan", "--n", "4", "--t-max", "0.1", "--dt", "0.05"], 4),
+    ],
+)
+def test_console_entry_exits_with_the_command_code(argv, code, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exited:
+        cli.run()
+    assert exited.value.code == code
+    capsys.readouterr()
 
 
 class TestNoCommand:

@@ -8,6 +8,7 @@ from qcausal import (
     Ket,
     NumericalInstability,
     Partition,
+    apply_instrument,
     asymmetric_qcmi,
     basis_ket,
     ghz_state,
@@ -217,8 +218,6 @@ class TestAsymmetricQcmi:
         assert value <= 1e-10
 
     def test_nonnegative_and_bounded_by_best_branch(self):
-        from qcausal import apply_instrument
-
         rng = np.random.default_rng(48)
         for _ in range(20):
             rho = random_density(3, rng)
@@ -230,6 +229,16 @@ class TestAsymmetricQcmi:
                 for b in apply_instrument(rho, instr)
             ]
             assert value <= max(branch_mis) + 1e-9
+
+    def test_is_the_weighted_branch_sum_bit_for_bit(self):
+        rng = np.random.default_rng(49)
+        instr = projective_z_instrument(0, 4)
+        for _ in range(10):
+            rho = random_density(4, rng)
+            total = 0.0
+            for branch in apply_instrument(rho, instr):
+                total += branch.probability * mutual_information_sites(branch.state, (2,), (0,))
+            assert asymmetric_qcmi(rho, Partition((0,), (3,), (1,)), instr) == total
 
     def test_instrument_target_must_match_a(self):
         rho = ghz_state(3).density_matrix()

@@ -10,7 +10,9 @@ arrays and complex arrays in a real slot are refused. Series of reals for
 model, a grid, a scan config, a Hamiltonian, a state, a propagator, a
 partition, an instrument, an arrival table, a series embedding, a joint
 distribution) takes nothing else. A slot that needs a square matrix refuses any
-other, and an arrival table's rows are (distance, time) pairs."""
+other, and an arrival table's rows are (distance, time) pairs. Each refusal
+of a well-typed value that breaks a documented rule (a grid step above t_max,
+an unknown protocol, an empty variable list, a single bin) says which rule."""
 
 import numpy as np
 import pytest
@@ -432,3 +434,58 @@ def test_arrival_table_checks_rows_without_an_arrival():
 def test_fit_velocity_needs_two_distinct_distances(rows):
     with pytest.raises(InsufficientData, match="2 distinct distances"):
         fit_velocity(ArrivalTable(rows))
+
+
+# refusal -> (a call that breaks one documented rule with values of the right
+# type, words of its message)
+DOCUMENTED_REFUSALS = {
+    "TimeGrid-dt-above-t_max": (lambda: TimeGrid(0.1, 0.2), "exceeds t_max"),
+    "ScanConfig-protocol": (
+        lambda: ScanConfig(CHAIN3, protocol="measure-later"), "protocol must be one of"
+    ),
+    "ScanConfig-crossing": (
+        lambda: ScanConfig(CHAIN3, crossing="last-sample"), "crossing must be one of"
+    ),
+    "arrival_scan-no-distances": (
+        lambda: arrival_scan(ScanConfig(CHAIN3, initial="basis:100", grid=GRID)),
+        "needs d_min and d_max",
+    ),
+    "evolve_ket-ket-size": (lambda: evolve_ket(H3, basis_ket([1, 0]), 0.1), "dimension mismatch"),
+    "Instrument-no-operators": (
+        lambda: Instrument((0,), np.zeros((0, 2, 2))), "at least one measurement operator"
+    ),
+    "JointDistribution-no-names": (
+        lambda: JointDistribution((), np.array(1.0)), "at least one variable"
+    ),
+    "JointDistribution-repeated-name": (
+        lambda: JointDistribution(("x", "x"), np.full((2, 2), 0.25)), "must be unique"
+    ),
+    "shannon_entropy-repeated-variable": (
+        lambda: shannon_entropy(DIST, ("x", "x")), "duplicate variables"
+    ),
+    "ccmi_symmetric-empty-a": (lambda: ccmi_symmetric(DIST, (), ("y",)), "must be non-empty"),
+    "ccmi_symmetric-empty-b": (lambda: ccmi_symmetric(DIST, ("x",), ()), "must be non-empty"),
+    "equiquantal_bins-one-bin": (lambda: equiquantal_bins(np.arange(5.0), 1), "at least 2 bins"),
+    "equiquantal_bins-empty": (lambda: equiquantal_bins([], 2), "non-empty series"),
+    "SeriesEmbedding-horizon-0": (lambda: _embedding(horizon=0), "must be positive"),
+    "SeriesEmbedding-delay-0": (lambda: _embedding(delay=0), "must be positive"),
+}
+
+
+@pytest.mark.parametrize(
+    "refusal", DOCUMENTED_REFUSALS.values(), ids=DOCUMENTED_REFUSALS.keys()
+)
+def test_documented_refusal(refusal):
+    call, words = refusal
+    with pytest.raises(InvalidInput, match=words):
+        call()
+
+
+def test_arrival_time_of_an_empty_series_is_none():
+    assert arrival_time([], [], 0.5) is None
+    assert arrival_time(np.zeros(0), np.zeros(0), 0.5, "interp") is None
+
+
+def test_validate_density_matrix_reads_a_density_matrix():
+    report = validate_density_matrix(RHO3)
+    assert report.passed and report == validate_density_matrix(RHO3.matrix)

@@ -132,6 +132,46 @@ class TestApplyInstrument:
             assert abs(again.probability - 1.0) <= 1e-10
             assert np.max(np.abs(again.state.matrix - branch.state.matrix)) <= 1e-10
 
+    def test_imaginary_trace_dust_within_the_state_tolerance_is_no_error(self):
+        # 5e-11 i on two diagonal entries: a hermiticity defect of 1e-10, which
+        # the state passes, and an imaginary trace of 1e-10 in outcome 0.
+        rho = DensityMatrix(2, np.eye(4) / 4 + 5e-11j * np.diag([1.0, 1.0, 0.0, 0.0]))
+        branches = apply_instrument(rho, projective_z_instrument(0, 2))
+        assert [b.probability for b in branches] == [0.5, 0.5]
+        assert all(np.array_equal(b.state.matrix, np.eye(2) / 2) for b in branches)
+
+    def test_branch_dust_is_not_grown_by_a_small_probability(self):
+        # Dust of 4e-11 passes as input; over p = 0.01 it would be 100 times more.
+        matrix = np.diag([0.495, 0.495, 0.005, 0.005]).astype(complex)
+        matrix[2, 3] = matrix[3, 2] = 4e-11j
+        branches = apply_instrument(DensityMatrix(2, matrix), projective_z_instrument(0, 2))
+        assert [b.label for b in branches] == [0, 1]
+        assert abs(branches[1].probability - 0.01) <= 1e-15
+        for branch in branches:
+            assert np.max(np.abs(branch.state.matrix - np.eye(2) / 2)) <= 1e-15
+
+    def test_a_rare_outcome_in_a_rotated_basis_is_no_error(self):
+        # Outcome 0's entries are sums of terms near 1/2 that cancel to about
+        # 1e-10, so their rounding dust over p is far above HERMITICITY_TOL.
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            basis = random_unitary(2, rng)
+            rare, common = (np.outer(v, v.conj()) for v in basis.T)
+            rho = DensityMatrix(3, (1 - 1e-10) * np.kron(common, random_density(2, rng).matrix)
+                                + 1e-10 * np.kron(rare, random_density(2, rng).matrix))
+            branches = apply_instrument(rho, Instrument((0,), (rare, common)))
+            assert [b.label for b in branches] == [0, 1]
+            assert abs(branches[0].probability - 1e-10) <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_projective_branches_are_diagonal_blocks_bit_for_bit(self, n):
+        # Site 0 is the top bit: outcome x keeps the x-th diagonal block, over its trace.
+        rho = random_density(n, np.random.default_rng(60 + n))
+        half = 2 ** (n - 1)
+        for branch in apply_instrument(rho, projective_z_instrument(0, n)):
+            block = rho.matrix[branch.label * half:, branch.label * half:][:half, :half]
+            assert np.array_equal(branch.state.matrix, block / np.trace(block).real)
+
     def test_incomplete_instrument_rejected(self):
         p0 = np.diag([1.0, 0.0]).astype(complex)
         broken = Instrument((0,), (p0,))

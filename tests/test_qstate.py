@@ -16,6 +16,7 @@ from qcausal import (
     ghz_state,
     mutual_information_sites,
     partial_trace,
+    symmetric_qcmi,
     validate_density_matrix,
     von_neumann_entropy,
 )
@@ -25,7 +26,13 @@ from qcausal.qstate import (
     check_sites,
     entropies_from_eigenvalues,
 )
-from helpers import brute_partial_trace, matrix_log_entropy, random_density, random_unitary
+from helpers import (
+    brute_partial_trace,
+    matrix_log_entropy,
+    random_density,
+    random_ket,
+    random_unitary,
+)
 
 
 class TestBasisKet:
@@ -336,6 +343,61 @@ class TestConstructionGuards:
         ket = ghz_state(2)
         with pytest.raises(ValueError):
             ket.amplitudes[0] = 0.0
+
+
+def dusty_mixed_state(n_sites, dust):
+    """I / 2^n plus `dust` * i on every entry pair that differs in site 0: the
+    input's hermiticity defect is 2 * dust, and a partial trace onto site 0
+    would sum 2^(n-1) such entries into each off-diagonal."""
+    dim = 2**n_sites
+    rows, cols = np.indices((dim, dim))
+    top = n_sites - 1
+    matrix = np.eye(dim, dtype=complex) / dim
+    matrix[(rows >> top & 1) != (cols >> top & 1)] += dust * 1j
+    return matrix
+
+
+class TestStatesAreJudgedOnEntry:
+    """A state holds its input's Hermitian part, so the states derived from it
+    pass the checks its input passed, and are not judged against them again."""
+
+    @pytest.mark.parametrize("n_sites", [1, 3, 6])
+    def test_exactly_hermitian_input_is_stored_bit_for_bit(self, n_sites):
+        matrix = random_density(n_sites, np.random.default_rng(20 + n_sites)).matrix
+        matrix = 0.5 * (matrix + matrix.conj().T)  # exactly Hermitian whatever the matmul gave
+        assert np.array_equal(matrix, matrix.conj().T)
+        assert np.array_equal(DensityMatrix(n_sites, matrix).matrix, matrix)
+
+    def test_the_state_holds_its_inputs_hermitian_part(self):
+        matrix = dusty_mixed_state(2, 4e-11)
+        rho = DensityMatrix(2, matrix)
+        assert np.array_equal(rho.matrix, 0.5 * (matrix + matrix.conj().T))
+        assert np.array_equal(rho.matrix, np.eye(4) / 4)
+        assert rho.matrix.flags.c_contiguous and not rho.matrix.flags.writeable
+
+    @pytest.mark.parametrize("n_sites", range(2, 10))
+    def test_partial_traces_of_a_state_are_exactly_hermitian(self, n_sites):
+        rng = np.random.default_rng(40 + n_sites)
+        rho = random_density(n_sites, rng)
+        for keep in ((0,), (n_sites - 1,), tuple(range(1, n_sites)), (0, n_sites - 1)):
+            reduced = partial_trace(rho, keep).matrix
+            assert np.array_equal(reduced, reduced.conj().T)
+
+    def test_input_dust_does_not_add_up_in_a_partial_trace(self):
+        rho = DensityMatrix(6, dusty_mixed_state(6, 4e-11))
+        assert np.array_equal(partial_trace(rho, (0,)).matrix, np.eye(2) / 2)
+        assert symmetric_qcmi(rho, Partition((0,), (2,), (1,))) == 0.0
+
+    def test_a_ket_within_its_norm_tolerance_has_a_density_matrix(self):
+        # The norm is within NORM_TOL of 1, its square not within TRACE_TOL.
+        ket = Ket(1, [np.sqrt(1 + 1.8e-10), 0.0])
+        assert np.array_equal(ket.density_matrix().matrix, np.diag([1.0, 0.0]))
+
+    def test_a_kets_density_matrix_projects_onto_the_normalized_ket(self):
+        ket = Ket(3, random_ket(3, np.random.default_rng(9)).amplitudes * (1 + 4e-11))
+        matrix = ket.density_matrix().matrix
+        assert abs(np.trace(matrix) - 1.0) <= 1e-15
+        assert np.allclose(matrix @ ket.amplitudes, ket.amplitudes, atol=1e-14)
 
 
 class TestCheckSites:

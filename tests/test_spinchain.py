@@ -450,6 +450,12 @@ class TestEvolve:
         after = np.trace(evolve(rho, u).matrix @ matrix).real
         assert abs(before - after) <= 1e-9
 
+    def test_the_evolved_state_is_the_hermitian_part_of_the_conjugation(self):
+        rho = random_density(4, np.random.default_rng(27))
+        u = propagator(Hamiltonian(ChainModel("tfim", 4, 1.0, 0.7)), 0.9)
+        conjugated = u.matrix @ rho.matrix @ u.matrix.conj().T
+        assert np.array_equal(evolve(rho, u).matrix, 0.5 * (conjugated + conjugated.conj().T))
+
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(25)
         rho = random_density(2, rng)
