@@ -37,22 +37,9 @@ EXIT_INSUFFICIENT = 4
 
 _PAULI = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
-# The converter of each numeric option; every other option is a string.
-_OPTION_TYPES = {
-    "n": int,
-    "j": float,
-    "h": float,
-    "dt": float,
-    "t-max": float,
-    "threshold": float,
-    "site-a": int,
-    "site-b": int,
-    "tau": int,
-    "eta0": int,
-    "bins": int,
-    "surrogates": int,
-    "seed": int,
-}
+# An option's converter is the type of its default; these numeric options
+# default to None, and every other option with a None default is a string.
+_OPTION_TYPES = {"site-a": int, "site-b": int}
 
 _OPTION_CHOICES = {
     "model": MODEL_KINDS,
@@ -342,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         for key, default in options.items():
             sub.add_argument(
                 f"--{key}",
-                type=_OPTION_TYPES.get(key, str),
+                type=_OPTION_TYPES.get(key, str if default is None else type(default)),
                 choices=_OPTION_CHOICES.get(key),
                 default=default,
             )

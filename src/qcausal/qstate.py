@@ -285,8 +285,10 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
 
 def entropies_from_eigenvalues(eigenvalues: np.ndarray, starts=None) -> np.ndarray:
     """-sum(lam * log2(lam)) over the last axis with the clamp rules applied;
-    given `starts`, ascending indices on that axis, one sum per run beginning
-    at each, bit for bit as the run alone would sum, along a new last axis."""
+    given `starts`, strictly ascending indices on that axis, one sum per run
+    beginning at each, along a new last axis. Both forms sum with one
+    `np.add.reduceat`, which adds each run on its own, so a run summed among
+    others equals the same run summed alone."""
     lam = np.asarray(eigenvalues, dtype=float)
     if not np.all(np.isfinite(lam)):
         raise NotPositiveSemidefinite("eigenvalues must be finite")
@@ -295,18 +297,9 @@ def entropies_from_eigenvalues(eigenvalues: np.ndarray, starts=None) -> np.ndarr
         raise NotPositiveSemidefinite(f"eigenvalue {lowest:.3e} below {EIG_NEGATIVE_LIMIT}")
     kept = lam > EIG_CLAMP
     terms = np.where(kept, lam * np.log2(np.where(kept, lam, 1.0)), 0.0)
+    values = -np.add.reduceat(terms, [0] if starts is None else starts, axis=-1)
     if starts is None:
-        values = -np.sum(terms, axis=-1)
-    else:
-        sizes = np.diff(starts, append=lam.shape[-1])
-        values = np.empty(lam.shape[:-1] + sizes.shape)
-        for size in set(sizes.tolist()):
-            runs = np.flatnonzero(sizes == size)
-            gathered = np.take(terms, starts[runs, None] + np.arange(size), axis=-1)
-            # np.sum adds a run of fewer than 8 terms in order, as `sum` over
-            # its columns does, only slower; longer runs sum pairwise.
-            columns = np.moveaxis(gathered, -1, 0)
-            values[..., runs] = -(sum(columns) if size < 8 else np.sum(gathered, axis=-1))
+        values = values[..., 0]
     return np.where(values > 0.0, values, 0.0)
 
 

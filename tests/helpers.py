@@ -237,10 +237,11 @@ def refuse_spectrum(monkeypatch):
     monkeypatch.setattr(Hamiltonian, "spectrum", property(refuse))
 
 
-# An independent kernel oracle for basis-state scans: it shares no code with
-# the library's bit action, sector blocks, batch evolution, measurement or
-# entropy passes. H acts term by term on the ket, time steps are Taylor
-# series, a measurement zeroes half of the ket and entropies are SVDs.
+# An independent kernel oracle for basis-state and ground-state scans: it
+# shares no code with the library's bit action, sector blocks, ground state,
+# batch evolution, measurement or entropy passes. H acts term by term on the
+# ket, the ground state is a Lanczos vector, time steps are Taylor series, a
+# measurement zeroes half of the ket and entropies are SVDs.
 
 def _apply_site_operator(kets, op, site, n_sites):
     """op on `site` of every (rows, 2^n) ket, through a (2^site, 2, rest) view."""
@@ -319,8 +320,9 @@ def branch_qcmi(branches, n_sites, receivers):
     return values
 
 
-def oracle_series(kind, n_sites, coupling, field, bits, times, senders):
-    """Directional QCMI from the basis state `bits` at ascending `times`, for
+def oracle_series(kind, n_sites, coupling, field, initial, times, senders):
+    """Directional QCMI from `initial`, the n_sites bits of a basis state or the
+    2^n_sites amplitudes of a unit ket, at ascending `times`, for
     each sender a in `senders` against its (B site, C sites) receivers
     senders[a], under both protocols: {(protocol, a): (receivers, times) array}.
 
@@ -329,8 +331,11 @@ def oracle_series(kind, n_sites, coupling, field, bits, times, senders):
     every sender's kept branches. A is measured in place: its site stays in
     the register, in a product state that changes no entropy of B, C or BC.
     """
-    psi0 = np.zeros(2**n_sites, dtype=complex)
-    psi0[int("".join(map(str, bits)), 2)] = 1.0
+    if len(initial) == n_sites:
+        psi0 = np.zeros(2**n_sites, dtype=complex)
+        psi0[int("".join(map(str, initial)), 2)] = 1.0
+    else:
+        psi0 = np.array(initial, dtype=complex)
 
     def split(ket, site):
         """(probability, unit ket) of each outcome of `site` kept at or above the floor."""
@@ -356,3 +361,28 @@ def oracle_series(kind, n_sites, coupling, field, bits, times, senders):
         series["quench-at-zero", a] = np.array(evolved).T
         start = stop
     return series
+
+
+def lanczos_ground_state(kind, n_sites, coupling, field, steps=200, seed=0):
+    """(E0, unit ket) of the chain from `steps` Lanczos steps with full
+    reorthogonalization, H applied by `chain_action` from a seeded random start."""
+    rng = np.random.default_rng(seed)
+    start = rng.standard_normal(2**n_sites).astype(complex)
+    basis = [start / np.linalg.norm(start)]
+    alphas, betas = [], []
+    for _ in range(steps):
+        w = chain_action(kind, n_sites, coupling, field, basis[-1][None, :])[0]
+        alphas.append(np.vdot(basis[-1], w).real)
+        for v in basis:  # twice is enough: Gram-Schmidt, then the rounding it left
+            w -= np.vdot(v, w) * v
+        for v in basis:
+            w -= np.vdot(v, w) * v
+        beta = np.linalg.norm(w)
+        if beta < 1e-12 or len(basis) == steps:  # an invariant subspace, or done
+            break
+        betas.append(beta)
+        basis.append(w / beta)
+    tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    values, vectors = np.linalg.eigh(tridiagonal)
+    ket = vectors[:, 0] @ np.array(basis)
+    return float(values[0]), ket / np.linalg.norm(ket)

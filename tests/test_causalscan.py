@@ -26,6 +26,7 @@ from qcausal import (
     evolve,
     evolve_ket,
     fit_velocity,
+    ground_state,
     initial_ket,
     mutual_information_sites,
     partial_trace,
@@ -40,7 +41,13 @@ from qcausal.infomeasures import NEGATIVITY_TOL, _clamped
 from qcausal.instrument import PROBABILITY_FLOOR
 from qcausal.qstate import entropies_from_eigenvalues
 from qcausal.spinchain import _evolve_grid
-from helpers import count_eigh, oracle_series, refuse_spectrum, single_excitation_qcmi
+from helpers import (
+    count_eigh,
+    lanczos_ground_state,
+    oracle_series,
+    refuse_spectrum,
+    single_excitation_qcmi,
+)
 
 
 def xx_config(**overrides):
@@ -378,21 +385,32 @@ class TestPureStateKernel:
             oracle = dense_values(h, psi0, protocol, times, a, [b for b, _ in receivers])
             assert np.max(np.abs(values - oracle)) <= 1e-12
 
-    @pytest.mark.parametrize("kind, field, spec", [("tfim", 0.7, "1"), ("xx", 0.3, "11")])
+    @pytest.mark.parametrize(
+        "kind, field, spec",
+        [("tfim", 0.7, "1"), ("xx", 0.3, "11"), ("tfim", 1.0, "ground"), ("xx", 0.3, "ground")],
+    )
     @pytest.mark.parametrize("n", [9, 10])
     def test_kernel_matches_an_independent_oracle(self, n, kind, field, spec):
         # The oracle in tests/helpers.py shares no code with the kernel: Pauli
-        # terms one by one, Taylor steps, a zeroed half for the measurement and
-        # SVD entropies. Two XX excitations make charge blocks wider than one.
-        bits = [int(ch) for ch in spec.ljust(n, "0")]
+        # terms one by one, a Lanczos ground state, Taylor steps, a zeroed half
+        # for the measurement and SVD entropies. Two XX excitations make charge
+        # blocks wider than one, and so does the XX ground state.
         h = build_model(ChainModel(kind, n, 1.0, field))
+        if spec == "ground":
+            energy, initial = lanczos_ground_state(kind, n, 1.0, field)
+            ground = ground_state(h)
+            assert abs(energy - ground.energy) <= 1e-10
+            assert ground.gap > 1e-2  # far from DEGENERACY_GAP: one ground state to find
+            psi0 = ground.state.amplitudes
+        else:
+            initial = [int(ch) for ch in spec.ljust(n, "0")]
+            psi0 = basis_ket(initial).amplitudes
         times = np.array([0.13, 0.37, 0.62])
         senders = {
             0: [(b, tuple(range(1, b))) for b in range(2, n)],
             n // 2: [(n - 1, tuple(range(n // 2 + 1, n - 1))), (1, tuple(range(2, n // 2)))],
         }
-        oracle = oracle_series(kind, n, 1.0, field, bits, times, senders)
-        psi0 = basis_ket(bits).amplitudes
+        oracle = oracle_series(kind, n, 1.0, field, initial, times, senders)
         for (protocol, a), expected in oracle.items():
             values = causalscan._pure_series(h, psi0, protocol, times, a, senders[a])
             assert np.max(np.abs(values - expected)) <= 1e-10

@@ -199,6 +199,20 @@ class TestApplyInstrument:
         with pytest.raises(DegenerateMeasurement):
             apply_instrument(rho, instr)
 
+    def test_non_positive_state_can_leave_every_outcome_below_floor(self):
+        # The floor check is reachable at the real PROBABILITY_FLOOR. M1 is the
+        # PSD square root of F1 = u u^T, u = (1e-10, 1), so the instrument's
+        # completeness defect is 1e-10, within COMPLETENESS_TOL. The state is
+        # Hermitian with trace 1 but not positive, and its 1e11 coherences turn
+        # that defect into outcome weights of -1 and about -18.
+        u = np.array([1e-10, 1.0])
+        instr = Instrument((0,), (np.diag([1.0, 0.0]), np.outer(u, u) / np.linalg.norm(u)))
+        assert validate_instrument(instr) <= instrument.COMPLETENESS_TOL
+        block = np.array([[-1.0, -1e11], [-1e11, 2.0]])
+        rho = DensityMatrix(2, np.kron(block, np.diag([1.0, 0.0])))
+        with pytest.raises(DegenerateMeasurement):
+            apply_instrument(rho, instr)
+
     def test_whole_register_target_rejected(self):
         rho = basis_ket([0]).density_matrix()
         with pytest.raises(InvalidInput):

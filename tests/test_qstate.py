@@ -242,10 +242,11 @@ class TestBatchedEntropy:
             assert np.all(batched[3::11] == 0.0)
 
     def test_runs_equal_their_own_calls(self):
-        # Runs of 1, 2, 9, 1, 16 and 3 eigenvalues side by side, one sum each,
-        # bit for bit as each run alone; a 1-d spectrum too.
+        # Runs of 1 to 33 eigenvalues side by side, one sum each, bit for bit
+        # as each run alone; a 1-d spectrum too. 7 and 8 sit either side of
+        # the length where np.sum stops adding in order; 33 is the longest run.
         rng = np.random.default_rng(24)
-        sizes = [1, 2, 9, 1, 16, 3]
+        sizes = [1, 2, 9, 1, 16, 3, 7, 8, 33]
         spectra = np.concatenate([random_spectra(200, size, rng) for size in sizes], axis=1)
         starts = np.cumsum([0] + sizes[:-1])
         grouped = entropies_from_eigenvalues(spectra, starts)
