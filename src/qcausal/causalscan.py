@@ -6,9 +6,10 @@ behind arrival times. ``quench-at-zero`` measures A once at t=0 and evolves
 every outcome branch separately. Distances start at d=2: at d=1 the
 conditioning set C is empty and every scan raises `EmptyConditioner`.
 
-Both scans check their fields and call `_scan`: spec and batch checks, one
-chain build, the initial ket, then the kernel `_pure_series`, which reads no
-config and returns one read-only (receivers, times) array.
+A `ScanConfig` checks the initial spec and the batch size when it is made.
+Both scans check their fields and call `_scan`: one chain build, the initial
+ket, then the kernel `_pure_series`, which reads no config and returns one
+read-only (receivers, times) array.
 
 Every initial state is pure and a projective-z measurement keeps it pure, so
 the kernel runs on batches (states, amplitudes): the sorted register indices
@@ -129,6 +130,8 @@ class ScanConfig:
         if self.protocol not in PROTOCOLS:
             raise InvalidInput(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
         _check_detection(self.threshold, self.crossing)
+        _basis_bits(self.initial, self.model.n_sites)
+        self.grid.check_batch(self.model.n_sites)
 
 
 def _check_detection(threshold: float, crossing: str) -> None:
@@ -210,12 +213,6 @@ def initial_ket(hamiltonian: Hamiltonian, spec: str) -> Ket:
             stacklevel=2,
         )
     return ground.state
-
-
-def _check_scan_inputs(config: ScanConfig) -> None:
-    """The initial-state spec and the amplitude batch size, checked before any build."""
-    _basis_bits(config.initial, config.model.n_sites)
-    config.grid.check_batch(config.model.n_sites)
 
 
 def _measure_z(states: np.ndarray, kets: np.ndarray, site: int, n_sites: int, keep_site=False):
@@ -362,8 +359,7 @@ def _pure_series(
 def _scan(
     config: ScanConfig, site_a: int, receivers: list[tuple[int, tuple[int, ...]]]
 ) -> np.ndarray:
-    """Check the spec and batch size, build once, resolve the ket, run the kernel."""
-    _check_scan_inputs(config)
+    """Build once, resolve the ket, run the kernel."""
     h = build_model(config.model)
     psi0 = initial_ket(h, config.initial).amplitudes
     return _pure_series(h, psi0, config.protocol, config.grid.times, site_a, receivers)

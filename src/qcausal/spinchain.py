@@ -1,14 +1,15 @@
 """Chain Hamiltonians (transverse-field Ising, XX) and exact time evolution.
 
 Both models are open-boundary and real symmetric. A `Hamiltonian` never
-forms the 2^N x 2^N matrix: it acts on the basis bits and fills each sector
-block Q^T H Q straight from that action. The sectors are the popcount when
-no term changes it (XX; TFIM at h = 0), else the spin-flip parity, each
-split once more by site reversal. Blocks are diagonalized on first use. A
-pure state evolves only in the sectors it occupies, into a batch (states,
-amplitudes): the sorted register indices those sectors span and a (times,
-states) array; `ground_state` is read from the blocks too. The one dense
-form of H is its eigendecomposition `spectrum`, read by `propagator`.
+forms the 2^N x 2^N matrix: it holds its action on the basis bits, and each
+sector block fills its own Q^T H Q straight from that action. The sectors
+are the popcount when no term changes it (XX; TFIM at h = 0), else the
+spin-flip parity, each split once more by site reversal. Blocks are
+diagonalized on first use. A pure state evolves only in the sectors it
+occupies, into a batch (states, amplitudes): the sorted register indices
+those sectors span and a (times, states) array; `ground_state` is read from
+the blocks too. The one dense form of H is its eigendecomposition
+`spectrum`, read by `propagator`.
 Units: hbar = 1, couplings dimensionless, time in units of 1/J.
 """
 
@@ -20,11 +21,10 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import InvalidInput, NumericalInstability
-from .qstate import MAX_SITES, NORM_TOL, DensityMatrix, Ket, check_instance, check_n_sites
-from .qstate import check_array, check_real
+from .qstate import MAX_SITES, NORM_TOL, TRACE_TOL, DensityMatrix, Ket, check_instance
+from .qstate import check_array, check_n_sites, check_real
 
 BUILD_HERMITICITY_TOL = 1e-12
-UNITARITY_TOL = 1e-9
 DEGENERACY_GAP = 1e-10
 
 MODEL_KINDS = ("tfim", "xx")
@@ -56,12 +56,15 @@ class ChainModel:
 
 
 class Hamiltonian:
-    """The real symmetric Hamiltonian of a `ChainModel`, built from its bit
-    action (`_BitAction`) and eigendecomposed per sector, one `_Block` each."""
+    """The real symmetric Hamiltonian of a `ChainModel`, held as its action on
+    basis states and eigendecomposed per sector, one `_Block` each:
+    H|s> = sum over m of _amplitudes[m, s] |s ^ _masks[m]>. Mask 0 carries the
+    diagonal; every other mask flips the sites it covers.
+    """
 
     def __init__(self, model: ChainModel):
         self.model = check_instance(model, ChainModel, "model")
-        self._action = _ACTIONS[model.kind](model)
+        self._masks, self._amplitudes = _ACTIONS[model.kind](model)
 
     @property
     def n_sites(self) -> int:
@@ -73,8 +76,17 @@ class Hamiltonian:
 
     @cached_property
     def _blocks(self) -> list[_Block]:
-        """One `_Block` per sector, in sector order; none diagonalized yet."""
-        return [_Block(self._action, rows, factors) for rows, factors in self._action.sectors()]
+        """One `_Block` per sector, in sector order; none diagonalized yet.
+
+        Popcount sectors when no term changes the popcount (XX; TFIM at
+        h = 0), else spin-flip parity sectors; each split by site reversal.
+        Both models' uniform open chains commute with both by construction;
+        the tests hold every block to the Pauli-Kronecker matrix."""
+        popcount = _site_bits(self.n_sites).sum(axis=1)
+        flipped = popcount[np.arange(popcount.size) ^ self._masks[:, None]]
+        keeps = bool(np.all((self._amplitudes == 0) | (flipped == popcount)))
+        sectors = _orbit_sectors(self.n_sites, popcount=keeps)
+        return [_Block(self, rows, factors) for rows, factors in sectors]
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -100,34 +112,37 @@ class Hamiltonian:
         return values, vectors
 
 
-class _BitAction:
-    """A chain Hamiltonian as it acts on basis states, never as a matrix:
-    H|s> = sum over m of amplitudes[m, s] |s ^ masks[m]>. Mask 0 carries the
-    diagonal; every other mask flips the sites it covers.
+class _Block:
+    """One sector of a Hamiltonian, eigendecomposed on first use.
+
+    The sector's orthonormal basis Q is one (rows, factors) pair per element
+    g of its symmetry group, stacked into two (|G|, size) arrays, identity
+    first: column i of Q is the sum over g of factors[g, i] |rows[g, i]>.
+    rows[g] = g(r) for the orbit representatives r (the least state of each
+    orbit, ascending), and factors[g] = chi(g) / sqrt(|G| |stabilizer of r|).
+    Where g fixes r (a palindrome under site reversal), several elements hit
+    one row and their factors add.
     """
 
-    def __init__(self, n_sites: int, masks: np.ndarray, amplitudes: np.ndarray):
-        self.n_sites = n_sites
-        self.masks = masks
-        self.amplitudes = amplitudes
+    def __init__(self, hamiltonian: Hamiltonian, rows: np.ndarray, factors: np.ndarray):
+        # The action's arrays, not the Hamiltonian: a block that held the
+        # Hamiltonian holding it would be a reference cycle, freed only by
+        # the cyclic collector, eigenvectors and all.
+        self.masks, self.amplitudes = hamiltonian._masks, hamiltonian._amplitudes
+        self.rows = rows
+        self.factors = factors
 
-    def sectors(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Popcount sectors when no term changes the popcount (XX; TFIM at
-        h = 0), else spin-flip parity sectors; each split by site reversal.
-        Both models' uniform open chains commute with both by construction;
-        the tests hold every block to the Pauli-Kronecker matrix."""
-        popcount = _site_bits(self.n_sites).sum(axis=1)
-        flipped = popcount[np.arange(popcount.size) ^ self.masks[:, None]]
-        keeps = bool(np.all((self.amplitudes == 0) | (flipped == popcount)))
-        return _orbit_sectors(self.n_sites, popcount=keeps)
+    @property
+    def size(self) -> int:
+        return self.rows.shape[1]
 
-    def block(self, rows: np.ndarray, factors: np.ndarray) -> np.ndarray:
-        """Q^T H Q of one sector, filled from the bits. H Q stays in the
+    def matrix(self) -> np.ndarray:
+        """Q^T H Q, filled from the Hamiltonian's bit action. H Q stays in the
         sector, so its rows at the orbit representatives give Q^T H Q, row i
         scaled by |G| factors[0, i]. The action is never checked whole, so
         each block is checked for hermiticity here."""
-        size = rows.shape[1]
-        position = np.full(2**self.n_sites, -1)
+        rows, factors, size = self.rows, self.factors, self.size
+        position = np.full(self.amplitudes.shape[1], -1)
         position[rows[0]] = np.arange(size)
         sources = rows[:, None, :]  # (element, term, column)
         hit = position[sources ^ self.masks[:, None]]
@@ -143,28 +158,6 @@ class _BitAction:
             )
         return block
 
-
-class _Block:
-    """One sector of a Hamiltonian, eigendecomposed on first use.
-
-    The sector's orthonormal basis Q is one (rows, factors) pair per element
-    g of its symmetry group, stacked into two (|G|, size) arrays, identity
-    first: column i of Q is the sum over g of factors[g, i] |rows[g, i]>.
-    rows[g] = g(r) for the orbit representatives r (the least state of each
-    orbit, ascending), and factors[g] = chi(g) / sqrt(|G| |stabilizer of r|).
-    Where g fixes r (a palindrome under site reversal), several elements hit
-    one row and their factors add.
-    """
-
-    def __init__(self, action: _BitAction, rows: np.ndarray, factors: np.ndarray):
-        self.action = action
-        self.rows = rows
-        self.factors = factors
-
-    @property
-    def size(self) -> int:
-        return self.rows.shape[1]
-
     @cached_property
     def eigen(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending values and sign-fixed real vectors in the block's basis.
@@ -174,7 +167,7 @@ class _Block:
         magnitude sits at its representative, the least row of its orbit, and
         is scaled by the factors that land there.
         """
-        values, vectors = np.linalg.eigh(self.action.block(self.rows, self.factors))
+        values, vectors = np.linalg.eigh(self.matrix())
         landing = np.sum(np.where(self.rows == self.rows[0], np.abs(self.factors), 0.0), axis=0)
         lead = np.argmax(np.abs(vectors) * landing[:, None], axis=0)
         vectors *= np.sign(vectors[lead, np.arange(vectors.shape[1])])
@@ -241,23 +234,22 @@ def _site_bits(n_sites: int) -> np.ndarray:
     return (np.arange(2**n_sites)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
 
 
-def _tfim_action(model: ChainModel) -> _BitAction:
+def _tfim_action(model: ChainModel) -> tuple[np.ndarray, np.ndarray]:
     n = model.n_sites
     spins = 1 - 2 * _site_bits(n)
     diagonal = -model.coupling * np.sum(spins[:, :-1] * spins[:, 1:], axis=1, dtype=float)
     masks = np.concatenate([[0], 1 << np.arange(n - 1, -1, -1)])
-    amplitudes = np.vstack([diagonal, np.full((n, 2**n), -model.field)])
-    return _BitAction(n, masks, amplitudes)
+    return masks, np.vstack([diagonal, np.full((n, 2**n), -model.field)])
 
 
-def _xx_action(model: ChainModel) -> _BitAction:
+def _xx_action(model: ChainModel) -> tuple[np.ndarray, np.ndarray]:
     n = model.n_sites
     bits = _site_bits(n)
     diagonal = model.field * (n - 2 * bits.sum(axis=1, dtype=float))
     # sx sx + sy sy = 2(|01><10| + |10><01|): J on every flip of a differing pair.
     masks = np.concatenate([[0], 3 << np.arange(n - 2, -1, -1)])
     hops = np.where(bits[:, :-1] != bits[:, 1:], model.coupling, 0.0).T
-    return _BitAction(n, masks, np.vstack([diagonal, hops]))
+    return masks, np.vstack([diagonal, hops])
 
 
 _ACTIONS = {"tfim": _tfim_action, "xx": _xx_action}
@@ -312,8 +304,8 @@ class Propagator:
         if mat.shape[0] != mat.shape[1]:
             raise InvalidInput(f"propagator must be a square matrix, got shape {mat.shape}")
         defect = np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0])))
-        if not defect <= UNITARITY_TOL:
-            raise NumericalInstability(f"unitarity defect {defect:.3e} exceeds {UNITARITY_TOL}")
+        if not defect <= TRACE_TOL:
+            raise NumericalInstability(f"unitarity defect {defect:.3e} exceeds {TRACE_TOL}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 

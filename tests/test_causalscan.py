@@ -214,7 +214,8 @@ class TestQcmiTimeSeries:
 
 
 class TestChecksBeforeTheBuild:
-    """Bad initial specs and oversized grids fail before any chain is built."""
+    """Bad initial specs and oversized grids fail when the `ScanConfig` is
+    made, so no scan can reach the build with them."""
 
     @pytest.fixture(autouse=True)
     def no_build(self, monkeypatch):
@@ -225,36 +226,29 @@ class TestChecksBeforeTheBuild:
         base = dict(model=ChainModel("xx", 12, 1.0, 0.3), initial="basis:1" + "0" * 11, site_b=11)
         return xx_config(**{**base, **overrides})
 
-    def scans(self, **overrides):
-        series = self.config(**overrides)
-        scan = replace(series, site_a=None, site_b=None, d_min=2, d_max=11)
-        return (lambda: qcmi_time_series(series), lambda: arrival_scan(scan))
-
     @pytest.mark.parametrize("spec", ["basis:1", "basis:" + "0" * 13, "basis:10x", "basis:", "excited", None])
     def test_bad_basis_spec(self, spec):
-        for run in self.scans(initial=spec):
-            with pytest.raises(InvalidInput):
-                run()
+        with pytest.raises(InvalidInput):
+            self.config(initial=spec)
 
     def test_oversized_grid(self):
         # 2^14 grid points x 2^12 amplitudes = 2^26 > MAX_SCAN_AMPLITUDES.
         grid = TimeGrid(2.0**14 - 1, 1.0)
-        for run in self.scans(grid=grid):
-            with pytest.raises(InvalidInput, match="scan limit"):
-                run()
+        with pytest.raises(InvalidInput, match="scan limit"):
+            self.config(grid=grid)
         assert "times" not in vars(grid)  # rejected before the grid was built
 
     def test_long_twelve_site_grid_is_allowed(self):
         # 5001 points x 2^12 amplitudes: checked from the sizes, not run.
-        causalscan._check_scan_inputs(self.config(grid=TimeGrid(100.0, 0.02)))
+        self.config(grid=TimeGrid(100.0, 0.02))
 
     def test_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(causalscan, "MAX_SCAN_AMPLITUDES", 11 * 2**12)
         fits = TimeGrid(1.0, 0.1)  # 11 points
         too_many = TimeGrid(1.1, 0.1)  # 12 points
-        causalscan._check_scan_inputs(self.config(grid=fits))
+        self.config(grid=fits)
         with pytest.raises(InvalidInput):
-            causalscan._check_scan_inputs(self.config(grid=too_many))
+            self.config(grid=too_many)
 
 
 def use_chain(monkeypatch, hamiltonian):

@@ -1,10 +1,13 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from qcausal import (
     ChainModel,
+    DensityMatrix,
     Hamiltonian,
     InvalidInput,
     NumericalInstability,
@@ -21,7 +24,7 @@ from qcausal import (
     total_sigma_z,
     von_neumann_entropy,
 )
-from qcausal.spinchain import DEGENERACY_GAP, _BitAction, _Block, _evolve_grid
+from qcausal.spinchain import DEGENERACY_GAP, _Block, _evolve_grid
 from helpers import count_eigh, dense_tfim, dense_xx, random_density, random_ket
 from helpers import refuse_spectrum
 
@@ -103,14 +106,14 @@ class TestBuildXx:
 class TestHermiticityAndSpectrum:
     @pytest.mark.parametrize("kind", ["tfim", "xx"])
     def test_hermiticity_random_parameters(self, kind):
-        # `block` refuses a defect above BUILD_HERMITICITY_TOL; the builders'
+        # `matrix` refuses a defect above BUILD_HERMITICITY_TOL; the builders'
         # blocks are symmetric to the last bit.
         rng = np.random.default_rng(21)
         for _ in range(5):
             n = int(rng.integers(2, 6))
             model = ChainModel(kind, n, float(rng.normal()), float(rng.normal()))
             for block in Hamiltonian(model)._blocks:
-                native = block.action.block(block.rows, block.factors)
+                native = block.matrix()
                 assert np.array_equal(native, native.T)
 
     def test_eigen_reconstruction(self):
@@ -134,7 +137,7 @@ class TestBuildersMatchKronOracle:
                 whole = np.zeros((2**n, 2**n))
                 for block in Hamiltonian(ChainModel(kind, n, j, h))._blocks:
                     basis = block_basis(block, 2**n)
-                    native = block.action.block(block.rows, block.factors)
+                    native = block.matrix()
                     assert native.dtype == np.float64
                     whole += basis @ native @ basis.T
                 assert np.max(np.abs(whole - ORACLES[kind](n, j, h))) <= 1e-14
@@ -206,7 +209,7 @@ class TestNativeBlocks:
                     basis = block_basis(block, dim)
                     # H Q = Q B, with H Q gathered column by column from the sparse Q.
                     hq = sum(oracle[:, rows] * f for rows, f in zip(block.rows, block.factors))
-                    native = block.action.block(block.rows, block.factors)
+                    native = block.matrix()
                     assert native.dtype == np.float64
                     assert np.max(np.abs(hq - basis @ native)) <= 1e-14
                     bases.append(basis)
@@ -218,11 +221,13 @@ class TestNativeBlocks:
         # H|s> = |s ^ 1> for even s only: no Hermitian matrix acts like that.
         n = 3
         states = np.arange(2**n)
-        action = _BitAction(n, np.array([0, 1]), np.vstack([np.zeros(8), states % 2 == 0]))
+        hamiltonian = Hamiltonian(ChainModel("tfim", n, 1.0, 1.0))
+        hamiltonian._masks = np.array([0, 1])
+        hamiltonian._amplitudes = np.vstack([np.zeros(8), states % 2 == 0])
         # One block holding every basis state, the identity its only element.
         rows, factors = np.arange(2**n)[None], np.ones((1, 2**n))
         with pytest.raises(InvalidInput, match="hermiticity"):
-            action.block(rows, factors)
+            _Block(hamiltonian, rows, factors).matrix()
 
     @pytest.mark.parametrize("kind", sorted(ORACLES))
     def test_large_couplings_pass_the_block_check(self, kind):
@@ -347,13 +352,27 @@ class TestSectorBlocks:
         # from inside that block.
         hamiltonian = build_model(ChainModel(kind, 6, 1.0, 0.7))
         rows, factors = np.arange(64)[None], np.ones((1, 64))
-        hamiltonian._blocks = [_Block(hamiltonian._action, rows, factors)]
+        hamiltonian._blocks = [_Block(hamiltonian, rows, factors)]
         gs = ground_state(hamiltonian)
         values, vectors = hamiltonian.spectrum
         assert gs.energy == values[0] and gs.gap == values[1] - values[0]
         assert np.array_equal(gs.state.amplitudes, vectors[:, 0])
         oracle = np.linalg.eigvalsh(ORACLES[kind](6, 1.0, 0.7))
         assert abs(gs.gap - (oracle[1] - oracle[0])) <= 1e-10
+
+    def test_a_dropped_hamiltonian_is_freed_without_the_cyclic_collector(self):
+        # Blocks hold the action's arrays, not their Hamiltonian. In a cycle,
+        # each dropped chain kept its eigenvectors until a full collection:
+        # 60 TFIM N=10 ground states in a loop peaked at 140 MiB, not 36.
+        hamiltonian = Hamiltonian(ChainModel("tfim", 4, 1.0, 1.0))
+        ground_state(hamiltonian)
+        gone = weakref.ref(hamiltonian)
+        gc.disable()
+        try:
+            del hamiltonian
+            assert gone() is None
+        finally:
+            gc.enable()
 
     def test_ground_state_diagonalizes_every_sector(self, monkeypatch):
         # Each popcount block splits into its reversal-even and -odd halves;
@@ -425,6 +444,18 @@ class TestPropagator:
     def test_nan_matrix_fails_the_unitarity_check(self):
         with pytest.raises(NumericalInstability, match="unitarity"):
             Propagator(0.1, np.full((2, 2), np.nan))
+
+    def test_propagator_held_to_the_trace_tolerance_of_its_output(self):
+        # U U^dagger - I = diag(8e-10, 0) would move the trace of |0><0| by
+        # 8e-10, past what `DensityMatrix` accepts; the propagator is refused
+        # when it is made, not its output when it is used.
+        with pytest.raises(NumericalInstability, match="unitarity defect 8.000e-10 exceeds 1e-10"):
+            Propagator(0.1, np.diag([1 + 4e-10, 1.0]))
+
+    def test_propagator_within_the_trace_tolerance_evolves(self):
+        u = Propagator(0.1, np.diag([1 + 4e-11, 1.0]))
+        out = evolve(DensityMatrix(1, np.diag([1.0, 0.0])), u)
+        assert abs(np.trace(out.matrix) - 1.0) <= 1e-10
 
 
 class TestEvolve:
