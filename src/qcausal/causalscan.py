@@ -9,7 +9,9 @@ conditioning set C is empty and every scan raises `EmptyConditioner`.
 A `ScanConfig` checks the initial spec and the batch size when it is made.
 Both scans check their fields and call `_scan`: one chain build, the initial
 ket, then the kernel `_pure_series`, which reads no config and returns one
-read-only (receivers, times) array.
+read-only (receivers, times) array. An XX ket with one excitation (every
+nonzero amplitude at a popcount-1 index) goes to `_excitation_series`
+instead, the same array in closed form, held to the kernel by the tests.
 
 Every initial state is pure and a projective-z measurement keeps it pure, so
 the kernel runs on batches (states, amplitudes): the sorted register indices
@@ -37,10 +39,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import EmptyConditioner, InsufficientData, InvalidInput
+from .exceptions import EmptyConditioner, InsufficientData, InvalidInput, NumericalInstability
 from .infomeasures import Partition, _clamped_values
 from .instrument import PROBABILITY_FLOOR, projective_z_instrument
-from .qstate import Ket, basis_ket, check_site_pair, entropies_from_eigenvalues
+from .qstate import NORM_TOL, Ket, basis_ket, check_site_pair, entropies_from_eigenvalues
 from .qstate import check_array, check_instance, check_integer, check_real, check_sequence
 from .spinchain import DEGENERACY_GAP, ChainModel, Hamiltonian, _evolve_grid, _site_bits
 from .spinchain import build_model, ground_state
@@ -215,6 +217,15 @@ def initial_ket(hamiltonian: Hamiltonian, spec: str) -> Ket:
     return ground.state
 
 
+def _branch_weights(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(kept, weights) of a (rows, outcomes) table of outcome probabilities:
+    outcomes below PROBABILITY_FLOOR are dropped and the rest renormalized,
+    as `apply_instrument` does."""
+    kept = probs >= PROBABILITY_FLOOR
+    total = np.sum(np.where(kept, probs, 0.0), axis=1)
+    return kept, np.where(kept, probs / total[:, None], 0.0)
+
+
 def _measure_z(states: np.ndarray, kets: np.ndarray, site: int, n_sites: int, keep_site=False):
     """Projective-z measurement of `site` on every row of a (states, kets) batch:
     (weights, (states, normalized kets)) per outcome kept at some row, the
@@ -226,10 +237,8 @@ def _measure_z(states: np.ndarray, kets: np.ndarray, site: int, n_sites: int, ke
     split = [np.flatnonzero((states >> bit) & 1 == x) for x in (0, 1)]
     parts = [np.take(kets, columns, axis=1) for columns in split]
     probs = np.stack([np.sum(np.abs(branch) ** 2, axis=1) for branch in parts], axis=1)
-    kept = probs >= PROBABILITY_FLOOR
-    total = np.sum(np.where(kept, probs, 0.0), axis=1)
+    kept, weights = _branch_weights(probs)
     scale = np.where(kept, 1.0 / np.sqrt(np.where(kept, probs, 1.0)), 0.0)
-    weights = np.where(kept, probs / total[:, None], 0.0)
     if not keep_site:
         states = states >> (bit + 1) << bit | states & ((1 << bit) - 1)
     return [
@@ -319,6 +328,15 @@ def _branch_average(branches: list[tuple[np.ndarray, np.ndarray]], cuts: np.ndar
     return values
 
 
+def _site_sets(pairs: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> tuple[list, np.ndarray]:
+    """The distinct B, C and BC site sets of (B, C) pairs, sorted, and the
+    `_branch_average` cuts: each pair's (B, C, BC) index in that list."""
+    joined = [tuple(sorted(b + c)) for b, c in pairs]
+    site_sets = sorted({sites for pair, bc in zip(pairs, joined) for sites in (*pair, bc)})
+    row = {sites: k for k, sites in enumerate(site_sets)}
+    return site_sets, np.array([[row[b], row[c], row[bc]] for (b, c), bc in zip(pairs, joined)])
+
+
 def _pure_series(
     h: Hamiltonian, psi0: np.ndarray, protocol: str, times: np.ndarray, site_a: int,
     receivers: list[tuple[int, tuple[int, ...]]],
@@ -333,10 +351,7 @@ def _pure_series(
     measure_at_t = protocol == "measure-at-t"
     register = n - 1 if measure_at_t else n
     shift = [s - (s > site_a) if measure_at_t else s for s in range(n)]
-    pairs = [((shift[b],), tuple(shift[s] for s in c)) for b, c in receivers]
-    site_sets = sorted({sites for b, c in pairs for sites in (b, c, tuple(sorted(b + c)))})
-    row = {sites: k for k, sites in enumerate(site_sets)}
-    cuts = np.array([[row[b], row[c], row[tuple(sorted(b + c))]] for b, c in pairs])
+    site_sets, cuts = _site_sets([((shift[b],), tuple(shift[s] for s in c)) for b, c in receivers])
     if measure_at_t:
         branches = [
             (weights, _entropies(*batch, register, site_sets))
@@ -356,13 +371,89 @@ def _pure_series(
     return values
 
 
+def _hopping_modes(n_sites: int, coupling: float) -> tuple[np.ndarray, np.ndarray]:
+    """Energies eps_k = 2J cos(pi k / (N+1)) and the symmetric mode matrix
+    phi[j, k-1] = sqrt(2 / (N+1)) sin(pi k (j+1) / (N+1)), k = 1..N, of one
+    excitation hopping with amplitude J along N open sites."""
+    k = np.arange(1, n_sites + 1)
+    modes = np.sqrt(2.0 / (n_sites + 1)) * np.sin(np.pi / (n_sites + 1) * np.outer(k, k))
+    return 2.0 * coupling * np.cos(np.pi / (n_sites + 1) * k), modes
+
+
+def _excitation_series(
+    h: Hamiltonian, psi0: np.ndarray, protocol: str, times: np.ndarray, site_a: int,
+    receivers: list[tuple[int, tuple[int, ...]]],
+) -> np.ndarray:
+    """`_pure_series` in closed form for an XX chain whose `psi0` holds one
+    excitation (every amplitude at a popcount-1 index); the kernel is its oracle.
+
+    Site j holds amplitude sum_k phi_k(j) exp(-i eps_k t) sum_i phi_k(i) c_i
+    (`_hopping_modes`); in this sector the field adds only a global phase. A
+    state with one excitation, found on a site set S with probability p_S,
+    gives S the entropy of the pair (p_S, p_rest), p_rest that of the other
+    sites. Under measure-at-t, finding the excitation at A leaves a product
+    state (I = 0), so only the other outcome counts; quench-at-zero evolves
+    both outcomes of t = 0. Floor and weights follow `_measure_z`, and each
+    row's norm is checked as in `_evolve_grid`.
+    """
+    n = h.n_sites
+    energies, modes = _hopping_modes(n, h.model.coupling)
+    site_sets, cuts = _site_sets([((b,), c) for b, c in receivers])
+    # sides[j, s]: (1, 0) if site j is in set s, else (0, 1).
+    sides = np.zeros((n, len(site_sets), 2))
+    sides[..., 1] = 1.0
+    for k, sites in enumerate(site_sets):
+        sides[list(sites), k] = (1.0, 0.0)
+    initial = psi0[1 << np.arange(n - 1, -1, -1)]  # site j's amplitude
+    away = np.arange(n) != site_a
+
+    def occupations(starts: np.ndarray) -> np.ndarray:
+        """(outcomes, times, sites) |amplitude|^2 from (outcomes, sites) unit kets at t = 0."""
+        # einsum, not @: no BLAS call, so none of its code is paged in.
+        phases = np.exp(np.multiply.outer(times, -1j * energies))
+        coefficients = np.einsum("bi,ik->bk", starts, modes)
+        amplitudes = np.einsum("tk,bk,jk->btj", phases, coefficients, modes)
+        occupancy = np.square(amplitudes.real) + np.square(amplitudes.imag)
+        defect = np.max(np.abs(np.sqrt(np.sum(occupancy, axis=-1)) - 1.0))
+        if not defect <= NORM_TOL:
+            raise NumericalInstability(f"evolved norm defect {defect:.3e} exceeds {NORM_TOL}")
+        return occupancy
+
+    if protocol == "measure-at-t":
+        (occupancy,) = occupations(initial[None])
+        outcomes = np.stack([np.sum(occupancy[:, away], axis=1), occupancy[:, site_a]], axis=1)
+        kept, weights = _branch_weights(outcomes)
+        scale = np.where(kept[:, 0], 1.0 / np.where(kept[:, 0], outcomes[:, 0], 1.0), 0.0)
+        branches = [(weights[:, 0], occupancy * away * scale[:, None])]
+    else:  # quench-at-zero
+        starts = np.stack([np.where(away, initial, 0.0), np.where(away, 0.0, initial)])
+        outcomes = np.sum(np.abs(starts) ** 2, axis=1)
+        kept, weights = _branch_weights(outcomes[None])
+        picked = np.flatnonzero(kept[0])
+        occupancy = occupations(starts[picked] / np.sqrt(outcomes[picked, None]))
+        branches = [(np.full(times.size, weights[0, x]), o) for x, o in zip(picked, occupancy)]
+    # Both weights summed, not p_S and 1 - p_S: a weight near EIG_CLAMP keeps
+    # the kernel's relative precision, so both apply the clamp alike.
+    averaged = [
+        (weights, entropies_from_eigenvalues(np.einsum("tj,jsx->stx", occupancy, sides)))
+        for weights, occupancy in branches
+    ]
+    values = _branch_average(averaged, cuts)
+    values.setflags(write=False)
+    return values
+
+
 def _scan(
     config: ScanConfig, site_a: int, receivers: list[tuple[int, tuple[int, ...]]]
 ) -> np.ndarray:
-    """Build once, resolve the ket, run the kernel."""
+    """Build once, resolve the ket, and run the kernel, or its closed form on
+    an XX chain when every nonzero amplitude sits at a popcount-1 index."""
     h = build_model(config.model)
     psi0 = initial_ket(h, config.initial).amplitudes
-    return _pure_series(h, psi0, config.protocol, config.grid.times, site_a, receivers)
+    excited = np.flatnonzero(psi0)  # ascending: index 0, popcount 0, would come first
+    single = config.model.kind == "xx" and excited[0] > 0 and not np.any(excited & (excited - 1))
+    series = _excitation_series if single else _pure_series
+    return series(h, psi0, config.protocol, config.grid.times, site_a, receivers)
 
 
 def qcmi_time_series(config: ScanConfig) -> QcmiSeries:

@@ -318,14 +318,18 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The qcausal parser: with the named command's subparser only, when
+    `command` names one, else with every command's (for help and errors)."""
     parser = argparse.ArgumentParser(
         prog="qcausal",
         description="Directional QCMI diagnostics for exactly simulated spin chains.",
     )
     subparsers = parser.add_subparsers(dest="command", metavar="command")
-    for command, (_, help_text, options) in COMMANDS.items():
-        sub = subparsers.add_parser(command, help=help_text)
+    for name, (_, help_text, options) in COMMANDS.items():
+        if command in COMMANDS and name != command:
+            continue
+        sub = subparsers.add_parser(name, help=help_text)
         for key, default in options.items():
             sub.add_argument(
                 f"--{key}",
@@ -333,10 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=_OPTION_CHOICES.get(key),
                 default=default,
             )
-        if command != "ghz-demo":
+        if name != "ghz-demo":
             sub.add_argument("--out", default=None, help="write primary output here")
             sub.add_argument("--config", default=None, help="key = value file of option defaults")
-        if command == "arrival-scan":
+        if name == "arrival-scan":
             sub.add_argument("--json-out", dest="json_out", default=None,
                              help="write the JSON summary here")
     return parser
@@ -358,7 +362,8 @@ def _read_config_file(path: str, options: dict) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    # argparse reads the command from the first token: build only its parser.
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):

@@ -251,6 +251,36 @@ class TestChecksBeforeTheBuild:
             self.config(grid=too_many)
 
 
+def spy_series(monkeypatch):
+    """Record every (receivers, times) array the kernel and its closed form
+    return, in one list per backend."""
+    returned = {"_pure_series": [], "_excitation_series": []}
+
+    def spying(series, out):
+        def spied(*args):
+            out.append(series(*args))
+            return out[-1]
+
+        return spied
+
+    for name, out in returned.items():
+        monkeypatch.setattr(causalscan, name, spying(getattr(causalscan, name), out))
+    return returned
+
+
+def call_counts(returned):
+    return {name: len(out) for name, out in returned.items()}
+
+
+def paper_kernel(config=PAPER_SCAN):
+    """The kernel on an arrival scan's inputs, whatever its initial state;
+    `_scan` sends a one-excitation XX state to the closed form instead."""
+    h = build_model(config.model)
+    receivers = [(d, tuple(range(1, d))) for d in range(config.d_min, config.d_max + 1)]
+    psi0 = initial_ket(h, config.initial).amplitudes
+    return causalscan._pure_series(h, psi0, config.protocol, config.grid.times, 0, receivers)
+
+
 def use_chain(monkeypatch, hamiltonian):
     """Make every scan run on `hamiltonian`, which must be built for the scan's model."""
 
@@ -417,8 +447,10 @@ class TestPureStateKernel:
             block.__dict__["eigen"] = (values, 1.01 * vectors)  # a non-unitary eigenbasis
         use_chain(monkeypatch, h)
         for protocol in ("measure-at-t", "quench-at-zero"):
+            # Two excitations: the kernel's state, not the closed form's.
+            config = xx_config(initial="basis:1100", protocol=protocol, grid=TimeGrid(0.2, 0.1))
             with pytest.raises(NumericalInstability):
-                qcmi_time_series(xx_config(protocol=protocol, grid=TimeGrid(0.2, 0.1)))
+                qcmi_time_series(config)
 
     def test_nan_evolution_is_rejected(self, monkeypatch):
         h = build_model(ChainModel("xx", 4, 1.0, 0.5))
@@ -429,7 +461,7 @@ class TestPureStateKernel:
             evolve_ket(h, initial_ket(h, "basis:1000"), 0.3)
         use_chain(monkeypatch, h)
         with pytest.raises(NumericalInstability):
-            qcmi_time_series(xx_config(grid=TimeGrid(0.2, 0.1)))
+            qcmi_time_series(xx_config(initial="basis:1100", grid=TimeGrid(0.2, 0.1)))
 
     @staticmethod
     def run_scans(kind, initial, protocol, field=0.3):
@@ -483,11 +515,10 @@ class TestPureStateKernel:
     @pytest.mark.parametrize("protocol", ["measure-at-t", "quench-at-zero"])
     def test_basis_state_scan_diagonalizes_one_sector(self, monkeypatch, protocol):
         calls = count_eigh(monkeypatch)
-        config = xx_config(
-            model=ChainModel("xx", 8, 1.0, 0.3), initial="basis:10000000", protocol=protocol,
-            grid=TimeGrid(1.0, 0.1), site_a=None, site_b=None, d_min=2, d_max=7,
-        )
+        config = replace(PAPER_SCAN, protocol=protocol, grid=TimeGrid(1.0, 0.1))
         arrival_scan(config)
+        assert calls == []  # the closed form diagonalizes nothing
+        paper_kernel(config)
         # The popcount-1 sector as its two site-reversal blocks, shared by every distance.
         assert calls == [(4, 4), (4, 4)]
 
@@ -498,22 +529,17 @@ class TestPureStateKernel:
                 qcmi_time_series(config)
 
     @pytest.mark.parametrize("protocol", ["measure-at-t", "quench-at-zero"])
-    @pytest.mark.parametrize("initial", ["basis:100000", "ground"])
+    @pytest.mark.parametrize("initial", ["basis:100000", "basis:110000", "ground"])
     def test_arrival_scan_matches_per_distance_series(self, monkeypatch, initial, protocol):
-        kernel, computed = causalscan._pure_series, []
-
-        def recorded(*args):
-            computed.append(kernel(*args))
-            return computed[-1]
-
-        monkeypatch.setattr(causalscan, "_pure_series", recorded)
+        # One excitation takes the closed form; two, and the ground state, the kernel.
+        returned = spy_series(monkeypatch)
         config = xx_config(
             model=ChainModel("xx", 6, 1.0, 0.3), initial=initial,
             protocol=protocol, grid=TimeGrid(3.0, 0.05),
             site_a=None, site_b=None, d_min=2, d_max=5, crossing="interp",
         )
         table = arrival_scan(config)
-        (scanned,) = computed
+        (scanned,) = returned["_pure_series"] + returned["_excitation_series"]
         assert scanned.shape == (4, 61)
         for (d, t_arr), row in zip(table.rows, scanned):
             series = qcmi_time_series(replace(config, site_a=0, site_b=d, d_min=None, d_max=None))
@@ -653,7 +679,7 @@ class TestChargeBlocks:
             return entropies(states, kets, n_sites, site_sets)
 
         monkeypatch.setattr(causalscan, "_entropies", counted)
-        arrival_scan(PAPER_SCAN)
+        paper_kernel()
         # One call per branch, each with 13 site sets: B = {d-1} and
         # C = {0..d-2} for d = 2..7 in the 7-site branch register; BC at d is
         # C at d+1, but for {0..6}.
@@ -662,7 +688,7 @@ class TestChargeBlocks:
 
     def test_paper_scan_calls_no_eigensolver_for_its_entropies(self, monkeypatch):
         shapes = count_eigh(monkeypatch, "eigvalsh")
-        arrival_scan(PAPER_SCAN)
+        paper_kernel()
         # The popcount-1 branch has two blocks per cut and one for the whole
         # register, the popcount-0 branch one block per cut: all of rank one.
         assert shapes == []
@@ -783,6 +809,8 @@ class TestChargeBlocks:
 
         monkeypatch.setattr(causalscan, "_evolve_grid", recorded)
         arrival_scan(PAPER_SCAN)
+        assert batches == []  # the closed form evolves no batch
+        paper_kernel()
         ((states, kets),) = batches
         assert kets.shape == (501, 8)
         assert np.array_equal(states, 1 << np.arange(8))
@@ -904,7 +932,118 @@ class TestSingleExcitationClosedForm:
             assert abs(t_arr - arrival_time(times, exact, 0.03, "interp")) <= 1e-9
 
 
+def one_excitation(n, site):
+    return basis_ket([int(j == site) for j in range(n)]).amplitudes
+
+
+class TestExcitationSeries:
+    """The library's one-excitation closed form, held to the kernel."""
+
+    TIMES = np.linspace(0.0, 5.0, 101)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_the_kernel_from_every_site(self, n):
+        h = build_model(ChainModel("xx", n, 1.0, 0.3))
+        for site in range(n):
+            psi0 = one_excitation(n, site)
+            for a in sorted({0, n // 2}):
+                receivers = [(b, tuple(range(min(a, b) + 1, max(a, b)))) for b in range(n) if b != a]
+                for protocol in causalscan.PROTOCOLS:
+                    args = (h, psi0, protocol, self.TIMES, a, receivers)
+                    closed = causalscan._excitation_series(*args)
+                    assert not closed.flags.writeable
+                    assert np.max(np.abs(closed - causalscan._pure_series(*args))) <= 1e-12
+
+    @pytest.mark.parametrize("protocol", ["measure-at-t", "quench-at-zero"])
+    @pytest.mark.parametrize("n", [5, 8, 12])
+    def test_time_series_from_end_and_inner_senders(self, monkeypatch, n, protocol):
+        kernel = causalscan._pure_series
+        returned = spy_series(monkeypatch)
+        h = build_model(ChainModel("xx", n, -0.7, 0.5))
+        scans = 0
+        for a, b in ((0, n - 1), (1, n - 1), (n // 2, 0), (n - 1, 1)):
+            c = tuple(range(min(a, b) + 1, max(a, b)))
+            for site in sorted({0, a, b, n // 2}):
+                config = ScanConfig(
+                    h.model, initial="basis:" + "".join(str(int(j == site)) for j in range(n)),
+                    protocol=protocol, grid=TimeGrid(3.0, 0.05), site_a=a, site_b=b,
+                )
+                series = qcmi_time_series(config)
+                scans += 1
+                (expected,) = kernel(h, one_excitation(n, site), protocol, series.times, a, [(b, c)])
+                assert np.max(np.abs(series.values - expected)) <= 1e-12
+        assert call_counts(returned) == {"_pure_series": 0, "_excitation_series": scans}
+
+    @pytest.mark.parametrize("protocol", ["measure-at-t", "quench-at-zero"])
+    def test_a_one_excitation_ground_state(self, monkeypatch, protocol):
+        # With J = 1 the XX ground state holds one excitation for
+        # -cos(pi / (N+1)) < h < -cos(2 pi / (N+1)): (-0.901, -0.623) at N = 6.
+        model = ChainModel("xx", 6, 1.0, -0.75)
+        h = build_model(model)
+        ground = ground_state(h)
+        assert ground.gap > 1e-2
+        excited = np.flatnonzero(ground.state.amplitudes)
+        assert excited.size == 6 and np.all(popcounts(6)[excited] == 1)
+        kernel = causalscan._pure_series
+        returned = spy_series(monkeypatch)
+        config = ScanConfig(
+            model, initial="ground", protocol=protocol, grid=TimeGrid(3.0, 0.05), d_min=2, d_max=5,
+            crossing="interp",
+        )
+        series = qcmi_time_series(replace(config, d_min=None, d_max=None, site_a=1, site_b=4))
+        table = arrival_scan(config)
+        assert call_counts(returned) == {"_pure_series": 0, "_excitation_series": 2}
+        psi0 = ground.state.amplitudes
+        (expected,) = kernel(h, psi0, protocol, series.times, 1, [(4, (2, 3))])
+        assert np.max(np.abs(series.values - expected)) <= 1e-12
+        rows = kernel(h, psi0, protocol, series.times, 0, [(d, tuple(range(1, d))) for d in range(2, 6)])
+        for (d, t_arr), row in zip(table.rows, rows):
+            expected = arrival_time(series.times, row, 0.03, "interp")
+            assert t_arr == expected if expected is None else abs(t_arr - expected) <= 1e-9
+        if protocol == "quench-at-zero":
+            assert np.max(series.values) > 0.1  # a stationary state moves only after the quench
+
+    @pytest.mark.parametrize(
+        "kind, field, initial",
+        [
+            ("tfim", 0.7, "basis:1000"),
+            ("tfim", 0.0, "basis:1000"),
+            ("xx", 0.3, "basis:0000"),
+            ("xx", 0.3, "basis:1100"),
+            ("xx", 0.3, "basis:0101"),
+            ("xx", 0.3, "ground"),
+        ],
+    )
+    def test_every_other_state_runs_the_kernel(self, monkeypatch, kind, field, initial):
+        returned = spy_series(monkeypatch)
+        config = ScanConfig(
+            ChainModel(kind, 4, 1.0, field), initial=initial, grid=TimeGrid(0.4, 0.2),
+            site_a=0, site_b=3,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # TFIM at h = 0 is degenerate
+            qcmi_time_series(config)
+            arrival_scan(replace(config, site_a=None, site_b=None, d_min=2, d_max=3))
+        assert call_counts(returned) == {"_pure_series": 2, "_excitation_series": 0}
+
+    @pytest.mark.parametrize("protocol", ["measure-at-t", "quench-at-zero"])
+    @pytest.mark.parametrize("defect", ["scaled", "nan"])
+    def test_evolved_norms_are_checked(self, monkeypatch, protocol, defect):
+        modes = causalscan._hopping_modes
+
+        def broken(n_sites, coupling):
+            energies, phi = modes(n_sites, coupling)
+            if defect == "scaled":
+                return energies, 1.01 * phi  # a non-orthogonal mode matrix
+            return energies, np.where(phi == phi[0, 0], np.nan, phi)
+
+        monkeypatch.setattr(causalscan, "_hopping_modes", broken)
+        with pytest.raises(NumericalInstability, match="evolved norm defect"):
+            qcmi_time_series(xx_config(protocol=protocol, grid=TimeGrid(0.2, 0.1)))
+
+
 class TestArrivalTime:
+
     def test_never_crossing_is_missing(self):
         times = np.linspace(0, 1, 11)
         assert arrival_time(times, np.zeros(11), 0.03) is None

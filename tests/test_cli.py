@@ -476,3 +476,55 @@ class TestNoCommand:
     def test_bare_invocation_is_usage_error(self, capsys):
         assert run_cli() == 2
         capsys.readouterr()
+
+
+COMMAND_NAMES = ["ghz-demo", "timeseries", "arrival-scan", "bounds", "commutator-front", "ccmi"]
+
+
+class TestParserPerCommand:
+    def test_top_level_help_lists_every_command(self, capsys):
+        assert run_cli("--help") == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: qcausal")
+        assert all(f"    {name}" in out for name in COMMAND_NAMES)
+
+    def test_unknown_command_exits_2_and_names_every_choice(self, capsys):
+        assert run_cli("nosuch") == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nosuch'" in err
+        assert all(repr(name) in err for name in COMMAND_NAMES)
+
+    @pytest.mark.parametrize("command", COMMAND_NAMES)
+    def test_a_named_command_gets_only_its_own_parser(self, command, capsys):
+        parser = cli.build_parser(command)
+        assert parser.parse_args([command]).command == command
+        other = next(name for name in COMMAND_NAMES if name != command)
+        with pytest.raises(SystemExit) as exited:
+            parser.parse_args([other])
+        assert exited.value.code == 2
+        assert f"invalid choice: {other!r}" in capsys.readouterr().err
+
+    def test_config_reparse_reuses_the_one_parser(self, tmp_path, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counted(command=None):
+            built.append(command)
+            return build(command)
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        config = tmp_path / "run.cfg"
+        config.write_text("j = 2.0\nh = 1.0\n")
+        assert run_cli("bounds", "--config", str(config)) == 0
+        assert json.loads(capsys.readouterr().out)["g"] == 5.0
+        assert built == ["bounds"]
+
+    def test_an_option_value_may_name_another_command(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("bounds", "--out", "ccmi") == 0
+        assert json.loads((tmp_path / "ccmi").read_text())["command"] == "bounds"
+        config = tmp_path / "timeseries"
+        config.write_text("n = 3\n")
+        assert run_cli("bounds", "--config", "timeseries", "--out", "arrival-scan") == 0
+        payload = json.loads((tmp_path / "arrival-scan").read_text())
+        assert payload["config"]["n"] == 3
