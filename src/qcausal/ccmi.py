@@ -17,22 +17,25 @@ the series' keys in some sample order, and `equiquantal_bins` is the ranker
 on the whole series in sample order.
 
 The series path never builds a bins^5 table. Everything that does not depend
-on the driver is computed once per embedding: the response is ranked with one
-sort, its four lagged columns are labelled from contiguous slices of those
-keys, the rows of C and of BC are packed into dense ids, and H(C), H(BC) are
-taken from their counts. For each driver labelling, H(AC) and H(ABC) come
-from bincounts over at most (#distinct BC rows) * bins cells. The driver is
-ranked once. A surrogate shuffles a copy of the driver's keys, and the
-estimate reads them unshuffled. A window's labels follow from its keys by a
-table of how many of the 2 * delay + horizon excluded samples lie below each
-key (one sort of those samples and one fill of n entries, whatever the
-delay), and a sort of the tied samples only, skipped when the series has no
-ties.
+on the driver is computed once per embedding and kept on it, so an estimate
+and its surrogates share it: the response is ranked with one sort, its four
+lagged columns are labelled from contiguous slices of those keys, the rows of
+C and of BC are packed into dense ids, and H(C), H(BC) are taken from their
+counts. For each driver labelling, H(ABC) comes from one bincount over
+(#distinct BC rows) * bins cells. When those cells are no more than the
+samples, H(AC) comes from the same counts, each C row's BC rows summed;
+otherwise from a second bincount. The driver is ranked once. A surrogate
+shuffles a copy of the driver's keys, and the estimate reads them
+unshuffled. A window's labels follow from its keys by a table of how many of
+the 2 * delay + horizon excluded samples lie below each key (one sort of
+those samples and one fill of n entries, whatever the delay), and a sort of
+the tied samples only, skipped when the series has no ties.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -48,11 +51,14 @@ from .qstate import check_array, check_instance, check_integer, check_sequence
 TABLE_SUM_TOL = 1e-12
 EQUIVALENCE_TOL = 1e-12
 
-# Largest (distinct BC rows) x bins span of the two per-labelling bincounts:
-# 2^26 cells, 512 MiB of int64 counters. `qcausal ccmi` on 100k samples peaks
-# at about 48 MiB plus 9 bytes per cell (the counter and its `counts > 0`
-# mask): 490 MiB at 512 bins, 928 MiB at 1024, so a run at the limit stays
-# near 0.6 GiB. On 100k samples 512 bins pass and 1024 bins are refused.
+# Largest (distinct BC rows) x bins span of the per-labelling bincounts: 2^26
+# cells, 512 MiB of int64 counters. `qcausal ccmi` on 100k samples peaks at
+# about 48 MiB plus 9 bytes per cell (the counter and its `counts > 0` mask):
+# 490 MiB at 512 bins, 928 MiB at 1024, so a run at the limit stays near
+# 0.6 GiB. On 100k samples 512 bins pass and 1024 bins are refused. The
+# (C row, bin) counts are folded out of the (BC row, bin) counter only when it
+# has no more cells than there are samples; a larger one is dropped before the
+# second bincount, so one counter is held at a time and the peak is as above.
 MAX_COUNTER_CELLS = 2**26
 
 
@@ -207,7 +213,11 @@ def _add_tie_offsets(ranks: np.ndarray, keys: np.ndarray, tied: np.ndarray) -> N
 
 @dataclass(frozen=True)
 class SeriesEmbedding:
-    """Driver/response pair with horizon tau, delay eta0 and bin count."""
+    """Driver/response pair with horizon tau, delay eta0 and bin count.
+
+    The first estimate or surrogate baseline on an embedding builds its
+    driver-independent set-up and keeps it for every later call.
+    """
 
     driver: np.ndarray
     response: np.ndarray
@@ -242,11 +252,18 @@ class SeriesEmbedding:
     def n_samples(self) -> int:
         return self.driver.size - self.horizon - 2 * self.delay
 
+    @cached_property
+    def _series_cmi(self) -> _SeriesCmi:
+        """The driver-independent set-up, built on first use and kept; a
+        refused build keeps nothing, so every call raises again."""
+        return _SeriesCmi(self)
 
-def _count_entropy(codes: np.ndarray) -> float:
-    """Plug-in entropy in bits of the rows labelled by non-negative int codes."""
+
+def _count_entropy(codes: np.ndarray) -> tuple[float, int]:
+    """Plug-in entropy in bits of the rows labelled by non-negative int codes,
+    and the count of the largest row."""
     counts = np.bincount(codes)
-    return _plugin_entropy(counts[counts > 0] / codes.size)
+    return _plugin_entropy(counts[counts > 0] / codes.size), int(counts.max())
 
 
 class _DriverRanker:
@@ -289,8 +306,12 @@ class _SeriesCmi:
 
     The response is ranked once. C = (response now, past1, past2) and
     BC = (response future, C) are labelled from contiguous slices of its
-    keys and packed into dense row ids, and H(C), H(BC) taken here; each
-    driver labelling then costs two bincounts over occupied cells only. A
+    keys and packed into dense row ids, and H(C), H(BC) taken here. The ids
+    are kept multiplied by bins, so adding a driver label gives the sample's
+    (row, label) cell. Each driver labelling then costs one bincount of
+    (BC row, label) cells. When those cells are no more than the samples,
+    the (C row, label) counts are that table with each C row's BC rows
+    summed by one np.add.reduceat; otherwise a second bincount takes them. A
     span of more than MAX_COUNTER_CELLS cells is refused before any bincount.
     """
 
@@ -309,11 +330,11 @@ class _SeriesCmi:
             codes *= bins
             codes += column(lag)
             _, codes = np.unique(codes, return_inverse=True)
-        self.c_id = codes
-        codes = self.c_id * bins
+        c_id = codes
+        codes = c_id * bins
         codes += column(-tau)
         del response  # before the driver is ranked: one ranking held at a time
-        bc_rows, self.bc_id = np.unique(codes, return_inverse=True)
+        bc_rows, bc_id = np.unique(codes, return_inverse=True)
         del codes
         cells = bc_rows.size * bins
         if cells > MAX_COUNTER_CELLS:
@@ -321,10 +342,27 @@ class _SeriesCmi:
                 f"{bc_rows.size} distinct response rows x {bins} bins = {cells} counter cells "
                 f"exceeds the ccmi limit of {MAX_COUNTER_CELLS}; lower the bin count"
             )
-        self.h_c = _count_entropy(self.c_id)
-        self.h_bc = _count_entropy(self.bc_id)
+        self.h_c, top = _count_entropy(c_id)
+        self.h_bc, _ = _count_entropy(bc_id)
+        c_id *= bins
+        bc_id *= bins
+        self.c_code, self.bc_code = c_id, bc_id
+        # A BC row id orders by C row first (bc_rows // bins is its C row), so
+        # each C row's BC rows are contiguous and start where that quotient steps.
+        n = c_id.size
+        self.c_starts = np.flatnonzero(np.diff(bc_rows // bins, prepend=-1)) if cells <= n else None
+        # p log2 p at p = c / n for each count c = 1..top, by _plugin_entropy's
+        # own operations: an entropy read from this table equals its bit for
+        # bit. No cell holds more samples than its C row, so none exceeds top.
+        p = np.arange(1, top + 1) / n
+        self.plogp = np.concatenate(([0.0], p * np.log2(p)))
         self.ranker = _DriverRanker(emb.driver, bins)
-        self.start, self.stop, self.bins = start, stop, bins
+        self.start, self.stop, self.bins, self.cells = start, stop, bins, cells
+
+    def _entropy(self, counts: np.ndarray) -> float:
+        """`_plugin_entropy` of the sample counts `counts`, its terms read from the table."""
+        value = float(-np.sum(self.plogp[counts[counts > 0]]))
+        return value if value > 0.0 else 0.0
 
     def __call__(self, keys: np.ndarray) -> float:
         """CMI against the fixed response of the driver whose keys, in sample order, are `keys`.
@@ -334,18 +372,19 @@ class _SeriesCmi:
         a = self.ranker.labels(keys, self.start, self.stop)
         # Every label is below bins, so the cells keep (row, label) order
         # whatever labels occur, and so do the counts the entropy sums.
-        codes = self.c_id * self.bins
-        codes += a
-        h_ac = _count_entropy(codes)
-        np.multiply(self.bc_id, self.bins, out=codes)
-        codes += a
-        h_abc = _count_entropy(codes)
-        return _checked_cmi(h_ac, self.h_bc, self.h_c, h_abc)
+        abc = np.bincount(self.bc_code + a, minlength=self.cells)
+        h_abc = self._entropy(abc)
+        if self.c_starts is None:
+            del abc  # one counter table at a time
+            ac = np.bincount(self.c_code + a)
+        else:
+            ac = np.add.reduceat(abc.reshape(-1, self.bins), self.c_starts)
+        return _checked_cmi(self._entropy(ac), self.h_bc, self.h_c, h_abc)
 
 
 def ccmi_asymmetric_series(emb: SeriesEmbedding) -> float:
     """Plug-in estimate of the directional time-series CMI, in bits."""
-    cmi = _SeriesCmi(check_instance(emb, SeriesEmbedding, "emb"))
+    cmi = check_instance(emb, SeriesEmbedding, "emb")._series_cmi
     return cmi(cmi.ranker.below)
 
 
@@ -363,7 +402,7 @@ def surrogate_baseline(emb: SeriesEmbedding, n_surrogates: int, seed: int = 0) -
     if seed < 0:
         raise InvalidInput(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
-    cmi = _SeriesCmi(emb)
+    cmi = emb._series_cmi
     below = cmi.ranker.below
     keys = np.empty_like(below)
     values = np.empty(n_surrogates)

@@ -112,13 +112,22 @@ def brute_apply_instrument(matrix, n_sites, sites, operators):
     return results
 
 
-def _binary_entropy(p):
-    """h2(p) in bits; p and 1 - p at or below EIG_CLAMP add nothing, as in the library."""
+def _pair_entropy(p, rest):
+    """Entropy in bits of the weight pairs (p, rest); a weight at or below
+    EIG_CLAMP adds nothing, as in the library."""
     total = np.zeros_like(p)
-    for q in (p, 1.0 - p):
+    for q in (p, rest):
         kept = q > EIG_CLAMP
         total -= np.where(kept, q * np.log2(np.where(kept, q, 1.0)), 0.0)
     return total
+
+
+def single_excitation_weights(n_sites, coupling, times):
+    """|U_j0|^2 on an XX chain started in |10...0>: a (sites, times) array."""
+    k = np.arange(1, n_sites + 1)  # also j + 1 for the sites j = 0..N-1
+    phi = np.sqrt(2.0 / (n_sites + 1)) * np.sin(np.pi * np.outer(k, k) / (n_sites + 1))  # phi[j, k - 1]
+    energies = 2.0 * coupling * np.cos(np.pi * k / (n_sites + 1))
+    return np.abs((phi * phi[0]) @ np.exp(-1j * np.outer(energies, times))) ** 2
 
 
 def single_excitation_qcmi(n_sites, coupling, times, distance, protocol):
@@ -127,26 +136,33 @@ def single_excitation_qcmi(n_sites, coupling, times, distance, protocol):
 
     One excitation hops with amplitude J, so U_j0 = sum_k phi_k(j) phi_k(0)
     exp(-i eps_k t) with phi_k(j) = sqrt(2/(N+1)) sin(pi k (j+1)/(N+1)) and
-    eps_k = 2J cos(pi k/(N+1)); the field only adds a global phase. In a
-    one-excitation state of weights p_S on site sets S, every S has entropy
-    h2(p_S). measure-at-t: finding site 0 up leaves a product state (I = 0),
-    and the other branch has weight w = 1 - |U_00|^2 and p_S = sum_{j in S}
-    |U_j0|^2 / w; a w below PROBABILITY_FLOOR is dropped. quench-at-zero
-    keeps the excitation, so w = 1. Then, with C = {1..d-1},
+    eps_k = 2J cos(pi k/(N+1)) (`single_excitation_weights`); the field only
+    adds a global phase. In a one-excitation state every site set S has the
+    entropy of the pair (p_S, p_rest), its weight and that of the other
+    sites, each summed from its own sites' weights (not taken as 1 - the
+    other: a weight near EIG_CLAMP keeps its relative precision).
+    measure-at-t: finding site 0 up leaves a product state (I = 0), and the
+    other branch, over sites 1..N-1, has weight w = sum_{j>0} |U_j0|^2 and
+    weights |U_j0|^2 / w; a w below PROBABILITY_FLOOR is dropped.
+    quench-at-zero keeps the excitation, so w = 1 and site 0 is one of the
+    other sites. Then, with B = {d} and C = {1..d-1},
 
-        I_d = w [h2(p_d) + h2(p_C) - h2(p_d + p_C)].
+        I_d = w [H(B) + H(C) - H(BC)].
     """
     n = n_sites
-    k = np.arange(1, n + 1)  # also j + 1 for the sites j = 0..N-1
-    phi = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))  # phi[j, k - 1]
-    energies = 2.0 * coupling * np.cos(np.pi * k / (n + 1))
-    weights = np.abs((phi * phi[0]) @ np.exp(-1j * np.outer(energies, times))) ** 2
-    w = 1.0 - weights[0] if protocol == "measure-at-t" else np.ones(len(times))
+    weights = single_excitation_weights(n, coupling, times)
+    present = np.arange(n) > 0 if protocol == "measure-at-t" else np.ones(n, dtype=bool)
+    w = weights[present].sum(axis=0) if protocol == "measure-at-t" else np.ones(len(times))
     kept = w >= PROBABILITY_FLOOR
     w_safe = np.where(kept, w, 1.0)
-    p_b = weights[distance] / w_safe
-    p_c = weights[1:distance].sum(axis=0) / w_safe
-    values = w * (_binary_entropy(p_b) + _binary_entropy(p_c) - _binary_entropy(p_b + p_c))
+
+    def entropy(sites):
+        inside = np.isin(np.arange(n), sites)
+        p = weights[inside].sum(axis=0) / w_safe
+        return _pair_entropy(p, weights[present & ~inside].sum(axis=0) / w_safe)
+
+    c = list(range(1, distance))
+    values = w * (entropy([distance]) + entropy(c) - entropy(c + [distance]))
     return np.where(kept & (values > 0.0), values, 0.0)
 
 

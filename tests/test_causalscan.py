@@ -39,7 +39,7 @@ from qcausal import (
 from qcausal import causalscan
 from qcausal.infomeasures import NEGATIVITY_TOL, _clamped
 from qcausal.instrument import PROBABILITY_FLOOR
-from qcausal.qstate import entropies_from_eigenvalues
+from qcausal.qstate import EIG_CLAMP, entropies_from_eigenvalues
 from qcausal.spinchain import _evolve_grid
 from helpers import (
     count_eigh,
@@ -47,6 +47,7 @@ from helpers import (
     oracle_series,
     refuse_spectrum,
     single_excitation_qcmi,
+    single_excitation_weights,
 )
 
 
@@ -900,6 +901,24 @@ class TestSingleExcitationClosedForm:
                     exact = single_excitation_qcmi(n, coupling, series.times, d, protocol)
                     assert np.max(np.abs(series.values - exact)) <= 1e-12
 
+    @pytest.mark.parametrize("n, coupling", [(9, -0.7), (12, 1.0)])
+    def test_far_weight_crossing_eig_clamp(self, n, coupling):
+        # Early on, the measure-at-t branch's weight past receiver 5 rises
+        # through EIG_CLAMP. Taken as 1 - p_BC, it carries the rounding of the
+        # whole norm and meets the clamp at other grid points than the
+        # library's direct sum: such a helper was 2.1e-12 off at t = 0.3355
+        # (N = 9) and t = 0.235 (N = 12).
+        config = ScanConfig(
+            ChainModel("xx", n, coupling, 0.0), initial="basis:1" + "0" * (n - 1),
+            protocol="measure-at-t", grid=TimeGrid(0.4, 0.0005), site_a=0, site_b=5,
+        )
+        series = qcmi_time_series(config)
+        weights = single_excitation_weights(n, coupling, series.times)
+        far = weights[6:].sum(axis=0)[1:] / weights[1:].sum(axis=0)[1:]  # t > 0
+        assert far.min() < EIG_CLAMP < far.max()
+        exact = single_excitation_qcmi(n, coupling, series.times, 5, "measure-at-t")
+        assert np.max(np.abs(series.values - exact)) <= 1e-12
+
     @staticmethod
     def closed_form_v_eff(n, t_max, dt):
         """v_eff of the measure-at-t XX scan (J = 1) over d = 2..N-1, from the closed form."""
@@ -1040,6 +1059,51 @@ class TestExcitationSeries:
         monkeypatch.setattr(causalscan, "_hopping_modes", broken)
         with pytest.raises(NumericalInstability, match="evolved norm defect"):
             qcmi_time_series(xx_config(protocol=protocol, grid=TimeGrid(0.2, 0.1)))
+
+
+class TestSymmetriesAtEleven:
+    """Oracle-free checks at N = 11: two kernel runs that reach one answer
+    through different sectors, bit patterns or site maps."""
+
+    TIMES = np.linspace(0.0, 5.0, 51)
+
+    @staticmethod
+    def series(h, bits, protocol, senders):
+        psi0 = basis_ket(bits).amplitudes
+        return np.concatenate([
+            causalscan._pure_series(h, psi0, protocol, TestSymmetriesAtEleven.TIMES, a, receivers)
+            for a, receivers in senders.items()
+        ])
+
+    @pytest.mark.parametrize("protocol", causalscan.PROTOCOLS)
+    def test_xx_basis_series_do_not_depend_on_the_field(self, protocol):
+        # h * sum(sigma_z) is constant on a popcount sector: a global phase.
+        senders = {
+            0: [(b, tuple(range(1, b))) for b in (2, 5, 10)],
+            5: [(9, (6, 7, 8)), (1, (2, 3, 4))],
+            10: [(7, (8, 9))],
+        }
+        bits = [1, 1] + [0] * 9
+        series = [
+            self.series(build_model(ChainModel("xx", 11, 1.0, h)), bits, protocol, senders)
+            for h in (0.0, 0.3, 5.0)
+        ]
+        assert np.max(series[0]) > 0.1  # the index has left zero
+        for other in series[1:]:
+            assert np.max(np.abs(other - series[0])) <= 1e-12
+
+    @pytest.mark.parametrize("protocol", causalscan.PROTOCOLS)
+    def test_tfim_mirror(self, protocol):
+        # Sender 0 and receivers b on a state against sender 10 and receivers
+        # 10 - b on its bit reversal.
+        h = build_model(ChainModel("tfim", 11, 1.0, 0.7))
+        bits = [1, 0, 1, 1] + [0] * 7
+        receivers = [(b, tuple(range(1, b))) for b in (2, 6, 10)]
+        mirrored = [(10 - b, tuple(10 - c for c in cs)) for b, cs in receivers]
+        forward = self.series(h, bits, protocol, {0: receivers})
+        backward = self.series(h, bits[::-1], protocol, {10: mirrored})
+        assert np.max(forward) > 0.1
+        assert np.max(np.abs(forward - backward)) <= 1e-12
 
 
 class TestArrivalTime:

@@ -275,7 +275,7 @@ class TestCounterLimit:
     def test_100k_samples_admitted_at_512_bins(self):
         x, y = self.lagged_pair(100_000, 66)
         cmi = _SeriesCmi(SeriesEmbedding(x, y, horizon=1, delay=1, bins=512))
-        assert (int(cmi.bc_id.max()) + 1) * 512 <= ccmi.MAX_COUNTER_CELLS
+        assert (int(cmi.bc_code.max()) // 512 + 1) * 512 <= ccmi.MAX_COUNTER_CELLS
 
     def test_limit_counts_cells_not_bins(self):
         # At most 1997 rows x 1024 bins = 2.0e6 cells: allowed, though 1024 bins are
@@ -287,12 +287,79 @@ class TestCounterLimit:
     def test_limit_is_inclusive(self, monkeypatch):
         # 1000 samples at 2 bins fill all 16 BC rows: 32 cells.
         x, y = self.lagged_pair(1_000, 68)
-        emb = SeriesEmbedding(x, y, horizon=1, delay=1, bins=2)
         monkeypatch.setattr(ccmi, "MAX_COUNTER_CELLS", 32)
-        ccmi_asymmetric_series(emb)
+        ccmi_asymmetric_series(SeriesEmbedding(x, y, horizon=1, delay=1, bins=2))
         monkeypatch.setattr(ccmi, "MAX_COUNTER_CELLS", 31)
         with pytest.raises(InvalidInput, match="16 distinct response rows x 2 bins = 32"):
-            ccmi_asymmetric_series(emb)
+            ccmi_asymmetric_series(SeriesEmbedding(x, y, horizon=1, delay=1, bins=2))
+
+
+def spy_set_ups(monkeypatch):
+    """Record the embedding of every `_SeriesCmi` build begun, refused ones included."""
+    begun = []
+
+    class Spy(_SeriesCmi):
+        def __init__(self, emb):
+            begun.append(emb)
+            super().__init__(emb)
+
+    monkeypatch.setattr(ccmi, "_SeriesCmi", Spy)
+    return begun
+
+
+class TestSetUpPerEmbedding:
+    def test_estimate_and_baseline_share_one_set_up(self, monkeypatch):
+        begun = spy_set_ups(monkeypatch)
+        x, y = TestCounterLimit.lagged_pair(2_000, 69)
+        emb = SeriesEmbedding(x, y, horizon=1, delay=2, bins=4)
+        value = ccmi_asymmetric_series(emb)
+        baseline = surrogate_baseline(emb, 3, seed=1)
+        assert ccmi_asymmetric_series(emb) == value
+        assert np.array_equal(surrogate_baseline(emb, 3, seed=1), baseline)
+        assert len(begun) == 1 and begun[0] is emb
+        fresh = SeriesEmbedding(x, y, horizon=1, delay=2, bins=4)
+        assert np.array_equal(surrogate_baseline(fresh, 3, seed=1), baseline)
+        assert ccmi_asymmetric_series(fresh) == value
+        assert len(begun) == 2 and begun[1] is fresh
+
+    def test_a_refused_embedding_raises_on_every_call(self, monkeypatch):
+        begun = spy_set_ups(monkeypatch)
+        # 1000 samples at 2 bins fill all 16 BC rows: 32 cells.
+        x, y = TestCounterLimit.lagged_pair(1_000, 68)
+        emb = SeriesEmbedding(x, y, horizon=1, delay=1, bins=2)
+        monkeypatch.setattr(ccmi, "MAX_COUNTER_CELLS", 31)
+        for call in (ccmi_asymmetric_series, ccmi_asymmetric_series, lambda e: surrogate_baseline(e, 2)):
+            with pytest.raises(InvalidInput, match="16 distinct response rows x 2 bins = 32"):
+                call(emb)
+        assert len(begun) == 3
+        monkeypatch.setattr(ccmi, "MAX_COUNTER_CELLS", 32)
+        assert ccmi_asymmetric_series(emb) == ccmi_asymmetric_series(SeriesEmbedding(x, y, 1, 1, 2))
+
+
+class TestCountingPaths:
+    """H(AC) from the (BC row, bin) counts when they have no more cells than
+    samples, else from a second bincount: both against the dense table."""
+
+    # A random-walk response fills few BC rows: at 387 values, horizon and
+    # delay 1 and 6 bins, these seeds put the cells 6 below, at and 6 above
+    # the 384 samples.
+    @pytest.mark.parametrize("seed, excess", [(39, -6), (7, 0), (18, 6)])
+    def test_both_paths_match_the_dense_table(self, monkeypatch, seed, excess):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(387)
+        y = np.cumsum(rng.standard_normal(x.size))
+        emb = SeriesEmbedding(x, y, horizon=1, delay=1, bins=6)
+        cmi = emb._series_cmi
+        assert cmi.cells - emb.n_samples == excess
+        assert (cmi.c_starts is None) == (excess > 0)
+        assert abs(ccmi_asymmetric_series(emb) - dense_series_ccmi(x, y, 1, 1, 6)) <= 1e-12
+        got = surrogate_baseline(emb, 4, seed=3)
+        draws = np.random.default_rng(3)
+        for value in got:
+            assert abs(value - dense_series_ccmi(draws.permutation(x), y, 1, 1, 6)) <= 1e-12
+        if cmi.c_starts is not None:  # the same counts by the second bincount
+            monkeypatch.setattr(cmi, "c_starts", None)
+            assert np.array_equal(surrogate_baseline(emb, 4, seed=3), got)
 
 
 def tied_series(rng, n, levels):
@@ -469,8 +536,8 @@ class TestResponseRows:
             )
             _, c_id = np.unique(columns[:, :3], axis=0, return_inverse=True)
             _, bc_id = np.unique(columns, axis=0, return_inverse=True)
-            assert np.array_equal(cmi.c_id, c_id.reshape(-1))
-            assert np.array_equal(cmi.bc_id, bc_id.reshape(-1))
+            assert np.array_equal(cmi.c_code // bins, c_id.reshape(-1))
+            assert np.array_equal(cmi.bc_code // bins, bc_id.reshape(-1))
 
 
 def tie_edge_driver(case, n=60):
