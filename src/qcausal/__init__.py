@@ -6,7 +6,15 @@ causal arrival-time scans with velocity fits, analytic light-cone bounds,
 and a classical time-series CMI baseline.
 """
 
-from .bounds import DispersionPoint, LrEstimate, commutator_front_norm, dispersion, lr_velocity, xx_group_velocity
+from .bounds import (
+    DispersionPoint,
+    LrEstimate,
+    commutator_front_norm,
+    dispersion,
+    lr_velocity,
+    max_group_velocity,
+    xx_group_velocity,
+)
 from .causalscan import (
     ArrivalTable,
     FitResult,

@@ -5,8 +5,9 @@ norms of the nearest-neighbor chain: each bond term has operator norm |J|,
 a bulk site touches two bonds plus its on-site field, and only the bond
 terms generate propagation, giving v_lr = 2e * 2|J| = 4e|J|. The XX chain
 also has an exact single-particle dispersion 2J cos(k) whose group velocity
-peaks at 2|J|; that is the physical front speed the measured effective
-velocity should approach.
+peaks at 2|J|, and the TFIM's fermion dispersion 2 sqrt(J^2 + h^2 - 2Jh cos(k))
+has its fastest group velocity 2 min(|J|, |h|); that is the physical front
+speed the measured effective velocity should approach.
 """
 
 from __future__ import annotations
@@ -48,6 +49,15 @@ def lr_velocity(model: ChainModel) -> LrEstimate:
 def xx_group_velocity(coupling: float) -> float:
     """Maximum group speed 2|J| of the XX chain's free-fermion dispersion."""
     return 2.0 * abs(check_real(coupling, "coupling"))
+
+
+def max_group_velocity(model: ChainModel) -> float:
+    """Fastest quasiparticle speed of the chain's single-particle dispersion:
+    2|J| for XX (2J cos k), 2 min(|J|, |h|) for TFIM (2 sqrt(J^2 + h^2 - 2Jh cos k))."""
+    check_instance(model, ChainModel, "model")
+    if model.kind == "xx":
+        return xx_group_velocity(model.coupling)
+    return 2.0 * min(abs(model.coupling), abs(model.field))
 
 
 def dispersion(k: float, coupling: float) -> DispersionPoint:

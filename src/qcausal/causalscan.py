@@ -44,7 +44,7 @@ from .infomeasures import Partition, _clamped_values
 from .instrument import PROBABILITY_FLOOR, projective_z_instrument
 from .qstate import NORM_TOL, Ket, basis_ket, check_site_pair, entropies_from_eigenvalues
 from .qstate import check_array, check_instance, check_integer, check_real, check_sequence
-from .spinchain import DEGENERACY_GAP, ChainModel, Hamiltonian, _evolve_grid, _site_bits
+from .spinchain import DEGENERACY_GAP, ChainModel, Hamiltonian, _evolve_grid, _popcounts
 from .spinchain import build_model, ground_state
 
 # Unused here; perfbench/test_perfbench.py checks the tracer patches this name.
@@ -263,7 +263,7 @@ def _entropies(
     takes `eigvalsh` of its Gram matrix on its smaller side: the reduced
     states of a site set and of its complement share their nonzero spectrum.
     """
-    ones = _site_bits(n_sites).sum(axis=1)
+    ones = _popcounts(n_sites)
     # bincount, not np.unique: a sort pages in about 1 MiB more of numpy's code.
     charges = np.flatnonzero(np.bincount(ones[states]))
     charge = int(charges[0]) if charges.size == 1 else None

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .bounds import commutator_front_norm, lr_velocity, xx_group_velocity
+from .bounds import commutator_front_norm, lr_velocity, max_group_velocity
 from .causalscan import CROSSINGS, DEFAULT_DT, DEFAULT_T_MAX, DEFAULT_THRESHOLD, PROTOCOLS
 from .causalscan import ScanConfig, TimeGrid, arrival_scan, fit_velocity, qcmi_time_series
 from .ccmi import SeriesEmbedding, ccmi_asymmetric_series, surrogate_baseline
@@ -184,7 +184,7 @@ def cmd_arrival_scan(args, resolved) -> int:
         "b": fit.intercept,
         "v_eff": fit.v_eff,
         "v_lr": lr_velocity(config.model).v_lr,
-        "v0": xx_group_velocity(resolved["j"]),
+        "v0": max_group_velocity(config.model),
         "threshold": resolved["threshold"],
         "protocol": resolved["protocol"],
         "grid": {"dt": resolved["dt"], "t_max": resolved["t-max"]},
@@ -204,7 +204,7 @@ def cmd_bounds(args, resolved) -> int:
         "g": estimate.g,
         "g_prop": estimate.g_prop,
         "v_lr": estimate.v_lr,
-        "v0": xx_group_velocity(resolved["j"]),
+        "v0": max_group_velocity(model),
         "command": "bounds",
         "config": dict(sorted(resolved.items())),
     }

@@ -2,21 +2,24 @@
 
 Both models are open-boundary and real symmetric. A `Hamiltonian` never
 forms the 2^N x 2^N matrix: it holds its action on the basis bits, and each
-sector block fills its own Q^T H Q straight from that action. The sectors
-are the popcount when no term changes it (XX; TFIM at h = 0), else the
-spin-flip parity, each split once more by site reversal. Blocks are
+sector block fills its own Q^T H Q straight from that action, with no
+temporary of the block's size but the block itself. The sectors are the
+popcount when no term changes it (XX; TFIM at h = 0), else the spin-flip
+parity, each split once more by site reversal; the sectors of one popcount
+(or all parity sectors) share their orbit representatives. Blocks are
 diagonalized on first use. A pure state evolves only in the sectors it
-occupies, into a batch (states, amplitudes): the sorted register indices
-those sectors span and a (times, states) array; `ground_state` is read from
-the blocks too. The one dense form of H is its eigendecomposition
-`spectrum`, read by `propagator`.
+occupies, in real arithmetic, into a batch (states, amplitudes): the sorted
+register indices those sectors span and a (times, states) array, written
+once per symmetry element; `ground_state` is read from the blocks too. The
+one dense form of H is its eigendecomposition `spectrum`, read by
+`propagator`.
 Units: hbar = 1, couplings dimensionless, time in units of 1/J.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -82,11 +85,10 @@ class Hamiltonian:
         h = 0), else spin-flip parity sectors; each split by site reversal.
         Both models' uniform open chains commute with both by construction;
         the tests hold every block to the Pauli-Kronecker matrix."""
-        popcount = _site_bits(self.n_sites).sum(axis=1)
+        popcount = _popcounts(self.n_sites)
         flipped = popcount[np.arange(popcount.size) ^ self._masks[:, None]]
         keeps = bool(np.all((self._amplitudes == 0) | (flipped == popcount)))
-        sectors = _orbit_sectors(self.n_sites, popcount=keeps)
-        return [_Block(self, rows, factors) for rows, factors in sectors]
+        return [_Block(self, *sector) for sector in _orbit_sectors(self.n_sites, popcount=keeps)]
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -115,22 +117,29 @@ class Hamiltonian:
 class _Block:
     """One sector of a Hamiltonian, eigendecomposed on first use.
 
-    The sector's orthonormal basis Q is one (rows, factors) pair per element
-    g of its symmetry group, stacked into two (|G|, size) arrays, identity
-    first: column i of Q is the sum over g of factors[g, i] |rows[g, i]>.
-    rows[g] = g(r) for the orbit representatives r (the least state of each
-    orbit, ascending), and factors[g] = chi(g) / sqrt(|G| |stabilizer of r|).
-    Where g fixes r (a palindrome under site reversal), several elements hit
-    one row and their factors add.
+    The sectors of one popcount (or, for the parity sectors, all of them)
+    share their orbits: images[g, r] = g(r) for each element g of the
+    symmetry group (identity first) and orbit representative r (the least
+    state of its orbit, ascending), and norms[r] = 1 / sqrt(|G| |stabilizer
+    of r|). A sector has its sign chi(g) per element and keeps the orbits
+    `keep`. Its orthonormal basis Q is one (rows, factors) pair per element,
+    stacked into two (|G|, size) arrays: column i of Q is the sum over g of
+    factors[g, i] |rows[g, i]>, with rows = images[:, keep] and factors =
+    chi(g) norms[keep]. Where g fixes r (a palindrome under site reversal),
+    several elements hit one row and their factors add.
     """
 
-    def __init__(self, hamiltonian: Hamiltonian, rows: np.ndarray, factors: np.ndarray):
+    def __init__(
+        self, hamiltonian: Hamiltonian, images: np.ndarray, norms: np.ndarray,
+        signs: np.ndarray, keep: np.ndarray,
+    ):
         # The action's arrays, not the Hamiltonian: a block that held the
         # Hamiltonian holding it would be a reference cycle, freed only by
         # the cyclic collector, eigenvectors and all.
         self.masks, self.amplitudes = hamiltonian._masks, hamiltonian._amplitudes
-        self.rows = rows
-        self.factors = factors
+        self.images, self.norms, self.signs, self.keep = images, norms, signs, keep
+        self.rows = images[:, keep]
+        self.factors = signs[:, None] * norms[keep]
 
     @property
     def size(self) -> int:
@@ -140,18 +149,23 @@ class _Block:
         """Q^T H Q, filled from the Hamiltonian's bit action. H Q stays in the
         sector, so its rows at the orbit representatives give Q^T H Q, row i
         scaled by |G| factors[0, i]. The action is never checked whole, so
-        each block is checked for hermiticity here."""
+        each block is checked for hermiticity here, on the filled cells: an
+        empty cell's mirror is empty or filled, so this is max |B - B^T|."""
         rows, factors, size = self.rows, self.factors, self.size
         position = np.full(self.amplitudes.shape[1], -1)
         position[rows[0]] = np.arange(size)
-        sources = rows[:, None, :]  # (element, term, column)
-        hit = position[sources ^ self.masks[:, None]]
-        weight = factors[:, None, :] * self.amplitudes[np.arange(self.masks.size)[:, None], sources]
-        inside = hit >= 0
-        cells = (hit * size + np.arange(size))[inside]
-        block = np.bincount(cells, weight[inside], minlength=size * size).reshape(size, size)
-        block *= (factors.shape[0] * factors[0])[:, None]
-        defect = np.max(np.abs(block - block.T))
+        # hit[g, term, i]: the row the term sends element g's image of column
+        # i to, or -1 off the representatives.
+        hit = position[rows[:, None, :] ^ self.masks[:, None]]
+        element, term, column = np.nonzero(hit >= 0)
+        row = hit[element, term, column]
+        scale = factors.shape[0] * factors[0]
+        sources = rows[element, column]
+        weight = factors[element, column] * scale[row] * self.amplitudes[term, sources]
+        cells = row * size + column
+        block = np.bincount(cells, weight, minlength=size * size).reshape(size, size)
+        flat = block.ravel()
+        defect = np.max(np.abs(flat[cells] - flat[column * size + row]))
         if not defect <= BUILD_HERMITICITY_TOL:
             raise InvalidInput(
                 f"block hermiticity defect {defect:.3e} exceeds {BUILD_HERMITICITY_TOL}"
@@ -169,7 +183,10 @@ class _Block:
         """
         values, vectors = np.linalg.eigh(self.matrix())
         landing = np.sum(np.where(self.rows == self.rows[0], np.abs(self.factors), 0.0), axis=0)
-        lead = np.argmax(np.abs(vectors) * landing[:, None], axis=0)
+        # Vector by vector in rows, so argmax reads contiguous memory.
+        scratch = np.abs(vectors.T, order="C")
+        scratch *= landing
+        lead = np.argmax(scratch, axis=1)
         vectors *= np.sign(vectors[lead, np.arange(vectors.shape[1])])
         values.setflags(write=False)
         vectors.setflags(write=False)
@@ -179,10 +196,10 @@ class _Block:
         """Q^T psi: the coordinates of a 2^N ket on the block's basis."""
         return np.sum(self.factors * amplitudes[self.rows], axis=0)
 
-    def scatter(self, out: np.ndarray, part: np.ndarray, column: np.ndarray) -> None:
-        """Add Q part (rows of block coordinates) into `out`, state i at column[i]."""
+    def scatter(self, out: np.ndarray, part: np.ndarray) -> None:
+        """Add Q part (block coordinates) into the 2^N `out`."""
         for rows, factors in zip(self.rows, self.factors):
-            out[..., column[rows]] += factors * part
+            out[rows] += factors * part
 
     def place(self, out: np.ndarray, columns: np.ndarray) -> None:
         """Add Q times the block's vectors into `columns` of the zero dim x dim `out`."""
@@ -190,8 +207,11 @@ class _Block:
             out[np.ix_(rows, columns)] += factors[:, None] * self.eigen[1]
 
 
-def _orbit_sectors(n_sites: int, popcount: bool) -> list[tuple[np.ndarray, np.ndarray]]:
-    """`_Block` (rows, factors) of every nonempty sector, in the fixed order.
+@lru_cache(maxsize=None)
+def _orbit_sectors(n_sites: int, popcount: bool) -> tuple[tuple[np.ndarray, ...], ...]:
+    """`_Block` (images, norms, signs, keep) of every nonempty sector, in the
+    fixed order; the sectors of one popcount share one images and one norms.
+    Read-only and made once per (length, popcount): every such chain shares it.
 
     With `popcount` the symmetry group is generated by the site reversal P
     and a sector is a popcount (ascending) and a sign of P; without it the
@@ -222,16 +242,28 @@ def _orbit_sectors(n_sites: int, popcount: bool) -> list[tuple[np.ndarray, np.nd
     allowed = [~np.any(fixed[chi < 0], axis=0) for chi in characters]
     sectors = []
     for lo, hi in zip(edges[:-1], edges[1:]):
+        shared = images[:, lo:hi], norms[lo:hi]
         for chi, ok in zip(characters, allowed):
-            keep = lo + np.flatnonzero(ok[lo:hi])
+            keep = np.flatnonzero(ok[lo:hi])
             if keep.size:
-                sectors.append((images[:, keep], chi[:, None] * norms[keep]))
-    return sectors
+                sectors.append((*shared, chi, keep))
+    for array in (images, norms, *characters, *(keep for *_, keep in sectors)):
+        array.setflags(write=False)
+    return tuple(sectors)
 
 
 def _site_bits(n_sites: int) -> np.ndarray:
     """bits[i, k]: occupation of site k in basis state i (site 0 is the top bit)."""
     return (np.arange(2**n_sites)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
+
+
+@lru_cache(maxsize=None)
+def _popcounts(n_sites: int) -> np.ndarray:
+    """The number of ones in each basis state. Read-only and made once per
+    length: every sector split and entropy pass reads it."""
+    counts = _site_bits(n_sites).sum(axis=1)
+    counts.setflags(write=False)
+    return counts
 
 
 def _tfim_action(model: ChainModel) -> tuple[np.ndarray, np.ndarray]:
@@ -286,7 +318,7 @@ def ground_state(hamiltonian: Hamiltonian) -> GroundState:
     lowest = blocks[int(np.argmin([block.eigen[0][0] for block in blocks]))]
     energy, above = np.sort(np.concatenate([block.eigen[0][:2] for block in blocks]))[:2]
     amplitudes = np.zeros(hamiltonian.dim)
-    lowest.scatter(amplitudes, lowest.eigen[1][:, 0], np.arange(hamiltonian.dim))
+    lowest.scatter(amplitudes, lowest.eigen[1][:, 0])
     ket = Ket(hamiltonian.n_sites, amplitudes)
     return GroundState(state=ket, energy=float(energy), gap=float(above - energy))
 
@@ -350,23 +382,46 @@ def _evolve_grid(hamiltonian: Hamiltonian, amplitudes: np.ndarray, times: np.nda
     the amplitude of states[j].
 
     A sector where psi's projection is exactly zero is skipped (and never
-    diagonalized); each other one is evolved in its own eigenbasis and
-    scattered back. Every row's norm is checked here, so callers that
-    consume the rows need no per-time `Ket`.
+    diagonalized). Every other one is diagonalized before the batch arrays
+    take memory, then evolved in its own eigenbasis in real arithmetic
+    (`_sector_series`). The sectors that share orbit
+    representatives are summed per representative through their signs, one
+    group element at a time into one buffer, and each element's sum is
+    written into the batch once. Every row's norm is checked here, so
+    callers that consume the rows need no per-time `Ket`.
     """
-    occupied = [(block, block.project(amplitudes)) for block in hamiltonian._blocks]
-    occupied = [(block, inside) for block, inside in occupied if np.any(inside)]
+    psi = np.asarray(amplitudes, dtype=complex)
+    shared = {}  # the occupied blocks, by the orbits they share
+    for block in hamiltonian._blocks:
+        inside = block.project(psi)
+        if np.any(inside):
+            shared.setdefault(id(block.images), []).append((block, inside, *block.eigen))
+    groups = []
     span = np.zeros(hamiltonian.dim, dtype=bool)
-    span[np.concatenate([block.rows.ravel() for block, _ in occupied])] = True
+    for occupied in shared.values():
+        used = np.zeros(occupied[0][0].norms.size, dtype=bool)
+        for block, *_ in occupied:
+            used[block.keep] = True
+        images, norms = occupied[0][0].images[:, used], occupied[0][0].norms[used]
+        span[images] = True
+        groups.append((occupied, used, images, norms))
     states = np.flatnonzero(span)
     column = np.cumsum(span) - 1  # each spanned state's batch column
     grid = np.zeros((times.size, states.size), dtype=complex)
-    for block, inside in occupied:
-        values, vectors = block.eigen
-        phases = np.outer(times, -1j * values)
-        np.exp(phases, out=phases)
-        phases *= vectors.T @ inside
-        block.scatter(grid, phases @ vectors.T, column)
+    for occupied, used, images, norms in groups:
+        position = np.cumsum(used) - 1
+        # coordinates[s, r]: sector s's coordinate on representative r, (re, im) per time.
+        coordinates = np.zeros((len(occupied), images.shape[1], 2 * times.size))
+        for part, (block, inside, values, vectors) in zip(coordinates, occupied):
+            part[position[block.keep]] = _sector_series(values, vectors, inside, times)
+        signs = np.stack([block.signs for block, *_ in occupied], axis=1)  # (element, sector)
+        stacked = coordinates.reshape(len(occupied), -1)
+        summed = np.empty(stacked.shape[1])  # one element's sum over the sectors at a time
+        element = summed.view(complex).reshape(-1, times.size)
+        for rows, sign in zip(images, signs):
+            np.matmul(sign, stacked, out=summed)
+            element *= norms[:, None]
+            grid[:, column[rows]] += element.T
     parts = grid.view(float)  # squared row norms without a complex temporary
     defect = np.max(np.abs(np.sqrt(np.einsum("ij,ij->i", parts, parts)) - 1.0))
     if not defect <= NORM_TOL:
@@ -374,7 +429,24 @@ def _evolve_grid(hamiltonian: Hamiltonian, amplitudes: np.ndarray, times: np.nda
     return states, grid
 
 
+def _sector_series(
+    values: np.ndarray, vectors: np.ndarray, inside: np.ndarray, times: np.ndarray
+) -> np.ndarray:
+    """V exp(-iEt) V^T inside for every t, one sector's coordinates as a
+    (size, 2 * times) float array of (re, im) pairs: the complex arrays are
+    viewed as float pairs, so both products are real GEMMs on V as it is."""
+    start = (vectors.T @ inside.view(float).reshape(-1, 2)).view(complex)
+    phases = np.empty((values.size, times.size), dtype=complex)  # exp(-iEt), then times start
+    np.multiply.outer(-values, times, out=phases.imag)
+    np.cos(phases.imag, out=phases.real)
+    np.sin(phases.imag, out=phases.imag)
+    phases *= start
+    # V Phi as (Phi^T V^T)^T: OpenBLAS then packs V as eigh did, where V @ Phi
+    # would leave about 1 MiB more of its buffer resident at N = 12.
+    return (phases.view(float).T @ vectors.T).T
+
+
 def total_sigma_z(n_sites: int) -> np.ndarray:
     """Total magnetization operator, the conserved charge of the XX chain."""
     n_sites = check_n_sites(n_sites)
-    return np.diag(n_sites - 2 * _site_bits(n_sites).sum(axis=1)).astype(complex)
+    return np.diag(n_sites - 2 * _popcounts(n_sites)).astype(complex)

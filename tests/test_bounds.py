@@ -12,6 +12,7 @@ from qcausal import (
     commutator_front_norm,
     dispersion,
     lr_velocity,
+    max_group_velocity,
     xx_group_velocity,
 )
 
@@ -54,6 +55,30 @@ class TestGroupVelocity:
             v0 = xx_group_velocity(j)
             v_lr = lr_velocity(ChainModel("xx", 4, j, 0.0)).v_lr
             assert v0 < v_lr
+
+
+class TestMaxGroupVelocity:
+    def test_xx_is_the_free_fermion_speed(self):
+        for j in (-1.5, 0.0, 1.0):
+            model = ChainModel("xx", 6, j, 0.3)
+            assert max_group_velocity(model) == xx_group_velocity(j)
+
+    def test_tfim_is_limited_by_the_weaker_of_coupling_and_field(self):
+        assert max_group_velocity(ChainModel("tfim", 8, 1.0, 0.5)) == 1.0
+        assert max_group_velocity(ChainModel("tfim", 8, -0.5, 3.0)) == 1.0
+        assert max_group_velocity(ChainModel("tfim", 8, 1.0, 0.0)) == 0.0
+
+    @pytest.mark.parametrize("j, h", [(1.0, 0.5), (0.7, 1.3), (1.0, 1.0)])
+    def test_tfim_is_the_fastest_slope_of_its_dispersion(self, j, h):
+        # Finite-difference oracle on eps(k) = 2 sqrt(J^2 + h^2 - 2Jh cos k).
+        k = np.linspace(-math.pi, math.pi, 20001)
+        energy = 2.0 * np.sqrt(j * j + h * h - 2.0 * j * h * np.cos(k))
+        fastest = np.max(np.abs(np.diff(energy) / np.diff(k)))
+        assert abs(fastest - max_group_velocity(ChainModel("tfim", 8, j, h))) <= 1e-3
+
+    def test_model_required(self):
+        with pytest.raises(InvalidInput):
+            max_group_velocity(1.0)
 
 
 class TestDispersion:

@@ -1105,6 +1105,33 @@ class TestSymmetriesAtEleven:
         assert np.max(forward) > 0.1
         assert np.max(np.abs(forward - backward)) <= 1e-12
 
+    SENDERS = {0: [(b, tuple(range(1, b))) for b in (2, 6, 10)], 10: [(7, (8, 9))]}
+
+    @pytest.mark.parametrize("protocol", causalscan.PROTOCOLS)
+    def test_tfim_global_spin_flip(self, protocol):
+        # The flip of every spin commutes with H and maps z outcomes onto each
+        # other; the state and its flip each reach all four parity blocks.
+        h = build_model(ChainModel("tfim", 11, 1.0, 0.7))
+        bits = [1, 0, 1, 1] + [0] * 7
+        psi0 = basis_ket(bits).amplitudes
+        assert all(np.any(block.project(psi0)) for block in h._blocks) and len(h._blocks) == 4
+        forward = self.series(h, bits, protocol, self.SENDERS)
+        backward = self.series(h, [1 - bit for bit in bits], protocol, self.SENDERS)
+        assert np.max(forward) > 0.1
+        assert np.max(np.abs(forward - backward)) <= 1e-12
+
+    @pytest.mark.parametrize("protocol", causalscan.PROTOCOLS)
+    def test_xx_particle_hole(self, protocol):
+        # Flipping every bit maps H(h) onto H(-h): popcount 2 runs against
+        # popcount 9, the other half of the popcount blocks.
+        bits = [1, 1] + [0] * 9
+        particles, holes = (
+            self.series(build_model(ChainModel("xx", 11, 1.0, h)), pattern, protocol, self.SENDERS)
+            for h, pattern in ((0.3, bits), (-0.3, [1 - bit for bit in bits]))
+        )
+        assert np.max(particles) > 0.1
+        assert np.max(np.abs(particles - holes)) <= 1e-12
+
 
 class TestArrivalTime:
 

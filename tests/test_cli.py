@@ -164,6 +164,15 @@ class TestArrivalScan:
         assert abs(summary["v_lr"] - 4 * math.e) < 1e-9
         assert summary["config"]["initial"] == "basis:1000"
 
+    def test_tfim_scan_reports_the_tfim_v0(self, tmp_path):
+        json_path = tmp_path / "scan.json"
+        code = run_cli(
+            "arrival-scan", "--model", "tfim", "--n", "5", "--j", "1", "--h", "0.5",
+            "--t-max", "3", "--out", str(tmp_path / "scan.csv"), "--json-out", str(json_path),
+        )
+        assert code == 0
+        assert json.loads(json_path.read_text())["v0"] == 1.0
+
     def test_uncrossable_threshold_exits_4(self, tmp_path, capsys):
         csv_path = tmp_path / "scan.csv"
         code = run_cli(
@@ -219,6 +228,10 @@ class TestBounds:
         payload = json.loads(capsys.readouterr().out)
         assert f"{payload['v_lr']:.4f}" == "10.8731"
         assert payload["v0"] == 2.0
+
+    def test_tfim_v0_is_twice_the_weaker_of_coupling_and_field(self, capsys):
+        assert run_cli("bounds", "--model", "tfim", "--n", "8", "--j", "1", "--h", "0.5") == 0
+        assert json.loads(capsys.readouterr().out)["v0"] == 1.0
 
     def test_free_chain_all_zero(self, capsys):
         assert run_cli("bounds", "--j", "0", "--h", "0") == 0

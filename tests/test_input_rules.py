@@ -53,6 +53,7 @@ from qcausal import (
     ground_state,
     initial_ket,
     lr_velocity,
+    max_group_velocity,
     mutual_information,
     mutual_information_sites,
     partial_trace,
@@ -190,6 +191,7 @@ OBJECT_ENTRIES = {
     ),
     "mutual_information-rho": (lambda v: mutual_information(v, 1), RHO3, KET3),
     "lr_velocity-model": (lambda v: lr_velocity(v), CHAIN3, H3),
+    "max_group_velocity-model": (lambda v: max_group_velocity(v), CHAIN3, H3),
     "ccmi_asymmetric_series-emb": (lambda v: ccmi_asymmetric_series(v), EMB, DIST),
     "surrogate_baseline-emb": (lambda v: surrogate_baseline(v, 1), EMB, DIST),
     "shannon_entropy-dist": (lambda v: shannon_entropy(v, ("x",)), DIST, EMB),

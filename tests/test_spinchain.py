@@ -182,6 +182,12 @@ def sector_layout(rows, factors):
     return rows.shape[1], tuple(int(sign) for sign in np.sign(factors[:, 0]))
 
 
+def whole_register(hamiltonian):
+    """One `_Block` holding every basis state, the identity its only element."""
+    states = np.arange(hamiltonian.dim)
+    return _Block(hamiltonian, states[None], np.ones(states.size), np.ones(1), states)
+
+
 def block_basis(block, dim):
     """The dense dim x size basis Q of a block, summed over its group elements."""
     basis = np.zeros((dim, block.size))
@@ -224,10 +230,21 @@ class TestNativeBlocks:
         hamiltonian = Hamiltonian(ChainModel("tfim", n, 1.0, 1.0))
         hamiltonian._masks = np.array([0, 1])
         hamiltonian._amplitudes = np.vstack([np.zeros(8), states % 2 == 0])
-        # One block holding every basis state, the identity its only element.
-        rows, factors = np.arange(2**n)[None], np.ones((1, 2**n))
         with pytest.raises(InvalidInput, match="hermiticity"):
-            _Block(hamiltonian, rows, factors).matrix()
+            whole_register(hamiltonian).matrix()
+
+    @pytest.mark.parametrize("term, state", [(0, 0), (1, 4)], ids=["diagonal", "flip"])
+    def test_nan_in_the_action_is_refused_per_block(self, term, state):
+        # The check reads only the filled cells; a NaN there, on the diagonal
+        # or off it, must still fail `not defect <= tol`. Both cells land on
+        # the representative |000>, so the sector blocks read them too.
+        hamiltonian = Hamiltonian(ChainModel("tfim", 3, 1.0, 1.0))
+        hamiltonian._amplitudes[term, state] = np.nan
+        with pytest.raises(InvalidInput, match="hermiticity"):
+            whole_register(hamiltonian).matrix()
+        with pytest.raises(InvalidInput, match="hermiticity"):
+            for block in hamiltonian._blocks:
+                block.matrix()
 
     @pytest.mark.parametrize("kind", sorted(ORACLES))
     def test_large_couplings_pass_the_block_check(self, kind):
@@ -351,8 +368,7 @@ class TestSectorBlocks:
         # sectors; with the whole register as one block, the gap must come
         # from inside that block.
         hamiltonian = build_model(ChainModel(kind, 6, 1.0, 0.7))
-        rows, factors = np.arange(64)[None], np.ones((1, 64))
-        hamiltonian._blocks = [_Block(hamiltonian, rows, factors)]
+        hamiltonian._blocks = [whole_register(hamiltonian)]
         gs = ground_state(hamiltonian)
         values, vectors = hamiltonian.spectrum
         assert gs.energy == values[0] and gs.gap == values[1] - values[0]
