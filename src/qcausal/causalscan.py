@@ -9,25 +9,26 @@ conditioning set C is empty and every scan raises `EmptyConditioner`.
 A `ScanConfig` checks the initial spec and the batch size when it is made.
 Both scans check their fields and call `_scan`: one chain build, the initial
 ket, then the kernel `_pure_series`, which reads no config and returns one
-read-only (receivers, times) array. An XX ket with one excitation (every
-nonzero amplitude at a popcount-1 index) goes to `_excitation_series`
-instead, the same array in closed form, held to the kernel by the tests.
+read-only (receivers, times) array.
 
 Every initial state is pure and a projective-z measurement keeps it pure, so
 the kernel runs on batches (states, amplitudes): the sorted register indices
 the occupied sectors span and a (times, states) array: all 2^N for a TFIM
-scan at h != 0, the C(N, M) of popcount M for an XX basis state. psi(t)
-is evolved once for all times and A measured by splitting `states` on its
-bit. Each branch takes one entropy pass over every distinct B, C or BC site
-set. When all of a branch's `states` have one popcount M (the XX chain
-conserves it, so its batches span one popcount), each cut splits into one
-block per subsystem popcount q, against complement popcount M - q;
-otherwise it is one block. A block of rank one (one row or column) has its
-weight as its eigenvalue, all of a branch's from one product of |psi_j|^2
-with a 0/1 table; only wider blocks call `eigvalsh`, on their smaller side's
-Gram matrix. One entropy call per branch covers every site set and time,
-and the clamp rules of `asymmetric_qcmi` apply to all rows at once. The
-tests hold this kernel to the dense density-matrix functions.
+scan at h != 0, the C(N, M) of popcount M for an XX basis state. psi(t) is
+evolved once for all times, by an evolution picked from the ket alone: an XX
+ket with one excitation (every nonzero amplitude at a popcount-1 index) in
+closed form, `_excitation_grid`, any other on the sector blocks,
+`_evolve_grid`, its oracle in the tests. Both give the same batch, and every
+scan then measures A by splitting `states` on its bit (`_measure_z`). Each
+branch takes one entropy pass over every distinct B, C or BC site set. When
+all of a branch's `states` have one popcount M (the XX chain conserves it),
+each cut splits into one block per subsystem popcount q, against complement
+popcount M - q; otherwise it is one block. A block of rank one (one row or
+column) has its weight as its eigenvalue, all of a branch's from one product
+of |psi_j|^2 with a 0/1 table; only wider blocks call `eigvalsh`, on their
+smaller side's Gram matrix. One entropy call per branch covers every site set
+and time, and the clamp rules of `asymmetric_qcmi` apply to all rows at once.
+The tests hold this kernel to the dense density-matrix functions.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .instrument import PROBABILITY_FLOOR, projective_z_instrument
 from .qstate import NORM_TOL, Ket, basis_ket, check_site_pair, entropies_from_eigenvalues
 from .qstate import check_array, check_instance, check_integer, check_real, check_sequence
 from .spinchain import DEGENERACY_GAP, ChainModel, Hamiltonian, _evolve_grid, _popcounts
-from .spinchain import build_model, ground_state
+from .spinchain import _sector_series, build_model, ground_state
 
 # Unused here; perfbench/test_perfbench.py checks the tracer patches this name.
 from .spinchain import evolve  # noqa: F401
@@ -217,27 +218,21 @@ def initial_ket(hamiltonian: Hamiltonian, spec: str) -> Ket:
     return ground.state
 
 
-def _branch_weights(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(kept, weights) of a (rows, outcomes) table of outcome probabilities:
-    outcomes below PROBABILITY_FLOOR are dropped and the rest renormalized,
-    as `apply_instrument` does."""
-    kept = probs >= PROBABILITY_FLOOR
-    total = np.sum(np.where(kept, probs, 0.0), axis=1)
-    return kept, np.where(kept, probs / total[:, None], 0.0)
-
-
 def _measure_z(states: np.ndarray, kets: np.ndarray, site: int, n_sites: int, keep_site=False):
-    """Projective-z measurement of `site` on every row of a (states, kets) batch:
-    (weights, (states, normalized kets)) per outcome kept at some row, the
-    site's bit dropped unless `keep_site`; a row that drops a branch gives it
-    weight 0 and zeros. Floor and renormalization follow `apply_instrument`.
-    Every row is a unit ket (`_evolve_grid` checks each, the quench path
-    passes a `Ket`'s), so one outcome always holds half its weight or more."""
+    """Projective-z measurement of `site` on every row of a (states, kets) batch,
+    from either evolution: (weights, (states, normalized kets)) per outcome
+    kept at some row, the site's bit dropped unless `keep_site`. As in
+    `apply_instrument`, outcomes below PROBABILITY_FLOOR are dropped and the
+    rest renormalized; a row that drops a branch gives it weight 0 and zeros.
+    Every row is a unit ket (both evolutions check each, the quench path passes
+    a `Ket`'s), so one outcome always holds half its weight or more."""
     bit = n_sites - 1 - site
     split = [np.flatnonzero((states >> bit) & 1 == x) for x in (0, 1)]
     parts = [np.take(kets, columns, axis=1) for columns in split]
-    probs = np.stack([np.sum(np.abs(branch) ** 2, axis=1) for branch in parts], axis=1)
-    kept, weights = _branch_weights(probs)
+    probs = np.stack([np.sum(np.square(p.real) + np.square(p.imag), axis=1) for p in parts], axis=1)
+    kept = probs >= PROBABILITY_FLOOR
+    total = np.sum(np.where(kept, probs, 0.0), axis=1)
+    weights = np.where(kept, probs / total[:, None], 0.0)
     scale = np.where(kept, 1.0 / np.sqrt(np.where(kept, probs, 1.0)), 0.0)
     if not keep_site:
         states = states >> (bit + 1) << bit | states & ((1 << bit) - 1)
@@ -262,7 +257,10 @@ def _entropies(
     weight, the sum of |psi_j|^2 over the states it holds. A wider block
     takes `eigvalsh` of its Gram matrix on its smaller side: the reduced
     states of a site set and of its complement share their nonzero spectrum.
+    A batch on one basis state is a product state: every entropy is 0.
     """
+    if states.size == 1:
+        return np.zeros((len(site_sets), kets.shape[0]))
     ones = _popcounts(n_sites)
     # bincount, not np.unique: a sort pages in about 1 MiB more of numpy's code.
     charges = np.flatnonzero(np.bincount(ones[states]))
@@ -286,18 +284,17 @@ def _entropies(
     eigenvalues = np.empty((kets.shape[0], offsets[-1]))
     single = [i for i, (_, _, rank) in enumerate(blocks) if rank == 1]
     if single:
-        # All rank-one weights from one product of |psi_j|^2 with 0/1 picks;
-        # einsum, not @: a float64 matmul here would be the process's first dgemm.
+        # All rank-one weights from one product of |psi_j|^2 with 0/1 picks.
         masks, qs = np.array([blocks[i][:2] for i in single]).T
         squares = np.square(kets.real) + np.square(kets.imag)
-        picks = ones[states[:, None] & masks] == qs
-        eigenvalues[:, offsets[single]] = np.einsum("ts,sb->tb", squares, picks)
-    registers = np.arange(2**n_sites)
-    column = np.full(2**n_sites, -1)
-    column[states] = np.arange(states.size)
-    for i, (mask, q, rank) in enumerate(blocks):
-        if rank == 1:
-            continue
+        eigenvalues[:, offsets[single]] = squares @ (ones[states[:, None] & masks] == qs)
+    wide = [i for i, (_, _, rank) in enumerate(blocks) if rank > 1]
+    if wide:
+        registers = np.arange(2**n_sites)
+        column = np.full(2**n_sites, -1)
+        column[states] = np.arange(states.size)
+    for i in wide:
+        mask, q, _ = blocks[i]
         # Register indices of the set's configurations and of its complement's;
         # site s is bit n - 1 - s.
         rows, cols = registers[registers & mask == registers], registers[registers & mask == 0]
@@ -355,7 +352,7 @@ def _pure_series(
     if measure_at_t:
         branches = [
             (weights, _entropies(*batch, register, site_sets))
-            for weights, batch in _measure_z(*_evolve_grid(h, psi0, times), site_a, n)
+            for weights, batch in _measure_z(*_evolution(h, psi0, times), site_a, n)
         ]
     else:  # quench-at-zero
         # Each branch is evolved and reduced before the next: one batch at a time.
@@ -364,7 +361,7 @@ def _pure_series(
         for weight, (states, ket) in measured:
             full = np.zeros(2**n, dtype=complex)
             full[states] = ket[0]
-            entropies = _entropies(*_evolve_grid(h, full, times), register, site_sets)
+            entropies = _entropies(*_evolution(h, full, times), register, site_sets)
             branches.append((np.full(times.size, weight[0]), entropies))
     values = _branch_average(branches, cuts)
     values.setflags(write=False)
@@ -380,80 +377,46 @@ def _hopping_modes(n_sites: int, coupling: float) -> tuple[np.ndarray, np.ndarra
     return 2.0 * coupling * np.cos(np.pi / (n_sites + 1) * k), modes
 
 
-def _excitation_series(
-    h: Hamiltonian, psi0: np.ndarray, protocol: str, times: np.ndarray, site_a: int,
-    receivers: list[tuple[int, tuple[int, ...]]],
-) -> np.ndarray:
-    """`_pure_series` in closed form for an XX chain whose `psi0` holds one
-    excitation (every amplitude at a popcount-1 index); the kernel is its oracle.
+def _excitation_grid(h: Hamiltonian, amplitudes: np.ndarray, times: np.ndarray) -> tuple:
+    """`_evolve_grid` in closed form for an XX chain whose `amplitudes` hold
+    one excitation (every nonzero amplitude at a popcount-1 index): the batch
+    on states 1 << arange(N), ascending, with each row's norm checked alike.
 
-    Site j holds amplitude sum_k phi_k(j) exp(-i eps_k t) sum_i phi_k(i) c_i
-    (`_hopping_modes`); in this sector the field adds only a global phase. A
-    state with one excitation, found on a site set S with probability p_S,
-    gives S the entropy of the pair (p_S, p_rest), p_rest that of the other
-    sites. Under measure-at-t, finding the excitation at A leaves a product
-    state (I = 0), so only the other outcome counts; quench-at-zero evolves
-    both outcomes of t = 0. Floor and weights follow `_measure_z`, and each
-    row's norm is checked as in `_evolve_grid`.
+    The popcount-1 sector needs no `eigh`: its eigenvectors are the hopping
+    modes (`_hopping_modes`) and its energies eps_k + h (N - 2), as the field
+    adds only a constant diagonal there. It evolves as a block does.
     """
     n = h.n_sites
     energies, modes = _hopping_modes(n, h.model.coupling)
-    site_sets, cuts = _site_sets([((b,), c) for b, c in receivers])
-    # sides[j, s]: (1, 0) if site j is in set s, else (0, 1).
-    sides = np.zeros((n, len(site_sets), 2))
-    sides[..., 1] = 1.0
-    for k, sites in enumerate(site_sets):
-        sides[list(sites), k] = (1.0, 0.0)
-    initial = psi0[1 << np.arange(n - 1, -1, -1)]  # site j's amplitude
-    away = np.arange(n) != site_a
+    states = 1 << np.arange(n)
+    sites = modes[::-1]  # row j: site n - 1 - j, the site of states[j]
+    energies = energies + h.model.field * (n - 2)
+    coordinates = _sector_series(energies, sites, amplitudes[states], times).T  # (re, im) rows
+    grid = np.empty((times.size, n), dtype=complex)
+    grid.real, grid.imag = coordinates[::2], coordinates[1::2]
+    parts = grid.view(float)
+    defect = np.max(np.abs(np.sqrt(np.einsum("ij,ij->i", parts, parts)) - 1.0))
+    if not defect <= NORM_TOL:
+        raise NumericalInstability(f"evolved norm defect {defect:.3e} exceeds {NORM_TOL}")
+    return states, grid
 
-    def occupations(starts: np.ndarray) -> np.ndarray:
-        """(outcomes, times, sites) |amplitude|^2 from (outcomes, sites) unit kets at t = 0."""
-        # einsum, not @: no BLAS call, so none of its code is paged in.
-        phases = np.exp(np.multiply.outer(times, -1j * energies))
-        coefficients = np.einsum("bi,ik->bk", starts, modes)
-        amplitudes = np.einsum("tk,bk,jk->btj", phases, coefficients, modes)
-        occupancy = np.square(amplitudes.real) + np.square(amplitudes.imag)
-        defect = np.max(np.abs(np.sqrt(np.sum(occupancy, axis=-1)) - 1.0))
-        if not defect <= NORM_TOL:
-            raise NumericalInstability(f"evolved norm defect {defect:.3e} exceeds {NORM_TOL}")
-        return occupancy
 
-    if protocol == "measure-at-t":
-        (occupancy,) = occupations(initial[None])
-        outcomes = np.stack([np.sum(occupancy[:, away], axis=1), occupancy[:, site_a]], axis=1)
-        kept, weights = _branch_weights(outcomes)
-        scale = np.where(kept[:, 0], 1.0 / np.where(kept[:, 0], outcomes[:, 0], 1.0), 0.0)
-        branches = [(weights[:, 0], occupancy * away * scale[:, None])]
-    else:  # quench-at-zero
-        starts = np.stack([np.where(away, initial, 0.0), np.where(away, 0.0, initial)])
-        outcomes = np.sum(np.abs(starts) ** 2, axis=1)
-        kept, weights = _branch_weights(outcomes[None])
-        picked = np.flatnonzero(kept[0])
-        occupancy = occupations(starts[picked] / np.sqrt(outcomes[picked, None]))
-        branches = [(np.full(times.size, weights[0, x]), o) for x, o in zip(picked, occupancy)]
-    # Both weights summed, not p_S and 1 - p_S: a weight near EIG_CLAMP keeps
-    # the kernel's relative precision, so both apply the clamp alike.
-    averaged = [
-        (weights, entropies_from_eigenvalues(np.einsum("tj,jsx->stx", occupancy, sides)))
-        for weights, occupancy in branches
-    ]
-    values = _branch_average(averaged, cuts)
-    values.setflags(write=False)
-    return values
+def _evolution(h: Hamiltonian, amplitudes: np.ndarray, times: np.ndarray) -> tuple:
+    """The batch of `amplitudes` evolved over `times`: `_excitation_grid` on
+    an XX chain when every nonzero amplitude sits at a popcount-1 index, else
+    `_evolve_grid`."""
+    excited = np.flatnonzero(amplitudes)  # ascending: index 0, popcount 0, would come first
+    single = h.model.kind == "xx" and excited[0] > 0 and not np.any(excited & (excited - 1))
+    return (_excitation_grid if single else _evolve_grid)(h, amplitudes, times)
 
 
 def _scan(
     config: ScanConfig, site_a: int, receivers: list[tuple[int, tuple[int, ...]]]
 ) -> np.ndarray:
-    """Build once, resolve the ket, and run the kernel, or its closed form on
-    an XX chain when every nonzero amplitude sits at a popcount-1 index."""
+    """Build once, resolve the ket, and run `_pure_series`."""
     h = build_model(config.model)
     psi0 = initial_ket(h, config.initial).amplitudes
-    excited = np.flatnonzero(psi0)  # ascending: index 0, popcount 0, would come first
-    single = config.model.kind == "xx" and excited[0] > 0 and not np.any(excited & (excited - 1))
-    series = _excitation_series if single else _pure_series
-    return series(h, psi0, config.protocol, config.grid.times, site_a, receivers)
+    return _pure_series(h, psi0, config.protocol, config.grid.times, site_a, receivers)
 
 
 def qcmi_time_series(config: ScanConfig) -> QcmiSeries:

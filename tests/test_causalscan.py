@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -252,14 +253,17 @@ class TestChecksBeforeTheBuild:
             self.config(grid=too_many)
 
 
-def spy_series(monkeypatch):
-    """Record every (receivers, times) array the kernel and its closed form
-    return, in one list per backend."""
-    returned = {"_pure_series": [], "_excitation_series": []}
+EVOLUTIONS = ("_evolve_grid", "_excitation_grid")
 
-    def spying(series, out):
+
+def spy(monkeypatch, *names):
+    """Record what each named `causalscan` function returns, one list per name;
+    `spy(monkeypatch, *EVOLUTIONS)` records every batch a scan evolves."""
+    returned = {name: [] for name in names}
+
+    def spying(function, out):
         def spied(*args):
-            out.append(series(*args))
+            out.append(function(*args))
             return out[-1]
 
         return spied
@@ -273,13 +277,24 @@ def call_counts(returned):
     return {name: len(out) for name, out in returned.items()}
 
 
-def paper_kernel(config=PAPER_SCAN):
-    """The kernel on an arrival scan's inputs, whatever its initial state;
-    `_scan` sends a one-excitation XX state to the closed form instead."""
-    h = build_model(config.model)
-    receivers = [(d, tuple(range(1, d))) for d in range(config.d_min, config.d_max + 1)]
-    psi0 = initial_ket(h, config.initial).amplitudes
-    return causalscan._pure_series(h, psi0, config.protocol, config.grid.times, 0, receivers)
+def force_blocks(monkeypatch):
+    """Make every scan evolve on the sector blocks, the closed form's oracle,
+    through whatever `causalscan._evolve_grid` is when it runs."""
+    monkeypatch.setattr(causalscan, "_excitation_grid", lambda *args: causalscan._evolve_grid(*args))
+
+
+def block_series(monkeypatch, *args):
+    """`_pure_series(*args)` with every evolution on the sector blocks."""
+    with monkeypatch.context() as patch:
+        force_blocks(patch)
+        return causalscan._pure_series(*args)
+
+
+def paper_kernel(monkeypatch, config=PAPER_SCAN):
+    """An arrival scan evolved on the sector blocks, whatever its initial
+    state; a one-excitation XX state would evolve in closed form."""
+    force_blocks(monkeypatch)
+    return arrival_scan(config)
 
 
 def use_chain(monkeypatch, hamiltonian):
@@ -519,7 +534,7 @@ class TestPureStateKernel:
         config = replace(PAPER_SCAN, protocol=protocol, grid=TimeGrid(1.0, 0.1))
         arrival_scan(config)
         assert calls == []  # the closed form diagonalizes nothing
-        paper_kernel(config)
+        paper_kernel(monkeypatch, config)
         # The popcount-1 sector as its two site-reversal blocks, shared by every distance.
         assert calls == [(4, 4), (4, 4)]
 
@@ -532,16 +547,18 @@ class TestPureStateKernel:
     @pytest.mark.parametrize("protocol", ["measure-at-t", "quench-at-zero"])
     @pytest.mark.parametrize("initial", ["basis:100000", "basis:110000", "ground"])
     def test_arrival_scan_matches_per_distance_series(self, monkeypatch, initial, protocol):
-        # One excitation takes the closed form; two, and the ground state, the kernel.
-        returned = spy_series(monkeypatch)
+        # One excitation evolves in closed form; two, and the ground state, on the blocks.
+        returned = spy(monkeypatch, "_pure_series", *EVOLUTIONS)
         config = xx_config(
             model=ChainModel("xx", 6, 1.0, 0.3), initial=initial,
             protocol=protocol, grid=TimeGrid(3.0, 0.05),
             site_a=None, site_b=None, d_min=2, d_max=5, crossing="interp",
         )
         table = arrival_scan(config)
-        (scanned,) = returned["_pure_series"] + returned["_excitation_series"]
+        (scanned,) = returned["_pure_series"]
         assert scanned.shape == (4, 61)
+        closed = initial == "basis:100000"
+        assert [bool(returned[name]) for name in EVOLUTIONS] == [not closed, closed]
         for (d, t_arr), row in zip(table.rows, scanned):
             series = qcmi_time_series(replace(config, site_a=0, site_b=d, d_min=None, d_max=None))
             assert np.array_equal(row, series.values)
@@ -680,7 +697,7 @@ class TestChargeBlocks:
             return entropies(states, kets, n_sites, site_sets)
 
         monkeypatch.setattr(causalscan, "_entropies", counted)
-        paper_kernel()
+        arrival_scan(PAPER_SCAN)
         # One call per branch, each with 13 site sets: B = {d-1} and
         # C = {0..d-2} for d = 2..7 in the 7-site branch register; BC at d is
         # C at d+1, but for {0..6}.
@@ -688,11 +705,12 @@ class TestChargeBlocks:
         assert all(len(set(site_sets)) == 13 for site_sets in calls)
 
     def test_paper_scan_calls_no_eigensolver_for_its_entropies(self, monkeypatch):
-        shapes = count_eigh(monkeypatch, "eigvalsh")
-        paper_kernel()
-        # The popcount-1 branch has two blocks per cut and one for the whole
-        # register, the popcount-0 branch one block per cut: all of rank one.
-        assert shapes == []
+        vectors, values = count_eigh(monkeypatch), count_eigh(monkeypatch, "eigvalsh")
+        arrival_scan(PAPER_SCAN)
+        # The closed form diagonalizes nothing. The popcount-1 branch has two
+        # blocks per cut and one for the whole register, all of rank one; the
+        # popcount-0 branch is one basis state, with every entropy 0.
+        assert vectors == values == []
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_rank_one_blocks_read_as_weights(self, n, monkeypatch):
@@ -726,6 +744,24 @@ class TestChargeBlocks:
                 ]
                 assert np.max(np.abs(entropies[:-1, row] - oracle)) <= 1e-12
             assert np.max(np.abs(entropies[-1])) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_one_basis_state_has_zero_entropies(self, n):
+        # A batch on one state skips the pass. The general path reads the same
+        # state beside a zero amplitude on another of its popcount (rank-one
+        # blocks) or of another popcount (one block, through eigvalsh).
+        site_sets = [s for k in range(1, n + 1) for s in itertools.combinations(range(n), k)]
+        phases = np.exp(2j * np.pi * np.random.default_rng(n).uniform(size=(3, 1)))
+        ones = popcounts(n)
+        for state in range(2**n):
+            alone = causalscan._entropies(np.array([state]), phases, n, site_sets)
+            assert np.array_equal(alone, np.zeros((len(site_sets), 3)))
+            alike = np.flatnonzero(ones == ones[state])
+            for other in {int(alike[alike != state][0]) if alike.size > 1 else state ^ 1, state ^ 1}:
+                states = np.sort([state, other])
+                kets = np.where(states == state, phases, 0.0)
+                padded = causalscan._entropies(states, kets, n, site_sets)
+                assert np.max(np.abs(padded - alone)) <= 1e-15
 
     def test_tfim_quench_series_takes_one_block_per_cut(self, monkeypatch):
         shapes = count_eigh(monkeypatch, "eigvalsh")
@@ -802,19 +838,16 @@ class TestChargeBlocks:
         assert np.array_equal(np.unique(popcounts(n)[states]), [2])
 
     def test_paper_scan_evolves_one_excitation_batch(self, monkeypatch):
-        batches = []
-
-        def recorded(*args):
-            batches.append(_evolve_grid(*args))
-            return batches[-1]
-
-        monkeypatch.setattr(causalscan, "_evolve_grid", recorded)
+        returned = spy(monkeypatch, *EVOLUTIONS)
         arrival_scan(PAPER_SCAN)
-        assert batches == []  # the closed form evolves no batch
-        paper_kernel()
-        ((states, kets),) = batches
-        assert kets.shape == (501, 8)
+        assert returned["_evolve_grid"] == []  # the closed form evolves the one batch
+        paper_kernel(monkeypatch)
+        ((states, closed),) = returned["_excitation_grid"]
+        ((block_states, kets),) = returned["_evolve_grid"]
+        assert closed.shape == kets.shape == (501, 8)
         assert np.array_equal(states, 1 << np.arange(8))
+        assert np.array_equal(block_states, states)
+        assert np.max(np.abs(closed - kets)) <= 1e-12
 
 
 def fake_branches(rows, rng):
@@ -955,13 +988,28 @@ def one_excitation(n, site):
     return basis_ket([int(j == site) for j in range(n)]).amplitudes
 
 
-class TestExcitationSeries:
-    """The library's one-excitation closed form, held to the kernel."""
+class TestExcitationGrid:
+    """The library's one-excitation closed form, held to the sector blocks."""
 
     TIMES = np.linspace(0.0, 5.0, 101)
 
     @pytest.mark.parametrize("n", range(2, 13))
-    def test_matches_the_kernel_from_every_site(self, n):
+    def test_batch_matches_the_blocks(self, n):
+        # Every one-excitation basis ket and one random complex superposition.
+        h = build_model(ChainModel("xx", n, 1.0, 0.3))
+        superposition = np.zeros(2**n, dtype=complex)
+        spread = np.random.default_rng(n).normal(size=(n, 2)) @ [1.0, 1j]
+        superposition[1 << np.arange(n)] = spread / np.linalg.norm(spread)
+        for psi0 in [one_excitation(n, site) for site in range(n)] + [superposition]:
+            states, closed = causalscan._excitation_grid(h, psi0, self.TIMES)
+            block_states, kets = _evolve_grid(h, psi0, self.TIMES)
+            assert np.array_equal(states, 1 << np.arange(n))
+            assert np.array_equal(block_states, states)
+            assert closed.shape == kets.shape == (self.TIMES.size, n)
+            assert np.max(np.abs(closed - kets)) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_series_match_the_blocks_from_every_site(self, monkeypatch, n):
         h = build_model(ChainModel("xx", n, 1.0, 0.3))
         for site in range(n):
             psi0 = one_excitation(n, site)
@@ -969,17 +1017,16 @@ class TestExcitationSeries:
                 receivers = [(b, tuple(range(min(a, b) + 1, max(a, b)))) for b in range(n) if b != a]
                 for protocol in causalscan.PROTOCOLS:
                     args = (h, psi0, protocol, self.TIMES, a, receivers)
-                    closed = causalscan._excitation_series(*args)
+                    closed = causalscan._pure_series(*args)
                     assert not closed.flags.writeable
-                    assert np.max(np.abs(closed - causalscan._pure_series(*args))) <= 1e-12
+                    assert np.max(np.abs(closed - block_series(monkeypatch, *args))) <= 1e-12
 
     @pytest.mark.parametrize("protocol", ["measure-at-t", "quench-at-zero"])
     @pytest.mark.parametrize("n", [5, 8, 12])
     def test_time_series_from_end_and_inner_senders(self, monkeypatch, n, protocol):
-        kernel = causalscan._pure_series
-        returned = spy_series(monkeypatch)
+        returned = spy(monkeypatch, *EVOLUTIONS)
         h = build_model(ChainModel("xx", n, -0.7, 0.5))
-        scans = 0
+        scans = []
         for a, b in ((0, n - 1), (1, n - 1), (n // 2, 0), (n - 1, 1)):
             c = tuple(range(min(a, b) + 1, max(a, b)))
             for site in sorted({0, a, b, n // 2}):
@@ -987,11 +1034,13 @@ class TestExcitationSeries:
                     h.model, initial="basis:" + "".join(str(int(j == site)) for j in range(n)),
                     protocol=protocol, grid=TimeGrid(3.0, 0.05), site_a=a, site_b=b,
                 )
-                series = qcmi_time_series(config)
-                scans += 1
-                (expected,) = kernel(h, one_excitation(n, site), protocol, series.times, a, [(b, c)])
-                assert np.max(np.abs(series.values - expected)) <= 1e-12
-        assert call_counts(returned) == {"_pure_series": 0, "_excitation_series": scans}
+                scans.append((qcmi_time_series(config), site, a, [(b, c)]))
+        # A basis state keeps one outcome of A under either protocol: one evolution a scan.
+        assert call_counts(returned) == {"_evolve_grid": 0, "_excitation_grid": len(scans)}
+        for series, site, a, receivers in scans:
+            args = (h, one_excitation(n, site), protocol, series.times, a, receivers)
+            (expected,) = block_series(monkeypatch, *args)
+            assert np.max(np.abs(series.values - expected)) <= 1e-12
 
     @pytest.mark.parametrize("protocol", ["measure-at-t", "quench-at-zero"])
     def test_a_one_excitation_ground_state(self, monkeypatch, protocol):
@@ -1003,19 +1052,21 @@ class TestExcitationSeries:
         assert ground.gap > 1e-2
         excited = np.flatnonzero(ground.state.amplitudes)
         assert excited.size == 6 and np.all(popcounts(6)[excited] == 1)
-        kernel = causalscan._pure_series
-        returned = spy_series(monkeypatch)
+        returned = spy(monkeypatch, *EVOLUTIONS)
         config = ScanConfig(
             model, initial="ground", protocol=protocol, grid=TimeGrid(3.0, 0.05), d_min=2, d_max=5,
             crossing="interp",
         )
         series = qcmi_time_series(replace(config, d_min=None, d_max=None, site_a=1, site_b=4))
         table = arrival_scan(config)
-        assert call_counts(returned) == {"_pure_series": 0, "_excitation_series": 2}
+        # Two scans; quench-at-zero evolves both outcomes of A at t = 0, each in closed form.
+        closed = 2 if protocol == "measure-at-t" else 4
+        assert call_counts(returned) == {"_evolve_grid": 0, "_excitation_grid": closed}
         psi0 = ground.state.amplitudes
-        (expected,) = kernel(h, psi0, protocol, series.times, 1, [(4, (2, 3))])
+        (expected,) = block_series(monkeypatch, h, psi0, protocol, series.times, 1, [(4, (2, 3))])
         assert np.max(np.abs(series.values - expected)) <= 1e-12
-        rows = kernel(h, psi0, protocol, series.times, 0, [(d, tuple(range(1, d))) for d in range(2, 6)])
+        receivers = [(d, tuple(range(1, d))) for d in range(2, 6)]
+        rows = block_series(monkeypatch, h, psi0, protocol, series.times, 0, receivers)
         for (d, t_arr), row in zip(table.rows, rows):
             expected = arrival_time(series.times, row, 0.03, "interp")
             assert t_arr == expected if expected is None else abs(t_arr - expected) <= 1e-9
@@ -1033,8 +1084,8 @@ class TestExcitationSeries:
             ("xx", 0.3, "ground"),
         ],
     )
-    def test_every_other_state_runs_the_kernel(self, monkeypatch, kind, field, initial):
-        returned = spy_series(monkeypatch)
+    def test_every_other_state_evolves_on_the_blocks(self, monkeypatch, kind, field, initial):
+        returned = spy(monkeypatch, *EVOLUTIONS)
         config = ScanConfig(
             ChainModel(kind, 4, 1.0, field), initial=initial, grid=TimeGrid(0.4, 0.2),
             site_a=0, site_b=3,
@@ -1043,7 +1094,8 @@ class TestExcitationSeries:
             warnings.simplefilter("ignore", RuntimeWarning)  # TFIM at h = 0 is degenerate
             qcmi_time_series(config)
             arrival_scan(replace(config, site_a=None, site_b=None, d_min=2, d_max=3))
-        assert call_counts(returned) == {"_pure_series": 2, "_excitation_series": 0}
+        # measure-at-t: one evolution a scan.
+        assert call_counts(returned) == {"_evolve_grid": 2, "_excitation_grid": 0}
 
     @pytest.mark.parametrize("protocol", ["measure-at-t", "quench-at-zero"])
     @pytest.mark.parametrize("defect", ["scaled", "nan"])
