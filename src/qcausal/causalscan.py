@@ -12,22 +12,17 @@ ket, then the kernel `_pure_series`, which reads no config and returns one
 read-only (receivers, times) array.
 
 Every initial state is pure and a projective-z measurement keeps it pure, so
-the kernel runs on batches (states, amplitudes): the sorted register indices
-the occupied sectors span and a (times, states) array: all 2^N for a TFIM
-scan at h != 0, the C(N, M) of popcount M for an XX basis state. psi(t) is
-evolved once for all times, by an evolution picked from the ket alone: an XX
-ket with one excitation (every nonzero amplitude at a popcount-1 index) in
-closed form, `_excitation_grid`, any other on the sector blocks,
-`_evolve_grid`, its oracle in the tests. Both give the same batch, and every
-scan then measures A by splitting `states` on its bit (`_measure_z`). Each
-branch takes one entropy pass over every distinct B, C or BC site set. When
-all of a branch's `states` have one popcount M (the XX chain conserves it),
-each cut splits into one block per subsystem popcount q, against complement
-popcount M - q; otherwise it is one block. A block of rank one (one row or
-column) has its weight as its eigenvalue, all of a branch's from one product
-of |psi_j|^2 with a 0/1 table; only wider blocks call `eigvalsh`, on their
-smaller side's Gram matrix. One entropy call per branch covers every site set
-and time, and the clamp rules of `asymmetric_qcmi` apply to all rows at once.
+the kernel evolves psi(t) once for all times into a `spinchain._evolve_grid`
+batch (states, amplitudes) and measures A by splitting `states` on its bit
+(`_measure_z`). Each branch takes one entropy pass over every distinct B, C
+or BC site set. When all of a branch's `states` have one popcount M (the XX
+chain conserves it), each cut splits into one block per subsystem popcount
+q, against complement popcount M - q; otherwise it is one block. A block of
+rank one (one row or column) has its weight as its eigenvalue, all of a
+branch's from one product of |psi_j|^2 with a 0/1 table; only wider blocks
+call `eigvalsh`, on their smaller side's Gram matrix. One entropy call per
+branch covers every site set and time, and the clamp rules of
+`asymmetric_qcmi` apply to all rows at once.
 The tests hold this kernel to the dense density-matrix functions.
 """
 
@@ -40,13 +35,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import EmptyConditioner, InsufficientData, InvalidInput, NumericalInstability
+from .exceptions import EmptyConditioner, InsufficientData, InvalidInput
 from .infomeasures import Partition, _clamped_values
 from .instrument import PROBABILITY_FLOOR, projective_z_instrument
-from .qstate import NORM_TOL, Ket, basis_ket, check_site_pair, entropies_from_eigenvalues
+from .qstate import Ket, basis_ket, check_site_pair, entropies_from_eigenvalues
 from .qstate import check_array, check_instance, check_integer, check_real, check_sequence
 from .spinchain import DEGENERACY_GAP, ChainModel, Hamiltonian, _evolve_grid, _popcounts
-from .spinchain import _sector_series, build_model, ground_state
+from .spinchain import build_model, ground_state
 
 # Unused here; perfbench/test_perfbench.py checks the tracer patches this name.
 from .spinchain import evolve  # noqa: F401
@@ -219,13 +214,13 @@ def initial_ket(hamiltonian: Hamiltonian, spec: str) -> Ket:
 
 
 def _measure_z(states: np.ndarray, kets: np.ndarray, site: int, n_sites: int, keep_site=False):
-    """Projective-z measurement of `site` on every row of a (states, kets) batch,
-    from either evolution: (weights, (states, normalized kets)) per outcome
-    kept at some row, the site's bit dropped unless `keep_site`. As in
-    `apply_instrument`, outcomes below PROBABILITY_FLOOR are dropped and the
-    rest renormalized; a row that drops a branch gives it weight 0 and zeros.
-    Every row is a unit ket (both evolutions check each, the quench path passes
-    a `Ket`'s), so one outcome always holds half its weight or more."""
+    """Projective-z measurement of `site` on every row of a (states, kets) batch:
+    (weights, (states, normalized kets)) per outcome kept at some row, the
+    site's bit dropped unless `keep_site`. As in `apply_instrument`, outcomes
+    below PROBABILITY_FLOOR are dropped and the rest renormalized; a row that
+    drops a branch gives it weight 0 and zeros. Every row is a unit ket
+    (`_evolve_grid` checks each, the quench path passes a `Ket`'s), so one
+    outcome always holds half its weight or more."""
     bit = n_sites - 1 - site
     split = [np.flatnonzero((states >> bit) & 1 == x) for x in (0, 1)]
     parts = [np.take(kets, columns, axis=1) for columns in split]
@@ -352,7 +347,7 @@ def _pure_series(
     if measure_at_t:
         branches = [
             (weights, _entropies(*batch, register, site_sets))
-            for weights, batch in _measure_z(*_evolution(h, psi0, times), site_a, n)
+            for weights, batch in _measure_z(*_evolve_grid(h, psi0, times), site_a, n)
         ]
     else:  # quench-at-zero
         # Each branch is evolved and reduced before the next: one batch at a time.
@@ -361,53 +356,11 @@ def _pure_series(
         for weight, (states, ket) in measured:
             full = np.zeros(2**n, dtype=complex)
             full[states] = ket[0]
-            entropies = _entropies(*_evolution(h, full, times), register, site_sets)
+            entropies = _entropies(*_evolve_grid(h, full, times), register, site_sets)
             branches.append((np.full(times.size, weight[0]), entropies))
     values = _branch_average(branches, cuts)
     values.setflags(write=False)
     return values
-
-
-def _hopping_modes(n_sites: int, coupling: float) -> tuple[np.ndarray, np.ndarray]:
-    """Energies eps_k = 2J cos(pi k / (N+1)) and the symmetric mode matrix
-    phi[j, k-1] = sqrt(2 / (N+1)) sin(pi k (j+1) / (N+1)), k = 1..N, of one
-    excitation hopping with amplitude J along N open sites."""
-    k = np.arange(1, n_sites + 1)
-    modes = np.sqrt(2.0 / (n_sites + 1)) * np.sin(np.pi / (n_sites + 1) * np.outer(k, k))
-    return 2.0 * coupling * np.cos(np.pi / (n_sites + 1) * k), modes
-
-
-def _excitation_grid(h: Hamiltonian, amplitudes: np.ndarray, times: np.ndarray) -> tuple:
-    """`_evolve_grid` in closed form for an XX chain whose `amplitudes` hold
-    one excitation (every nonzero amplitude at a popcount-1 index): the batch
-    on states 1 << arange(N), ascending, with each row's norm checked alike.
-
-    The popcount-1 sector needs no `eigh`: its eigenvectors are the hopping
-    modes (`_hopping_modes`) and its energies eps_k + h (N - 2), as the field
-    adds only a constant diagonal there. It evolves as a block does.
-    """
-    n = h.n_sites
-    energies, modes = _hopping_modes(n, h.model.coupling)
-    states = 1 << np.arange(n)
-    sites = modes[::-1]  # row j: site n - 1 - j, the site of states[j]
-    energies = energies + h.model.field * (n - 2)
-    coordinates = _sector_series(energies, sites, amplitudes[states], times).T  # (re, im) rows
-    grid = np.empty((times.size, n), dtype=complex)
-    grid.real, grid.imag = coordinates[::2], coordinates[1::2]
-    parts = grid.view(float)
-    defect = np.max(np.abs(np.sqrt(np.einsum("ij,ij->i", parts, parts)) - 1.0))
-    if not defect <= NORM_TOL:
-        raise NumericalInstability(f"evolved norm defect {defect:.3e} exceeds {NORM_TOL}")
-    return states, grid
-
-
-def _evolution(h: Hamiltonian, amplitudes: np.ndarray, times: np.ndarray) -> tuple:
-    """The batch of `amplitudes` evolved over `times`: `_excitation_grid` on
-    an XX chain when every nonzero amplitude sits at a popcount-1 index, else
-    `_evolve_grid`."""
-    excited = np.flatnonzero(amplitudes)  # ascending: index 0, popcount 0, would come first
-    single = h.model.kind == "xx" and excited[0] > 0 and not np.any(excited & (excited - 1))
-    return (_excitation_grid if single else _evolve_grid)(h, amplitudes, times)
 
 
 def _scan(

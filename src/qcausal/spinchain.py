@@ -1,18 +1,15 @@
 """Chain Hamiltonians (transverse-field Ising, XX) and exact time evolution.
 
 Both models are open-boundary and real symmetric. A `Hamiltonian` never
-forms the 2^N x 2^N matrix: it holds its action on the basis bits, and each
-sector block fills its own Q^T H Q straight from that action, with no
-temporary of the block's size but the block itself. The sectors are the
-popcount when no term changes it (XX; TFIM at h = 0), else the spin-flip
+forms the 2^N x 2^N matrix: on first use it builds its action on the basis
+bits, and each sector block fills its own Q^T H Q straight from that action,
+with no temporary of the block's size but the block itself. The sectors are
+the popcount when no term changes it (XX; TFIM at h = 0), else the spin-flip
 parity, each split once more by site reversal; the sectors of one popcount
 (or all parity sectors) share their orbit representatives. Blocks are
-diagonalized on first use. A pure state evolves only in the sectors it
-occupies, in real arithmetic, into a batch (states, amplitudes): the sorted
-register indices those sectors span and a (times, states) array, written
-once per symmetry element; `ground_state` is read from the blocks too. The
-one dense form of H is its eigendecomposition `spectrum`, read by
-`propagator`.
+diagonalized on first use. `_evolve_grid` is the one pure-state evolution;
+`ground_state` reads the blocks. The one dense form of H is its
+eigendecomposition `spectrum`, read by `propagator`.
 Units: hbar = 1, couplings dimensionless, time in units of 1/J.
 """
 
@@ -60,14 +57,16 @@ class ChainModel:
 
 class Hamiltonian:
     """The real symmetric Hamiltonian of a `ChainModel`, held as its action on
-    basis states and eigendecomposed per sector, one `_Block` each:
-    H|s> = sum over m of _amplitudes[m, s] |s ^ _masks[m]>. Mask 0 carries the
-    diagonal; every other mask flips the sites it covers.
-    """
+    basis states and eigendecomposed per sector, one `_Block` each."""
 
     def __init__(self, model: ChainModel):
         self.model = check_instance(model, ChainModel, "model")
-        self._masks, self._amplitudes = _ACTIONS[model.kind](model)
+
+    @cached_property
+    def _action(self) -> tuple[np.ndarray, np.ndarray]:
+        """(masks, amplitudes): H|s> = sum over m of amplitudes[m, s] |s ^ masks[m]>.
+        Mask 0 carries the diagonal; every other mask flips the sites it covers."""
+        return _ACTIONS[self.model.kind](self.model)
 
     @property
     def n_sites(self) -> int:
@@ -85,9 +84,10 @@ class Hamiltonian:
         h = 0), else spin-flip parity sectors; each split by site reversal.
         Both models' uniform open chains commute with both by construction;
         the tests hold every block to the Pauli-Kronecker matrix."""
+        masks, amplitudes = self._action
         popcount = _popcounts(self.n_sites)
-        flipped = popcount[np.arange(popcount.size) ^ self._masks[:, None]]
-        keeps = bool(np.all((self._amplitudes == 0) | (flipped == popcount)))
+        flipped = popcount[np.arange(popcount.size) ^ masks[:, None]]
+        keeps = bool(np.all((amplitudes == 0) | (flipped == popcount)))
         return [_Block(self, *sector) for sector in _orbit_sectors(self.n_sites, popcount=keeps)]
 
     @cached_property
@@ -136,7 +136,7 @@ class _Block:
         # The action's arrays, not the Hamiltonian: a block that held the
         # Hamiltonian holding it would be a reference cycle, freed only by
         # the cyclic collector, eigenvectors and all.
-        self.masks, self.amplitudes = hamiltonian._masks, hamiltonian._amplitudes
+        self.masks, self.amplitudes = hamiltonian._action
         self.images, self.norms, self.signs, self.keep = images, norms, signs, keep
         self.rows = images[:, keep]
         self.factors = signs[:, None] * norms[keep]
@@ -362,7 +362,8 @@ def evolve(rho: DensityMatrix, prop: Propagator) -> DensityMatrix:
 
 
 def evolve_ket(hamiltonian: Hamiltonian, ket: Ket, time: float) -> Ket:
-    """Evolve a pure state without forming the full propagator matrix."""
+    """Evolve a pure state without forming the full propagator matrix: one
+    `_evolve_grid` time."""
     check_instance(hamiltonian, Hamiltonian, "hamiltonian")
     check_instance(ket, Ket, "ket")
     if ket.n_sites != hamiltonian.n_sites:
@@ -377,9 +378,32 @@ def evolve_ket(hamiltonian: Hamiltonian, ket: Ket, time: float) -> Ket:
 
 
 def _evolve_grid(hamiltonian: Hamiltonian, amplitudes: np.ndarray, times: np.ndarray) -> tuple:
-    """psi(t) = V exp(-iEt) V^T psi for every t, as a batch (states, grid):
-    the register indices the occupied sectors span, ascending, and grid[t, j]
-    the amplitude of states[j].
+    """psi(t) = exp(-iHt) psi for every t, as a batch (states, grid): the
+    register indices the occupied sectors span, ascending, and grid[t, j]
+    the amplitude of states[j]. A TFIM state at h != 0 spans all 2^N; an XX
+    basis state with M ones, the C(N, M) of popcount M.
+
+    An XX ket with one excitation (every nonzero amplitude at a popcount-1
+    index) evolves in closed form (`_excitation_grid`), building neither the
+    bit action nor a block; any other on the sector blocks (`_block_grid`),
+    its oracle in the tests. Every row's norm is checked here, so callers
+    that consume the rows need no per-time `Ket`.
+    """
+    psi = np.asarray(amplitudes, dtype=complex)
+    excited = np.flatnonzero(psi)  # ascending: index 0, popcount 0, would come first
+    xx = hamiltonian.model.kind == "xx"
+    single = xx and excited[0] > 0 and not np.any(excited & (excited - 1))
+    states, grid = (_excitation_grid if single else _block_grid)(hamiltonian, psi, times)
+    parts = grid.view(float)  # squared row norms without a complex temporary
+    defect = np.max(np.abs(np.sqrt(np.einsum("ij,ij->i", parts, parts)) - 1.0))
+    if not defect <= NORM_TOL:
+        raise NumericalInstability(f"evolved norm defect {defect:.3e} exceeds {NORM_TOL}")
+    return states, grid
+
+
+def _block_grid(hamiltonian: Hamiltonian, psi: np.ndarray, times: np.ndarray) -> tuple:
+    """The `_evolve_grid` batch of a complex `psi`, V exp(-iEt) V^T psi on the
+    sector blocks.
 
     A sector where psi's projection is exactly zero is skipped (and never
     diagonalized). Every other one is diagonalized before the batch arrays
@@ -387,10 +411,8 @@ def _evolve_grid(hamiltonian: Hamiltonian, amplitudes: np.ndarray, times: np.nda
     (`_sector_series`). The sectors that share orbit
     representatives are summed per representative through their signs, one
     group element at a time into one buffer, and each element's sum is
-    written into the batch once. Every row's norm is checked here, so
-    callers that consume the rows need no per-time `Ket`.
+    written into the batch once.
     """
-    psi = np.asarray(amplitudes, dtype=complex)
     shared = {}  # the occupied blocks, by the orbits they share
     for block in hamiltonian._blocks:
         inside = block.project(psi)
@@ -422,10 +444,34 @@ def _evolve_grid(hamiltonian: Hamiltonian, amplitudes: np.ndarray, times: np.nda
             np.matmul(sign, stacked, out=summed)
             element *= norms[:, None]
             grid[:, column[rows]] += element.T
-    parts = grid.view(float)  # squared row norms without a complex temporary
-    defect = np.max(np.abs(np.sqrt(np.einsum("ij,ij->i", parts, parts)) - 1.0))
-    if not defect <= NORM_TOL:
-        raise NumericalInstability(f"evolved norm defect {defect:.3e} exceeds {NORM_TOL}")
+    return states, grid
+
+
+def _hopping_modes(n_sites: int, coupling: float) -> tuple[np.ndarray, np.ndarray]:
+    """Energies eps_k = 2J cos(pi k / (N+1)) and the symmetric mode matrix
+    phi[j, k-1] = sqrt(2 / (N+1)) sin(pi k (j+1) / (N+1)), k = 1..N, of one
+    excitation hopping with amplitude J along N open sites."""
+    k = np.arange(1, n_sites + 1)
+    modes = np.sqrt(2.0 / (n_sites + 1)) * np.sin(np.pi / (n_sites + 1) * np.outer(k, k))
+    return 2.0 * coupling * np.cos(np.pi / (n_sites + 1) * k), modes
+
+
+def _excitation_grid(h: Hamiltonian, amplitudes: np.ndarray, times: np.ndarray) -> tuple:
+    """The `_evolve_grid` batch of an XX chain's one-excitation `amplitudes`
+    in closed form, on states 1 << arange(N), ascending.
+
+    The popcount-1 sector needs no `eigh`: its eigenvectors are the hopping
+    modes (`_hopping_modes`) and its energies eps_k + h (N - 2), as the field
+    adds only a constant diagonal there (`_xx_action`). It evolves as a block does.
+    """
+    n = h.n_sites
+    energies, modes = _hopping_modes(n, h.model.coupling)
+    states = 1 << np.arange(n)
+    sites = modes[::-1]  # row j: site n - 1 - j, the site of states[j]
+    energies = energies + h.model.field * (n - 2)
+    coordinates = _sector_series(energies, sites, amplitudes[states], times).T  # (re, im) rows
+    grid = np.empty((times.size, n), dtype=complex)
+    grid.real, grid.imag = coordinates[::2], coordinates[1::2]
     return states, grid
 
 

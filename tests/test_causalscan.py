@@ -37,11 +37,11 @@ from qcausal import (
     von_neumann_entropy,
     xx_group_velocity,
 )
-from qcausal import causalscan
+from qcausal import causalscan, spinchain
 from qcausal.infomeasures import NEGATIVITY_TOL, _clamped
 from qcausal.instrument import PROBABILITY_FLOOR
 from qcausal.qstate import EIG_CLAMP, entropies_from_eigenvalues
-from qcausal.spinchain import _evolve_grid
+from qcausal.spinchain import _block_grid, _evolve_grid, _excitation_grid
 from helpers import (
     count_eigh,
     lanczos_ground_state,
@@ -253,11 +253,12 @@ class TestChecksBeforeTheBuild:
             self.config(grid=too_many)
 
 
-EVOLUTIONS = ("_evolve_grid", "_excitation_grid")
+EVOLUTIONS = ("_block_grid", "_excitation_grid")
 
 
 def spy(monkeypatch, *names):
-    """Record what each named `causalscan` function returns, one list per name;
+    """Record what each named function returns, one list per name: a
+    `causalscan` function, or one of the two `spinchain` EVOLUTIONS, so
     `spy(monkeypatch, *EVOLUTIONS)` records every batch a scan evolves."""
     returned = {name: [] for name in names}
 
@@ -269,7 +270,8 @@ def spy(monkeypatch, *names):
         return spied
 
     for name, out in returned.items():
-        monkeypatch.setattr(causalscan, name, spying(getattr(causalscan, name), out))
+        module = spinchain if name in EVOLUTIONS else causalscan
+        monkeypatch.setattr(module, name, spying(getattr(module, name), out))
     return returned
 
 
@@ -278,9 +280,9 @@ def call_counts(returned):
 
 
 def force_blocks(monkeypatch):
-    """Make every scan evolve on the sector blocks, the closed form's oracle,
-    through whatever `causalscan._evolve_grid` is when it runs."""
-    monkeypatch.setattr(causalscan, "_excitation_grid", lambda *args: causalscan._evolve_grid(*args))
+    """Make every evolution run on the sector blocks, the closed form's oracle,
+    through whatever `spinchain._block_grid` is when it runs."""
+    monkeypatch.setattr(spinchain, "_excitation_grid", lambda *args: spinchain._block_grid(*args))
 
 
 def block_series(monkeypatch, *args):
@@ -473,8 +475,8 @@ class TestPureStateKernel:
         for block in h._blocks:
             values, vectors = block.eigen
             block.__dict__["eigen"] = (values, np.where(vectors == vectors[0, 0], np.nan, vectors))
-        with pytest.raises(NumericalInstability):
-            evolve_ket(h, initial_ket(h, "basis:1000"), 0.3)
+        with pytest.raises(NumericalInstability):  # two excitations: on the blocks
+            evolve_ket(h, initial_ket(h, "basis:1100"), 0.3)
         use_chain(monkeypatch, h)
         with pytest.raises(NumericalInstability):
             qcmi_time_series(xx_config(initial="basis:1100", grid=TimeGrid(0.2, 0.1)))
@@ -838,12 +840,15 @@ class TestChargeBlocks:
         assert np.array_equal(np.unique(popcounts(n)[states]), [2])
 
     def test_paper_scan_evolves_one_excitation_batch(self, monkeypatch):
+        h = build_model(PAPER_SCAN.model)
+        use_chain(monkeypatch, h)
         returned = spy(monkeypatch, *EVOLUTIONS)
         arrival_scan(PAPER_SCAN)
-        assert returned["_evolve_grid"] == []  # the closed form evolves the one batch
+        # The closed form evolves the one batch; the chain builds no bit action and no block.
+        assert returned["_block_grid"] == [] and not {"_action", "_blocks"} & vars(h).keys()
         paper_kernel(monkeypatch)
         ((states, closed),) = returned["_excitation_grid"]
-        ((block_states, kets),) = returned["_evolve_grid"]
+        ((block_states, kets),) = returned["_block_grid"]
         assert closed.shape == kets.shape == (501, 8)
         assert np.array_equal(states, 1 << np.arange(8))
         assert np.array_equal(block_states, states)
@@ -1001,8 +1006,8 @@ class TestExcitationGrid:
         spread = np.random.default_rng(n).normal(size=(n, 2)) @ [1.0, 1j]
         superposition[1 << np.arange(n)] = spread / np.linalg.norm(spread)
         for psi0 in [one_excitation(n, site) for site in range(n)] + [superposition]:
-            states, closed = causalscan._excitation_grid(h, psi0, self.TIMES)
-            block_states, kets = _evolve_grid(h, psi0, self.TIMES)
+            states, closed = _excitation_grid(h, psi0, self.TIMES)
+            block_states, kets = _block_grid(h, psi0, self.TIMES)
             assert np.array_equal(states, 1 << np.arange(n))
             assert np.array_equal(block_states, states)
             assert closed.shape == kets.shape == (self.TIMES.size, n)
@@ -1036,7 +1041,7 @@ class TestExcitationGrid:
                 )
                 scans.append((qcmi_time_series(config), site, a, [(b, c)]))
         # A basis state keeps one outcome of A under either protocol: one evolution a scan.
-        assert call_counts(returned) == {"_evolve_grid": 0, "_excitation_grid": len(scans)}
+        assert call_counts(returned) == {"_block_grid": 0, "_excitation_grid": len(scans)}
         for series, site, a, receivers in scans:
             args = (h, one_excitation(n, site), protocol, series.times, a, receivers)
             (expected,) = block_series(monkeypatch, *args)
@@ -1061,7 +1066,7 @@ class TestExcitationGrid:
         table = arrival_scan(config)
         # Two scans; quench-at-zero evolves both outcomes of A at t = 0, each in closed form.
         closed = 2 if protocol == "measure-at-t" else 4
-        assert call_counts(returned) == {"_evolve_grid": 0, "_excitation_grid": closed}
+        assert call_counts(returned) == {"_block_grid": 0, "_excitation_grid": closed}
         psi0 = ground.state.amplitudes
         (expected,) = block_series(monkeypatch, h, psi0, protocol, series.times, 1, [(4, (2, 3))])
         assert np.max(np.abs(series.values - expected)) <= 1e-12
@@ -1095,12 +1100,37 @@ class TestExcitationGrid:
             qcmi_time_series(config)
             arrival_scan(replace(config, site_a=None, site_b=None, d_min=2, d_max=3))
         # measure-at-t: one evolution a scan.
-        assert call_counts(returned) == {"_evolve_grid": 2, "_excitation_grid": 0}
+        assert call_counts(returned) == {"_block_grid": 2, "_excitation_grid": 0}
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_evolve_ket_takes_the_closed_form(self, monkeypatch, n):
+        h = build_model(ChainModel("xx", n, 1.0, 0.3))
+        returned = spy(monkeypatch, *EVOLUTIONS)
+        for site in range(n):
+            ket = basis_ket([int(j == site) for j in range(n)])
+            for t in (0.0, 1.3, 4.1):
+                dense = propagator(h, t).matrix @ ket.amplitudes
+                assert np.max(np.abs(evolve_ket(h, ket, t).amplitudes - dense)) <= 1e-12
+        assert call_counts(returned) == {"_block_grid": 0, "_excitation_grid": 3 * n}
+
+    @pytest.mark.parametrize("protocol", ["measure-at-t", "quench-at-zero"])
+    def test_only_the_block_path_builds_the_action_and_the_blocks(self, protocol):
+        receivers = [(d, tuple(range(1, d))) for d in range(2, 6)]
+        for kind, spec, built in [
+            ("xx", "basis:100000", False),
+            ("xx", "basis:110000", True),
+            ("tfim", "basis:100000", True),
+        ]:
+            h = build_model(ChainModel(kind, 6, 1.0, 0.3))
+            assert "_action" not in vars(h) and "_blocks" not in vars(h)
+            psi0 = initial_ket(h, spec).amplitudes
+            causalscan._pure_series(h, psi0, protocol, self.TIMES, 0, receivers)
+            assert ("_action" in vars(h), "_blocks" in vars(h)) == (built, built)
 
     @pytest.mark.parametrize("protocol", ["measure-at-t", "quench-at-zero"])
     @pytest.mark.parametrize("defect", ["scaled", "nan"])
     def test_evolved_norms_are_checked(self, monkeypatch, protocol, defect):
-        modes = causalscan._hopping_modes
+        modes = spinchain._hopping_modes
 
         def broken(n_sites, coupling):
             energies, phi = modes(n_sites, coupling)
@@ -1108,7 +1138,7 @@ class TestExcitationGrid:
                 return energies, 1.01 * phi  # a non-orthogonal mode matrix
             return energies, np.where(phi == phi[0, 0], np.nan, phi)
 
-        monkeypatch.setattr(causalscan, "_hopping_modes", broken)
+        monkeypatch.setattr(spinchain, "_hopping_modes", broken)
         with pytest.raises(NumericalInstability, match="evolved norm defect"):
             qcmi_time_series(xx_config(protocol=protocol, grid=TimeGrid(0.2, 0.1)))
 
@@ -1171,6 +1201,22 @@ class TestSymmetriesAtEleven:
         backward = self.series(h, [1 - bit for bit in bits], protocol, self.SENDERS)
         assert np.max(forward) > 0.1
         assert np.max(np.abs(forward - backward)) <= 1e-12
+
+    @pytest.mark.parametrize("protocol", causalscan.PROTOCOLS)
+    def test_xx_mirror(self, monkeypatch, protocol):
+        # As the TFIM mirror; one excitation evolves in closed form, two and
+        # three on the blocks.
+        h = build_model(ChainModel("xx", 11, 1.0, 0.3))
+        receivers = [(d, tuple(range(1, d))) for d in (2, 5, 10)]
+        mirrored = [(10 - b, tuple(10 - c for c in cs)) for b, cs in receivers]
+        returned = spy(monkeypatch, *EVOLUTIONS)
+        for pattern in ("10000000000", "11000000000", "10010000100"):
+            bits = [int(bit) for bit in pattern]
+            forward = self.series(h, bits, protocol, {0: receivers})
+            backward = self.series(h, bits[::-1], protocol, {10: mirrored})
+            assert np.max(forward) > 0.1
+            assert np.max(np.abs(forward - backward)) <= 1e-12
+        assert call_counts(returned) == {"_block_grid": 4, "_excitation_grid": 2}
 
     @pytest.mark.parametrize("protocol", causalscan.PROTOCOLS)
     def test_xx_particle_hole(self, protocol):

@@ -9,8 +9,10 @@ from qcausal import (
     NumericalInstability,
     Partition,
     apply_instrument,
+    JointDistribution,
     asymmetric_qcmi,
     basis_ket,
+    ccmi_symmetric,
     ghz_state,
     mutual_information,
     mutual_information_sites,
@@ -250,3 +252,26 @@ class TestAsymmetricQcmi:
         for b, c in (((1,), ()), ((2,), [])):
             with pytest.raises(EmptyConditioner):
                 asymmetric_qcmi(ghz_state(3).density_matrix(), Partition((0,), b, c), instr)
+
+
+class TestClassicalLimit:
+    """On a z-diagonal state, a probability table over bit strings, a
+    projective-z measurement of A leaves classical branches: the asymmetric
+    index is the classical I(B:C|A) of the table, the symmetric one I(A:B|C)."""
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_both_indices_are_the_classical_cmi(self, n):
+        rng = np.random.default_rng(190 + n)
+        names = [f"s{site}" for site in range(n)]
+        for _ in range(15):
+            p = rng.uniform(1e-6, 1.0, size=2**n)  # every entry above EIG_CLAMP
+            p /= p.sum()
+            rho = DensityMatrix(n, np.diag(p))
+            dist = JointDistribution(names, p.reshape((2,) * n))  # axis k: site k
+            a, b, *rest = (int(site) for site in rng.permutation(n))
+            c = sorted(rest[: rng.integers(1, len(rest) + 1)])
+            partition = Partition((a,), (b,), c)
+            sa, sb, sc = [names[a]], [names[b]], [names[site] for site in c]
+            asymmetric = asymmetric_qcmi(rho, partition, projective_z_instrument(a, n))
+            assert abs(asymmetric - ccmi_symmetric(dist, sb, sc, sa)) <= 1e-12
+            assert abs(symmetric_qcmi(rho, partition) - ccmi_symmetric(dist, sa, sb, sc)) <= 1e-12

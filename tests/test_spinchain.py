@@ -24,7 +24,7 @@ from qcausal import (
     total_sigma_z,
     von_neumann_entropy,
 )
-from qcausal.spinchain import DEGENERACY_GAP, _Block, _evolve_grid
+from qcausal.spinchain import DEGENERACY_GAP, _Block, _block_grid, _evolve_grid
 from helpers import count_eigh, dense_tfim, dense_xx, random_density, random_ket
 from helpers import refuse_spectrum
 
@@ -228,8 +228,7 @@ class TestNativeBlocks:
         n = 3
         states = np.arange(2**n)
         hamiltonian = Hamiltonian(ChainModel("tfim", n, 1.0, 1.0))
-        hamiltonian._masks = np.array([0, 1])
-        hamiltonian._amplitudes = np.vstack([np.zeros(8), states % 2 == 0])
+        hamiltonian._action = (np.array([0, 1]), np.vstack([np.zeros(8), states % 2 == 0]))
         with pytest.raises(InvalidInput, match="hermiticity"):
             whole_register(hamiltonian).matrix()
 
@@ -239,7 +238,7 @@ class TestNativeBlocks:
         # or off it, must still fail `not defect <= tol`. Both cells land on
         # the representative |000>, so the sector blocks read them too.
         hamiltonian = Hamiltonian(ChainModel("tfim", 3, 1.0, 1.0))
-        hamiltonian._amplitudes[term, state] = np.nan
+        hamiltonian._action[1][term, state] = np.nan
         with pytest.raises(InvalidInput, match="hermiticity"):
             whole_register(hamiltonian).matrix()
         with pytest.raises(InvalidInput, match="hermiticity"):
@@ -291,7 +290,7 @@ class TestSectorBlocks:
         hamiltonian, states = block_case(kind, n, np.random.default_rng(41 + n))
         times = np.linspace(0.0, 3.0, 7)
         for psi in states:
-            span, amplitudes = _evolve_grid(hamiltonian, psi, times)
+            span, amplitudes = _block_grid(hamiltonian, psi, times)
             grid = np.zeros((times.size, hamiltonian.dim), dtype=complex)
             grid[:, span] = amplitudes
             assert np.max(np.abs(grid - dense_evolution(hamiltonian, psi, times))) <= 1e-12
