@@ -6,18 +6,20 @@ behind arrival times. ``quench-at-zero`` measures A once at t=0 and evolves
 every outcome branch separately. Distances start at d=2: at d=1 the
 conditioning set C is empty and every scan raises `EmptyConditioner`.
 
-A `ScanConfig` checks the initial spec and the batch size when it is made.
-Both scans check their fields and call `_scan`: one chain build, the initial
-ket, then the kernel `_pure_series`, which reads no config and returns one
-read-only (receivers, times) array.
+A `TimeGrid` refuses more than MAX_GRID_POINTS points, and a `ScanConfig` a
+bad initial spec, when made. Both scans check their fields and call `_scan`:
+one chain build, the initial ket, then the kernel `_pure_series` (it reads
+no config) on slices of CHUNK_AMPLITUDES >> N grid points, each written into
+one read-only (receivers, times) array.
 
 Every initial state is pure and a projective-z measurement keeps it pure, so
 the kernel evolves psi(t) once for all times into a `spinchain._evolve_grid`
 batch (states, amplitudes) and measures A by splitting `states` on its bit
-(`_measure_z`). Each branch takes one entropy pass over every distinct B, C
-or BC site set. When all of a branch's `states` have one popcount M (the XX
-chain conserves it), each cut splits into one block per subsystem popcount
-q, against complement popcount M - q; otherwise it is one block. A block of
+(`_measure_z`). A branch on one basis state has every entropy 0 and is
+skipped; each other takes one entropy pass over every distinct B, C or BC
+site set. When all of a branch's `states` have one popcount M (the XX chain
+conserves it), each cut splits into one block per subsystem popcount q,
+against complement popcount M - q; otherwise it is one block. A block of
 rank one (one row or column) has its weight as its eigenvalue, all of a
 branch's from one product of |psi_j|^2 with a 0/1 table; only wider blocks
 call `eigvalsh`, on their smaller side's Gram matrix. One entropy call per
@@ -53,15 +55,11 @@ DEFAULT_DT = 0.02
 DEFAULT_T_MAX = 5.0
 DEFAULT_THRESHOLD = 0.03
 
-# Largest (grid points) x 2^N complex amplitude count a scan may reach: 2^25,
-# 512 MiB, checked before the build. It is the worst case, which a TFIM state
-# fills; an XX basis state with M ones holds points x C(N, M). Measured series
-# peaks (tracemalloc, build included; N = 4, 8, 12 at 2^22 amplitudes, TFIM and
-# XX, both protocols, basis and ground states) were at most 5.5 times the batch,
-# for a TFIM ground-state quench-at-zero series: under about 3 GiB at the
-# limit, 8192 points at N = 12. At 4096 points that series at N = 12 took 22 s
-# (2-core x86, one BLAS thread) and peaked at 1388 MiB resident.
-MAX_SCAN_AMPLITUDES = 2**25
+# A scan evolves at most CHUNK_AMPLITUDES >> N grid points at a time. No grid
+# holds more than MAX_GRID_POINTS (64 MiB of times, and as many points as a
+# 2-site chain took before scans were chunked), checked when it is made.
+CHUNK_AMPLITUDES = 2**20
+MAX_GRID_POINTS = 2**23
 
 
 @dataclass(frozen=True)
@@ -80,20 +78,16 @@ class TimeGrid:
             raise InvalidInput(f"dt={self.dt} exceeds t_max={self.t_max}")
         if not math.isfinite(self.t_max / self.dt):
             raise InvalidInput(f"t_max / dt overflows: t_max={self.t_max}, dt={self.dt}")
+        if self.n_points > MAX_GRID_POINTS:
+            raise InvalidInput(
+                f"{self.n_points:.3g} grid points exceed the scan limit of {MAX_GRID_POINTS:.3g}; "
+                "raise dt or lower t_max"
+            )
 
     @property
     def n_points(self) -> int:
         """Number of grid times, counted without building them."""
         return int(math.floor(self.t_max / self.dt + 1e-9)) + 1
-
-    def check_batch(self, n_sites: int) -> None:
-        """Refuse a grid whose (points x 2^n_sites) batch exceeds MAX_SCAN_AMPLITUDES."""
-        amplitudes = self.n_points * 2**n_sites
-        if amplitudes > MAX_SCAN_AMPLITUDES:
-            raise InvalidInput(
-                f"{self.n_points} grid points x 2^{n_sites} amplitudes = {amplitudes} exceeds "
-                f"the scan limit of {MAX_SCAN_AMPLITUDES}; raise dt or lower t_max"
-            )
 
     @cached_property
     def times(self) -> np.ndarray:
@@ -129,7 +123,6 @@ class ScanConfig:
             raise InvalidInput(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
         _check_detection(self.threshold, self.crossing)
         _basis_bits(self.initial, self.model.n_sites)
-        self.grid.check_batch(self.model.n_sites)
 
 
 def _check_detection(threshold: float, crossing: str) -> None:
@@ -252,10 +245,7 @@ def _entropies(
     weight, the sum of |psi_j|^2 over the states it holds. A wider block
     takes `eigvalsh` of its Gram matrix on its smaller side: the reduced
     states of a site set and of its complement share their nonzero spectrum.
-    A batch on one basis state is a product state: every entropy is 0.
     """
-    if states.size == 1:
-        return np.zeros((len(site_sets), kets.shape[0]))
     ones = _popcounts(n_sites)
     # bincount, not np.unique: a sort pages in about 1 MiB more of numpy's code.
     charges = np.flatnonzero(np.bincount(ones[states]))
@@ -305,7 +295,9 @@ def _entropies(
     return entropies_from_eigenvalues(eigenvalues, offsets[starts]).T
 
 
-def _branch_average(branches: list[tuple[np.ndarray, np.ndarray]], cuts: np.ndarray) -> np.ndarray:
+def _branch_average(
+    branches: list[tuple[np.ndarray, np.ndarray]], cuts: np.ndarray, rows: int
+) -> np.ndarray:
     """(receivers, rows) sum over branches of weight * I(B:C), each term clamped.
 
     Each branch is (weights, its (site sets, rows) entropies); row r of `cuts`
@@ -313,7 +305,7 @@ def _branch_average(branches: list[tuple[np.ndarray, np.ndarray]], cuts: np.ndar
     and clamped only on rows where its weight is positive; elsewhere the branch
     was dropped and contributes nothing.
     """
-    values = np.zeros((len(cuts), branches[0][0].size))
+    values = np.zeros((len(cuts), rows))
     for weights, entropies in branches:
         s_b, s_c, s_bc = entropies[cuts.T]
         values += weights * _clamped_values(np.where(weights > 0.0, s_b + s_c - s_bc, 0.0))
@@ -344,21 +336,22 @@ def _pure_series(
     register = n - 1 if measure_at_t else n
     shift = [s - (s > site_a) if measure_at_t else s for s in range(n)]
     site_sets, cuts = _site_sets([((shift[b],), tuple(shift[s] for s in c)) for b, c in receivers])
+    branches = []  # a branch on one basis state has every entropy 0 and is skipped
     if measure_at_t:
-        branches = [
-            (weights, _entropies(*batch, register, site_sets))
-            for weights, batch in _measure_z(*_evolve_grid(h, psi0, times), site_a, n)
-        ]
+        for weights, (states, kets) in _measure_z(*_evolve_grid(h, psi0, times), site_a, n):
+            if states.size > 1:
+                branches.append((weights, _entropies(states, kets, register, site_sets)))
     else:  # quench-at-zero
         # Each branch is evolved and reduced before the next: one batch at a time.
-        branches = []
         measured = _measure_z(np.arange(2**n), psi0[None], site_a, n, keep_site=True)
         for weight, (states, ket) in measured:
             full = np.zeros(2**n, dtype=complex)
             full[states] = ket[0]
-            entropies = _entropies(*_evolve_grid(h, full, times), register, site_sets)
-            branches.append((np.full(times.size, weight[0]), entropies))
-    values = _branch_average(branches, cuts)
+            states, kets = _evolve_grid(h, full, times)
+            if states.size > 1:
+                entropies = _entropies(states, kets, register, site_sets)
+                branches.append((np.full(times.size, weight[0]), entropies))
+    values = _branch_average(branches, cuts, times.size)
     values.setflags(write=False)
     return values
 
@@ -366,10 +359,16 @@ def _pure_series(
 def _scan(
     config: ScanConfig, site_a: int, receivers: list[tuple[int, tuple[int, ...]]]
 ) -> np.ndarray:
-    """Build once, resolve the ket, and run `_pure_series`."""
+    """Build once, resolve the ket, and fill one array with `_pure_series` of each grid slice."""
     h = build_model(config.model)
     psi0 = initial_ket(h, config.initial).amplitudes
-    return _pure_series(h, psi0, config.protocol, config.grid.times, site_a, receivers)
+    times, chunk = config.grid.times, CHUNK_AMPLITUDES >> h.n_sites
+    values = np.empty((len(receivers), times.size))
+    for start in range(0, times.size, chunk):
+        part = slice(start, start + chunk)
+        values[:, part] = _pure_series(h, psi0, config.protocol, times[part], site_a, receivers)
+    values.setflags(write=False)
+    return values
 
 
 def qcmi_time_series(config: ScanConfig) -> QcmiSeries:

@@ -216,7 +216,6 @@ def cmd_commutator_front(args, resolved) -> int:
     _require(resolved, "site-a", "site-b")
     model = _chain_model(resolved)
     grid = TimeGrid(resolved["t-max"], resolved["dt"])
-    grid.check_batch(model.n_sites)
     check_site_pair(resolved["site-a"], resolved["site-b"], model.n_sites)
     hamiltonian = build_model(model)
     op_a = _PAULI[resolved["op-a"]]

@@ -216,8 +216,8 @@ class TestQcmiTimeSeries:
 
 
 class TestChecksBeforeTheBuild:
-    """Bad initial specs and oversized grids fail when the `ScanConfig` is
-    made, so no scan can reach the build with them."""
+    """Bad initial specs fail when the `ScanConfig` is made, and oversized
+    grids when the `TimeGrid` is, so no scan can reach the build with them."""
 
     @pytest.fixture(autouse=True)
     def no_build(self, monkeypatch):
@@ -234,23 +234,25 @@ class TestChecksBeforeTheBuild:
             self.config(initial=spec)
 
     def test_oversized_grid(self):
-        # 2^14 grid points x 2^12 amplitudes = 2^26 > MAX_SCAN_AMPLITUDES.
-        grid = TimeGrid(2.0**14 - 1, 1.0)
-        with pytest.raises(InvalidInput, match="scan limit"):
-            self.config(grid=grid)
-        assert "times" not in vars(grid)  # rejected before the grid was built
+        # One point over MAX_GRID_POINTS: refused when the grid is made, so
+        # before any time is built and before any config can reach the build.
+        with pytest.raises(InvalidInput, match=r"^8\.39e\+06 grid points exceed the scan limit"):
+            TimeGrid(float(causalscan.MAX_GRID_POINTS), 1.0)
 
     def test_long_twelve_site_grid_is_allowed(self):
-        # 5001 points x 2^12 amplitudes: checked from the sizes, not run.
-        self.config(grid=TimeGrid(100.0, 0.02))
+        # The former limit took (points x 2^N) <= 2^25 amplitudes: 8192 points
+        # at N = 12 and 2^23 at N = 2. Checked from the sizes, not run.
+        for n, points in ((12, 2**13), (2, 2**23)):
+            grid = TimeGrid(points - 1.0, 1.0)
+            assert grid.n_points == points
+            self.config(model=ChainModel("xx", n, 1.0, 0.3), initial="basis:1" + "0" * (n - 1),
+                        site_b=n - 1, grid=grid)
 
     def test_limit_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(causalscan, "MAX_SCAN_AMPLITUDES", 11 * 2**12)
-        fits = TimeGrid(1.0, 0.1)  # 11 points
-        too_many = TimeGrid(1.1, 0.1)  # 12 points
-        self.config(grid=fits)
-        with pytest.raises(InvalidInput):
-            self.config(grid=too_many)
+        monkeypatch.setattr(causalscan, "MAX_GRID_POINTS", 11)
+        assert TimeGrid(1.0, 0.1).n_points == 11
+        with pytest.raises(InvalidInput, match="12 grid points exceed the scan limit of 11"):
+            TimeGrid(1.1, 0.1)
 
 
 EVOLUTIONS = ("_block_grid", "_excitation_grid")
@@ -377,6 +379,75 @@ def span_cases():
         yield pytest.param(n, "tfim", "ground", id=f"tfim{n}-ground")
 
 
+class TestChunkedGrid:
+    """`_scan` runs the kernel on slices of CHUNK_AMPLITUDES >> N grid points
+    and writes each into one array; a forced split must give the one-chunk
+    output."""
+
+    @staticmethod
+    def chunked(monkeypatch, points, scan, config):
+        """`scan(config)` at `points` grid points per chunk, and its kernel calls."""
+        with monkeypatch.context() as patch:
+            patch.setattr(causalscan, "CHUNK_AMPLITUDES", points << config.model.n_sites)
+            returned = spy(patch, "_pure_series")
+            return scan(config), len(returned["_pure_series"])
+
+    @staticmethod
+    def assert_same_rows(table, whole):
+        for (d, t), (d_whole, t_whole) in zip(table.rows, whole.rows, strict=True):
+            assert d == d_whole and (t == t_whole or abs(t - t_whole) <= 1e-12)
+
+    # 21 grid points: one per chunk, or 8, 8 and a ragged 5.
+    @pytest.mark.parametrize("points, calls", [(1, 21), (8, 3)])
+    @pytest.mark.parametrize("protocol", causalscan.PROTOCOLS)
+    @pytest.mark.parametrize("initial", ["basis:100000", "basis:101000", "ground"])
+    @pytest.mark.parametrize("kind", ["xx", "tfim"])
+    def test_series_and_arrival_rows_match_one_chunk(
+        self, monkeypatch, kind, initial, protocol, points, calls
+    ):
+        model = ChainModel(kind, 6, 1.0, 0.7 if kind == "tfim" else 0.3)
+        series_config = ScanConfig(
+            model, initial, protocol, TimeGrid(2.0, 0.1), site_a=0, site_b=4,
+        )
+        arrival_config = replace(
+            series_config, site_a=None, site_b=None, d_min=2, d_max=5,
+            threshold=0.01, crossing="interp",
+        )
+        whole, table = qcmi_time_series(series_config).values, arrival_scan(arrival_config)
+        series, n = self.chunked(monkeypatch, points, qcmi_time_series, series_config)
+        assert n == calls and series.values.shape == whole.shape
+        assert not series.values.flags.writeable
+        assert np.max(np.abs(series.values - whole)) <= 1e-12
+        rows, n = self.chunked(monkeypatch, points, arrival_scan, arrival_config)
+        assert n == calls
+        self.assert_same_rows(rows, table)
+
+    def test_chain_and_ground_state_are_resolved_once(self, monkeypatch):
+        builds = []
+        monkeypatch.setattr(
+            causalscan, "build_model", lambda model: builds.append(model) or build_model(model)
+        )
+        config = ScanConfig(
+            ChainModel("tfim", 4, 1.0, 0.0), "ground", grid=TimeGrid(1.0, 0.1), site_a=0, site_b=3,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, calls = self.chunked(monkeypatch, 1, qcmi_time_series, config)
+        assert calls == 11 and builds == [config.model]
+        assert [w.category for w in caught] == [RuntimeWarning]  # the degenerate ground state
+
+    def test_longest_twelve_site_grid_runs_in_chunks(self, monkeypatch):
+        # 8192 points, the most the former amplitude limit took at N = 12:
+        # 32 chunks of 256, held to one chunk of all 8192.
+        config = replace(PAPER_SCAN, model=ChainModel("xx", 12, 1.0, 0.3),
+                         initial="basis:1" + "0" * 11, grid=TimeGrid(8191 * 0.02, 0.02), d_max=11)
+        assert config.grid.n_points == 8192
+        table, calls = self.chunked(monkeypatch, 256, arrival_scan, config)
+        whole, one = self.chunked(monkeypatch, 8192, arrival_scan, config)
+        assert (calls, one) == (32, 1)
+        self.assert_same_rows(table, whole)
+
+
 class TestPureStateKernel:
     @pytest.mark.parametrize("n, kind, initial, protocol, pairs", oracle_cases())
     def test_matches_dense_path(self, monkeypatch, n, kind, initial, protocol, pairs):
@@ -456,6 +527,26 @@ class TestPureStateKernel:
         for (protocol, a), expected in oracle.items():
             values = causalscan._pure_series(h, psi0, protocol, times, a, senders[a])
             assert np.max(np.abs(values - expected)) <= 1e-10
+            assert np.max(expected) > 0.1  # the index has left zero by the last time
+
+    @pytest.mark.parametrize("kind, field, spec, b", [("tfim", 0.7, "1", 5), ("xx", 0.3, "11", 4)])
+    def test_eleven_site_series_match_the_independent_oracle(self, kind, field, spec, b):
+        # One series per model at N = 11, both protocols, through the public
+        # scan at t = 0, 0.5 and 1. The TFIM state spans all 2048 states; two
+        # XX excitations make charge blocks wider than one.
+        initial = spec.ljust(11, "0")
+        grid = TimeGrid(1.0, 0.5)
+        oracle = oracle_series(
+            kind, 11, 1.0, field, [int(ch) for ch in initial], grid.times,
+            {0: [(b, tuple(range(1, b)))]},
+        )
+        for protocol in causalscan.PROTOCOLS:
+            series = qcmi_time_series(ScanConfig(
+                ChainModel(kind, 11, 1.0, field), "basis:" + initial, protocol, grid,
+                site_a=0, site_b=b,
+            ))
+            (expected,) = oracle[protocol, 0]
+            assert np.max(np.abs(series.values - expected)) <= 1e-10
             assert np.max(expected) > 0.1  # the index has left zero by the last time
 
     def test_evolved_norms_are_checked(self, monkeypatch):
@@ -700,10 +791,11 @@ class TestChargeBlocks:
 
         monkeypatch.setattr(causalscan, "_entropies", counted)
         arrival_scan(PAPER_SCAN)
-        # One call per branch, each with 13 site sets: B = {d-1} and
-        # C = {0..d-2} for d = 2..7 in the 7-site branch register; BC at d is
-        # C at d+1, but for {0..6}.
-        assert [len(site_sets) for site_sets in calls] == [13, 13]
+        # One call, for the branch that found site 0 empty, with 13 site sets:
+        # B = {d-1} and C = {0..d-2} for d = 2..7 in the 7-site branch
+        # register; BC at d is C at d+1, but for {0..6}. The branch that found
+        # the excitation at site 0 is one basis state and takes no call.
+        assert [len(site_sets) for site_sets in calls] == [13]
         assert all(len(set(site_sets)) == 13 for site_sets in calls)
 
     def test_paper_scan_calls_no_eigensolver_for_its_entropies(self, monkeypatch):
@@ -711,7 +803,7 @@ class TestChargeBlocks:
         arrival_scan(PAPER_SCAN)
         # The closed form diagonalizes nothing. The popcount-1 branch has two
         # blocks per cut and one for the whole register, all of rank one; the
-        # popcount-0 branch is one basis state, with every entropy 0.
+        # popcount-0 branch is one basis state and is skipped.
         assert vectors == values == []
 
     @pytest.mark.parametrize("n", range(3, 11))
@@ -749,21 +841,41 @@ class TestChargeBlocks:
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_one_basis_state_has_zero_entropies(self, n):
-        # A batch on one state skips the pass. The general path reads the same
-        # state beside a zero amplitude on another of its popcount (rank-one
-        # blocks) or of another popcount (one block, through eigvalsh).
+        # The kernel skips a branch on one state (below). The general path
+        # reads it as 0 to rounding: alone, and beside a zero amplitude on
+        # another of its popcount (rank-one blocks) or of another popcount
+        # (one block, through eigvalsh).
         site_sets = [s for k in range(1, n + 1) for s in itertools.combinations(range(n), k)]
         phases = np.exp(2j * np.pi * np.random.default_rng(n).uniform(size=(3, 1)))
         ones = popcounts(n)
         for state in range(2**n):
             alone = causalscan._entropies(np.array([state]), phases, n, site_sets)
-            assert np.array_equal(alone, np.zeros((len(site_sets), 3)))
+            assert alone.shape == (len(site_sets), 3) and np.max(np.abs(alone)) <= 1e-15
             alike = np.flatnonzero(ones == ones[state])
             for other in {int(alike[alike != state][0]) if alike.size > 1 else state ^ 1, state ^ 1}:
                 states = np.sort([state, other])
                 kets = np.where(states == state, phases, 0.0)
                 padded = causalscan._entropies(states, kets, n, site_sets)
-                assert np.max(np.abs(padded - alone)) <= 1e-15
+                assert np.max(np.abs(padded)) <= 1e-15
+
+    @pytest.mark.parametrize("protocol", causalscan.PROTOCOLS)
+    @pytest.mark.parametrize(
+        "spec, calls", [("basis:00000", 0), ("basis:11111", 0), ("basis:10000", 1)]
+    )
+    def test_a_branch_on_one_basis_state_takes_no_entropy_pass(
+        self, monkeypatch, protocol, spec, calls
+    ):
+        # An XX chain keeps all-down and all-up as they are: every branch is
+        # one basis state, and the series is exactly 0. One flipped spin spans
+        # five states; measure-at-t skips the branch that finds it at site 0.
+        returned = spy(monkeypatch, "_entropies")
+        series = qcmi_time_series(xx_config(
+            model=ChainModel("xx", 5, 1.0, 0.3), initial=spec, protocol=protocol,
+            grid=TimeGrid(1.0, 0.1), site_b=4,
+        ))
+        assert len(returned["_entropies"]) == calls
+        if not calls:
+            assert np.array_equal(series.values, np.zeros(11))
 
     def test_tfim_quench_series_takes_one_block_per_cut(self, monkeypatch):
         shapes = count_eigh(monkeypatch, "eigvalsh")
@@ -898,18 +1010,18 @@ def loop_branch_average(branches, table):
 class TestBatchedBranchSum:
     def test_matches_row_loop(self):
         branches, table = fake_branches(500, np.random.default_rng(31))
-        (values,) = causalscan._branch_average(branches, CUTS)
+        (values,) = causalscan._branch_average(branches, CUTS, 500)
         assert np.array_equal(values, loop_branch_average(branches, table))
         assert np.all(values >= 0.0)
         # One row per receiver; I(B:C) = I(C:B).
-        swapped = causalscan._branch_average(branches, np.array([[0, 1, 2], [1, 0, 2]]))
+        swapped = causalscan._branch_average(branches, np.array([[0, 1, 2], [1, 0, 2]]), 500)
         assert swapped.shape == (2, 500) and np.array_equal(swapped[0], swapped[1])
 
     def test_one_bad_term_in_500_raises(self):
         branches, table = fake_branches(500, np.random.default_rng(32))
         table[1, (0, 1)][317] = table[1, (0,)][317] + table[1, (1,)][317] + 2 * NEGATIVITY_TOL
         with pytest.raises(NumericalInstability):
-            causalscan._branch_average(branches, CUTS)
+            causalscan._branch_average(branches, CUTS, 500)
 
     @pytest.mark.parametrize("bad", [2 * NEGATIVITY_TOL, np.nan])
     def test_bad_term_on_a_zero_weight_row_is_skipped(self, bad):
@@ -917,7 +1029,7 @@ class TestBatchedBranchSum:
         row = 18  # a multiple of 9: branch 0 has weight 0 there
         assert branches[0][0][row] == 0.0
         table[0, (0, 1)][row] = table[0, (0,)][row] + table[0, (1,)][row] + bad
-        (values,) = causalscan._branch_average(branches, CUTS)
+        (values,) = causalscan._branch_average(branches, CUTS, 500)
         assert np.array_equal(values, loop_branch_average(branches, table))
 
 

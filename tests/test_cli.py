@@ -134,6 +134,21 @@ class TestTimeseries:
         assert code == 2
         assert "scan limit" in capsys.readouterr().err
 
+    def test_a_300_digit_point_count_is_refused_in_one_short_line(self, capsys, monkeypatch):
+        # 5e300 grid points, within float range: the count is printed in .3g
+        # form, and neither the times nor the chain is built.
+        refuse_build(monkeypatch, causalscan)
+        unbuilt = property(lambda grid: pytest.fail("times built"))
+        monkeypatch.setattr(causalscan.TimeGrid, "times", unbuilt)
+        code = run_cli(
+            "timeseries", "--model", "xx", "--n", "4", "--site-a", "0", "--site-b", "3",
+            "--dt", "1e-300", "--t-max", "5",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: 5e+300 grid points exceed the scan limit of 8.39e+06; raise dt or lower t_max\n"
+        )
+
     @pytest.mark.parametrize("a, b", [("0", "1"), ("3", "2")])
     def test_adjacent_sites_exit_2_before_the_build(self, capsys, monkeypatch, a, b):
         refuse_build(monkeypatch, causalscan)
