@@ -31,10 +31,18 @@ follow from its keys by a table of how many of the 2 * delay + horizon
 excluded samples lie below each key (one sort of those samples and one fill
 of n entries, whatever the delay), and a sort of the tied samples only,
 skipped when the series has no ties.
+
+`surrogate_baseline` draws the next surrogate's permutation on one helper
+thread while the caller counts the current one: numpy's shuffle releases the
+interpreter lock, and two key buffers take turns. The one generator is used
+by that thread alone, in order, so every value is bit-identical to drawing
+and counting in turn. The helper ends before the call returns or raises, and
+an error on either side reaches the caller.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -383,7 +391,9 @@ def surrogate_baseline(emb: SeriesEmbedding, n_surrogates: int, seed: int = 0) -
     """CMI values for driver-shuffled surrogates; estimates the bias floor.
 
     Surrogate i shuffles the driver with the i-th `permutation` drawn from
-    `np.random.default_rng(seed)`.
+    `np.random.default_rng(seed)`. Each next permutation is drawn on one
+    helper thread while the current surrogate is counted; the values are
+    bit-identical to drawing and counting one after the other.
     """
     check_instance(emb, SeriesEmbedding, "emb")
     n_surrogates = check_integer(n_surrogates, "n_surrogates")
@@ -393,14 +403,43 @@ def surrogate_baseline(emb: SeriesEmbedding, n_surrogates: int, seed: int = 0) -
     if seed < 0:
         raise InvalidInput(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
-    cmi = emb._series_cmi
+    cmi = emb._series_cmi  # a refused set-up raises here, before the helper starts
     below = cmi.ranker.below
-    keys = np.empty_like(below)
+    buffers = (np.empty_like(below), np.empty_like(below))
+    drawn = threading.Semaphore(0)  # buffer i % 2 holds surrogate i's keys
+    free = threading.Semaphore(2)  # a buffer the caller has finished counting
+    stop = threading.Event()
+    failure = []
+
+    def draw() -> None:
+        try:
+            for i in range(n_surrogates):
+                free.acquire()
+                if stop.is_set():
+                    return
+                # Shuffling draws exactly what permutation(n) does, so the keys
+                # become below[rng.permutation(n)]: the keys of the permuted driver.
+                keys = buffers[i % 2]
+                np.copyto(keys, below)
+                rng.shuffle(keys)
+                drawn.release()
+        except BaseException as exc:  # handed to the caller, which raises it
+            failure.append(exc)
+        finally:
+            drawn.release()  # the caller never waits on a helper that has ended
+
+    helper = threading.Thread(target=draw, name="ccmi-surrogate-draws", daemon=True)
+    helper.start()
     values = np.empty(n_surrogates)
-    for i in range(n_surrogates):
-        # Shuffling draws exactly what permutation(n) does, so keys become
-        # below[rng.permutation(n)]: the keys of the permuted driver.
-        np.copyto(keys, below)
-        rng.shuffle(keys)
-        values[i] = cmi(keys)
+    try:
+        for i in range(n_surrogates):
+            drawn.acquire()
+            if failure:
+                raise failure.pop()
+            values[i] = cmi(buffers[i % 2])
+            free.release()
+    finally:
+        stop.set()
+        free.release()
+        helper.join()
     return values

@@ -18,6 +18,7 @@ from qcausal import (
     Partition,
     ScanConfig,
     TimeGrid,
+    apply_instrument,
     arrival_scan,
     arrival_time,
     asymmetric_qcmi,
@@ -37,7 +38,7 @@ from qcausal import (
     von_neumann_entropy,
     xx_group_velocity,
 )
-from qcausal import causalscan, spinchain
+from qcausal import causalscan, instrument, spinchain
 from qcausal.infomeasures import NEGATIVITY_TOL, _clamped
 from qcausal.instrument import PROBABILITY_FLOOR
 from qcausal.qstate import EIG_CLAMP, entropies_from_eigenvalues
@@ -1069,6 +1070,32 @@ class TestBatchedBranchSum:
         table[0, (0, 1)][row] = table[0, (0,)][row] + table[0, (1,)][row] + bad
         (values,) = causalscan._branch_average(branches, CUTS, 500)
         assert np.array_equal(values, loop_branch_average(branches, table))
+
+
+class TestProbabilityFloor:
+    """An outcome whose probability equals PROBABILITY_FLOOR is kept, in the
+    kernel's measurement and in the dense instrument alike."""
+
+    def test_outcome_exactly_at_the_floor_is_kept(self, monkeypatch):
+        # 0.25 = 0.5 ** 2 exactly, so the outcome-1 probability sits on the
+        # floor. The other amplitude, one ulp above sqrt(0.75), makes the norm
+        # exactly 1, so the dense path's normalized projector keeps 0.25 too.
+        monkeypatch.setattr(causalscan, "PROBABILITY_FLOOR", 0.25)
+        monkeypatch.setattr(instrument, "PROBABILITY_FLOOR", 0.25)
+        n = 3
+        amplitudes = np.zeros(2**n, dtype=complex)
+        amplitudes[0b000], amplitudes[0b100] = np.nextafter(math.sqrt(0.75), 1.0), 0.5
+        assert np.linalg.norm(amplitudes) == 1.0
+        measured = causalscan._measure_z(np.arange(2**n), amplitudes[None], 0, n)
+        assert len(measured) == 2
+        (weight,), (states, (ket,)) = measured[1]
+        assert abs(weight - 0.25) <= 1e-15
+        assert np.array_equal(states, np.arange(4)) and np.array_equal(ket, [1, 0, 0, 0])
+        branches = apply_instrument(
+            Ket(n, amplitudes).density_matrix(), projective_z_instrument(0, n)
+        )
+        assert [b.label for b in branches] == [0, 1]
+        assert abs(branches[1].probability - 0.25) <= 1e-15
 
 
 class TestSingleExcitationClosedForm:

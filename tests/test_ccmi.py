@@ -1,4 +1,6 @@
 import itertools
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -585,3 +587,128 @@ class TestTieEdgeCases:
         for value in surrogate_baseline(emb, 4, seed=9):
             want = dense_series_ccmi(x[draws.permutation(x.size)], y, 1, 2, 3)
             assert abs(value - want) <= 1e-12
+
+
+class TestSurrogatesAgainstSerialDraws:
+    """Each surrogate against the serial oracle: the i-th permutation of one
+    generator, drawn in order, applied to the driver and estimated alone."""
+
+    @pytest.mark.parametrize("bins", [3, 5, 8, 64])
+    @pytest.mark.parametrize("kind", ["untied", "tied"])
+    @pytest.mark.parametrize("delay", [1, 2, 3])
+    @pytest.mark.parametrize("horizon", [1, 2, 3])
+    def test_bit_equal_to_drawing_and_counting_in_turn(self, horizon, delay, kind, bins):
+        seed = 1000 * horizon + 100 * delay + bins
+        x, y = surrogate_pair(kind, n=600)
+        emb = SeriesEmbedding(x, y, horizon, delay, bins)
+        # One surrogate fills one key buffer, two fill both, and three and
+        # five reuse them.
+        for count in (1, 2, 3, 5):
+            draws = np.random.default_rng(seed)
+            want = [
+                ccmi_asymmetric_series(SeriesEmbedding(draws.permutation(x), y, horizon, delay, bins))
+                for _ in range(count)
+            ]
+            assert np.array_equal(surrogate_baseline(emb, count, seed), want)
+
+
+class TestSurrogateHelperThread:
+    """The helper thread that draws the next permutation ends with every call
+    and hides no failure of either side."""
+
+    @staticmethod
+    def bounded(call):
+        """Run `call` on a thread of its own and return what it raised, or
+        None; a call still running after 60 s fails the test as a deadlock."""
+        raised = []
+
+        def target():
+            try:
+                call()
+            except Exception as exc:
+                raised.append(exc)
+            else:
+                raised.append(None)
+
+        runner = threading.Thread(target=target, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "surrogate_baseline did not return within 60 s"
+        return raised[0]
+
+    @staticmethod
+    def embedding():
+        x, y = TestCounterLimit.lagged_pair(2_000, 90)
+        return SeriesEmbedding(x, y, horizon=1, delay=2, bins=4)
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_a_completed_call_leaves_no_thread(self, count):
+        emb = self.embedding()
+        before = threading.enumerate()
+        assert self.bounded(lambda: surrogate_baseline(emb, count)) is None
+        assert threading.enumerate() == before
+
+    @staticmethod
+    def scripted_draws(monkeypatch, failing=0, slow_from=0):
+        """Give ccmi the seeded generator with its `failing`-th shuffle raising,
+        and every shuffle from the `slow_from`-th on 0.2 s slower (0: none)."""
+        make_rng = np.random.default_rng
+
+        class ScriptedDraws:
+            def __init__(self, seed):
+                self.rng, self.shuffles = make_rng(seed), 0
+
+            def shuffle(self, keys):
+                self.shuffles += 1
+                if self.shuffles == failing:
+                    raise RuntimeError(f"shuffle {failing} failed")
+                if slow_from and self.shuffles >= slow_from:
+                    time.sleep(0.2)
+                self.rng.shuffle(keys)
+
+        monkeypatch.setattr(ccmi.np.random, "default_rng", ScriptedDraws)
+
+    @pytest.mark.parametrize("count", [3, 4, 10])
+    def test_a_counting_error_reaches_the_caller(self, monkeypatch, count):
+        emb = self.embedding()
+        calls = []
+        counted = _SeriesCmi.__call__
+
+        def third_count_fails(self, keys):
+            calls.append(keys)
+            if len(calls) == 3:
+                raise NumericalInstability("third count failed")
+            return counted(self, keys)
+
+        monkeypatch.setattr(_SeriesCmi, "__call__", third_count_fails)
+        # The 4th and later draws are slow, so a helper not waited for would
+        # still be drawing when the call raises.
+        self.scripted_draws(monkeypatch, slow_from=4)
+        before = threading.enumerate()
+        raised = self.bounded(lambda: surrogate_baseline(emb, count))
+        assert isinstance(raised, NumericalInstability) and str(raised) == "third count failed"
+        assert len(calls) == 3
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("failing, count", [(1, 1), (1, 5), (2, 2), (3, 5), (5, 5)])
+    def test_a_draw_error_reaches_the_caller(self, monkeypatch, failing, count):
+        emb = self.embedding()
+        self.scripted_draws(monkeypatch, failing=failing)
+        before = threading.enumerate()
+        raised = self.bounded(lambda: surrogate_baseline(emb, count))
+        assert isinstance(raised, RuntimeError) and str(raised) == f"shuffle {failing} failed"
+        assert threading.enumerate() == before
+
+    @staticmethod
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    def test_a_refused_set_up_raises_before_the_helper_starts(self, monkeypatch):
+        # 1000 samples at 2 bins fill all 16 BC rows: 32 cells.
+        x, y = TestCounterLimit.lagged_pair(1_000, 68)
+        monkeypatch.setattr(ccmi, "MAX_COUNTER_CELLS", 31)
+        monkeypatch.setattr(ccmi.threading, "Thread", self.no_thread)
+        with pytest.raises(InvalidInput, match="16 distinct response rows x 2 bins = 32"):
+            surrogate_baseline(SeriesEmbedding(x, y, horizon=1, delay=1, bins=2), 4)
+        with pytest.raises(InvalidInput, match="need at least one surrogate"):
+            surrogate_baseline(self.embedding(), 0)

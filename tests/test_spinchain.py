@@ -14,6 +14,8 @@ from qcausal import (
     PAULI_X,
     PAULI_Z,
     Propagator,
+    ScanConfig,
+    TimeGrid,
     basis_ket,
     build_model,
     embed_operator,
@@ -21,9 +23,11 @@ from qcausal import (
     evolve_ket,
     ground_state,
     propagator,
+    qcmi_time_series,
     total_sigma_z,
     von_neumann_entropy,
 )
+from qcausal import causalscan
 from qcausal.spinchain import DEGENERACY_GAP, _Block, _block_grid, _evolve_grid
 from helpers import count_eigh, dense_tfim, dense_xx, random_density, random_ket
 from helpers import refuse_spectrum
@@ -386,6 +390,33 @@ class TestSectorBlocks:
         gone = weakref.ref(hamiltonian)
         gc.disable()
         try:
+            del hamiltonian
+            assert gone() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("kind", sorted(ORACLES))
+    def test_a_used_hamiltonian_is_freed_without_the_cyclic_collector(self, kind, monkeypatch):
+        # Every cached path is taken before the chain is dropped: the ground
+        # state, a two-excitation ket through the sector blocks, the dense
+        # spectrum and a ground-state quench scan run on this chain. The
+        # benchmark collects garbage before every job, so only this catches a
+        # reference cycle that keeps a chain's eigenvectors alive.
+        model = ChainModel(kind, 8, 1.0, 1.0 if kind == "tfim" else 0.3)
+        config = ScanConfig(
+            model, initial="ground", protocol="quench-at-zero", grid=TimeGrid(1.0, 0.1),
+            site_a=0, site_b=4,
+        )
+        gc.disable()
+        try:
+            hamiltonian = Hamiltonian(model)
+            ground_state(hamiltonian)
+            evolve_ket(hamiltonian, basis_ket([1, 1, 0, 0, 0, 0, 0, 0]), 0.7)
+            hamiltonian.spectrum
+            with monkeypatch.context() as patch:
+                patch.setattr(causalscan, "build_model", lambda chain: hamiltonian)
+                qcmi_time_series(config)
+            gone = weakref.ref(hamiltonian)
             del hamiltonian
             assert gone() is None
         finally:
