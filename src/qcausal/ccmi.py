@@ -270,10 +270,17 @@ class _DriverRanker:
     the samples at positions start:stop. The stable rank of a window sample
     is its key, minus the excluded samples of smaller key, plus the earlier
     window samples of equal key. Only tied keys need the last term, and a
-    series without ties skips it.
+    series without ties skips it. A label is rank * bins // window size, so
+    a bin count whose products with the ranks overflow `np.intp` is refused
+    before the series is ranked.
     """
 
     def __init__(self, values: np.ndarray, bins: int):
+        if max(values.size - 1, 1) * bins > np.iinfo(np.intp).max:
+            raise InvalidInput(
+                f"{bins} bins on {values.size} samples overflow the {np.intp.__name__} bin "
+                "labels; lower the bin count"
+            )
         self.below, self.tied = _value_ranks(values)
         self.bins = bins
 

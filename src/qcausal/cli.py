@@ -172,7 +172,7 @@ def _parse_distances(text: str) -> tuple[int, int]:
 
 
 def cmd_arrival_scan(args, resolved) -> int:
-    n = resolved["n"]
+    n = _chain_model(resolved).n_sites  # checked before the defaults are sized by it
     if resolved["initial"] is None:
         # Arrival times track a single excitation injected at the sender.
         resolved["initial"] = "basis:1" + "0" * (n - 1)

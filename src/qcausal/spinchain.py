@@ -5,11 +5,12 @@ forms the 2^N x 2^N matrix: on first use it builds its action on the basis
 bits, and each sector block fills its own Q^T H Q straight from that action,
 with no temporary of the block's size but the block itself. The sectors are
 the popcount when no term changes it (XX; TFIM at h = 0), else the spin-flip
-parity, each split once more by site reversal; the sectors of one popcount
-(or all parity sectors) share their orbit representatives. Blocks are
-diagonalized on first use. `_evolve_grid` is the one pure-state evolution;
-`ground_state` reads the blocks. The one dense form of H is its
-eigendecomposition `spectrum`, read by `propagator`.
+parity, each split once more by site reversal; a block holds its basis as
+rows and factors, one pair per symmetry element. Blocks are diagonalized on
+first use. `_evolve_grid` is the one pure-state evolution, adding each
+occupied block's coordinates through its own rows; `ground_state` reads the
+blocks. The one dense form of H is its eigendecomposition `spectrum`, read
+by `propagator`.
 Units: hbar = 1, couplings dimensionless, time in units of 1/J.
 """
 
@@ -117,29 +118,22 @@ class Hamiltonian:
 class _Block:
     """One sector of a Hamiltonian, eigendecomposed on first use.
 
-    The sectors of one popcount (or, for the parity sectors, all of them)
-    share their orbits: images[g, r] = g(r) for each element g of the
-    symmetry group (identity first) and orbit representative r (the least
-    state of its orbit, ascending), and norms[r] = 1 / sqrt(|G| |stabilizer
-    of r|). A sector has its sign chi(g) per element and keeps the orbits
-    `keep`. Its orthonormal basis Q is one (rows, factors) pair per element,
-    stacked into two (|G|, size) arrays: column i of Q is the sum over g of
-    factors[g, i] |rows[g, i]>, with rows = images[:, keep] and factors =
-    chi(g) norms[keep]. Where g fixes r (a palindrome under site reversal),
-    several elements hit one row and their factors add.
+    Its orthonormal basis Q is one (rows, factors) pair per element g of the
+    symmetry group (identity first), stacked into two (|G|, size) arrays:
+    column i of Q is the sum over g of factors[g, i] |rows[g, i]>, where
+    rows[g, i] = g(r_i) for the sector's orbit representative r_i (the least
+    state of its orbit, ascending) and factors[g, i] = chi(g) / sqrt(|G|
+    |stabilizer of r_i|), chi(g) the sector's sign of g. Where g fixes r_i (a
+    palindrome under site reversal), several elements hit one row and their
+    factors add.
     """
 
-    def __init__(
-        self, hamiltonian: Hamiltonian, images: np.ndarray, norms: np.ndarray,
-        signs: np.ndarray, keep: np.ndarray,
-    ):
+    def __init__(self, hamiltonian: Hamiltonian, rows: np.ndarray, factors: np.ndarray):
         # The action's arrays, not the Hamiltonian: a block that held the
         # Hamiltonian holding it would be a reference cycle, freed only by
         # the cyclic collector, eigenvectors and all.
         self.masks, self.amplitudes = hamiltonian._action
-        self.images, self.norms, self.signs, self.keep = images, norms, signs, keep
-        self.rows = images[:, keep]
-        self.factors = signs[:, None] * norms[keep]
+        self.rows, self.factors = rows, factors
 
     @property
     def size(self) -> int:
@@ -206,10 +200,10 @@ class _Block:
 
 
 @lru_cache(maxsize=None)
-def _orbit_sectors(n_sites: int, popcount: bool) -> tuple[tuple[np.ndarray, ...], ...]:
-    """`_Block` (images, norms, signs, keep) of every nonempty sector, in the
-    fixed order; the sectors of one popcount share one images and one norms.
-    Read-only and made once per (length, popcount): every such chain shares it.
+def _orbit_sectors(n_sites: int, popcount: bool) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """`_Block` (rows, factors) of every nonempty sector, in the fixed order,
+    the identity element first. Read-only and made once per (length,
+    popcount): every such chain shares them.
 
     With `popcount` the symmetry group is generated by the site reversal P
     and a sector is a popcount (ascending) and a sign of P; without it the
@@ -240,13 +234,13 @@ def _orbit_sectors(n_sites: int, popcount: bool) -> tuple[tuple[np.ndarray, ...]
     allowed = [~np.any(fixed[chi < 0], axis=0) for chi in characters]
     sectors = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        shared = images[:, lo:hi], norms[lo:hi]
         for chi, ok in zip(characters, allowed):
-            keep = np.flatnonzero(ok[lo:hi])
+            keep = lo + np.flatnonzero(ok[lo:hi])
             if keep.size:
-                sectors.append((*shared, chi, keep))
-    for array in (images, norms, *characters, *(keep for *_, keep in sectors)):
-        array.setflags(write=False)
+                sectors.append((images[:, keep], chi[:, None] * norms[keep]))
+    for rows, factors in sectors:
+        rows.setflags(write=False)
+        factors.setflags(write=False)
     return tuple(sectors)
 
 
@@ -407,43 +401,26 @@ def _block_grid(hamiltonian: Hamiltonian, psi: np.ndarray, times: np.ndarray) ->
     A sector where psi's projection is exactly zero is skipped (and never
     diagonalized). Every other one is diagonalized before the batch arrays
     take memory, then evolved in its own eigenbasis in real arithmetic
-    (`_sector_series`). The sectors that share orbit
-    representatives are summed per representative through their signs, one
-    group element at a time into one buffer, and each element's sum is
-    written into the batch once.
+    (`_sector_series`). Its coordinates are added into a (states, times)
+    buffer through its own rows and factors, one group element at a time,
+    and the buffer is transposed into the batch once.
     """
-    shared = {}  # the occupied blocks, by the orbits they share
+    occupied = []
+    span = np.zeros(hamiltonian.dim, dtype=bool)
     for block in hamiltonian._blocks:
         inside = block.project(psi)
         if np.any(inside):
-            shared.setdefault(id(block.images), []).append((block, inside, *block.eigen))
-    groups = []
-    span = np.zeros(hamiltonian.dim, dtype=bool)
-    for occupied in shared.values():
-        used = np.zeros(occupied[0][0].norms.size, dtype=bool)
-        for block, *_ in occupied:
-            used[block.keep] = True
-        images, norms = occupied[0][0].images[:, used], occupied[0][0].norms[used]
-        span[images] = True
-        groups.append((occupied, used, images, norms))
+            occupied.append((block, inside, *block.eigen))
+            span[block.rows] = True
     states = np.flatnonzero(span)
     column = np.cumsum(span) - 1  # each spanned state's batch column
-    grid = np.zeros((times.size, states.size), dtype=complex)
-    for occupied, used, images, norms in groups:
-        position = np.cumsum(used) - 1
-        # coordinates[s, r]: sector s's coordinate on representative r, (re, im) per time.
-        coordinates = np.zeros((len(occupied), images.shape[1], 2 * times.size))
-        for part, (block, inside, values, vectors) in zip(coordinates, occupied):
-            part[position[block.keep]] = _sector_series(values, vectors, inside, times)
-        signs = np.stack([block.signs for block, *_ in occupied], axis=1)  # (element, sector)
-        stacked = coordinates.reshape(len(occupied), -1)
-        summed = np.empty(stacked.shape[1])  # one element's sum over the sectors at a time
-        element = summed.view(complex).reshape(-1, times.size)
-        for rows, sign in zip(images, signs):
-            np.matmul(sign, stacked, out=summed)
-            element *= norms[:, None]
-            grid[:, column[rows]] += element.T
-    return states, grid
+    summed = np.zeros((states.size, times.size), dtype=complex)
+    pairs = summed.view(float)  # (re, im) per time, as `_sector_series` gives them
+    for block, inside, values, vectors in occupied:
+        coordinates = _sector_series(values, vectors, inside, times)
+        for rows, factors in zip(block.rows, block.factors):
+            pairs[column[rows]] += factors[:, None] * coordinates
+    return states, np.ascontiguousarray(summed.T)
 
 
 def _hopping_modes(n_sites: int, coupling: float) -> tuple[np.ndarray, np.ndarray]:

@@ -1407,6 +1407,22 @@ class TestSymmetriesAtEleven:
         assert np.max(particles) > 0.1
         assert np.max(np.abs(particles - holes)) <= 1e-12
 
+    @pytest.mark.parametrize("protocol", causalscan.PROTOCOLS)
+    @pytest.mark.parametrize("kind, field", [("tfim", 1.0), ("tfim", 0.5), ("xx", 0.3)])
+    def test_ground_state_mirror(self, kind, field, protocol):
+        # The ground state is its own reversal, but the branches measured at
+        # site_a are not, so each one evolves through both reversal blocks of
+        # its sector. Pair (2, 7) runs against its mirror (8, 3).
+        config = ScanConfig(
+            ChainModel(kind, 11, 1.0, field), protocol=protocol, grid=TimeGrid(2.0, 0.1)
+        )
+        forward, backward = (
+            qcmi_time_series(replace(config, site_a=a, site_b=b)).values
+            for a, b in ((2, 7), (8, 3))
+        )
+        assert np.max(forward) > 0.1
+        assert np.max(np.abs(forward - backward)) <= 1e-12
+
 
 class TestArrivalTime:
 

@@ -185,6 +185,30 @@ class TestEquiquantalBins:
         assert labels.dtype.kind == "i"
         assert list(labels) == [0] * 5 + [1] * 5
 
+    def test_bin_counts_up_to_the_label_range_keep_their_labels(self):
+        # A label is rank * bins // n: these products fit np.intp, so the
+        # labels are the exact ones, ascending with the ramp.
+        n = 100_000
+        top = np.iinfo(np.intp).max // (n - 1)
+        for bins in (2**40, top):
+            labels = equiquantal_bins(np.arange(float(n)), bins)
+            assert np.all(np.diff(labels) >= 0)
+            assert labels[-1] == (n - 1) * bins // n
+        assert list(equiquantal_bins([1.0], np.iinfo(np.intp).max)) == [0]
+
+    @pytest.mark.parametrize("n, bins", [
+        (100_000, np.iinfo(np.intp).max // 99_999 + 1), (100_000, 2**47), (1, 2**63), (3, 2**64),
+    ])
+    def test_bin_counts_past_the_label_range_are_refused(self, monkeypatch, n, bins):
+        monkeypatch.setattr(ccmi, "_value_ranks", lambda values: pytest.fail("ranked"))
+        with pytest.raises(InvalidInput, match="overflow"):
+            equiquantal_bins(np.arange(float(n)), bins)
+
+    def test_series_bin_counts_past_the_label_range_are_refused(self):
+        emb = SeriesEmbedding(np.arange(20.0), np.arange(20.0), horizon=1, delay=1, bins=2**64)
+        with pytest.raises(InvalidInput, match="overflow"):
+            ccmi_asymmetric_series(emb)
+
 
 class TestAsymmetricSeries:
     def test_independent_noise_stays_near_bias_floor(self):

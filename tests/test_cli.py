@@ -213,6 +213,12 @@ class TestArrivalScan:
             outputs.append(csv_path.read_bytes() + json_path.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_chain_length_is_checked_before_the_defaults_are_sized(self, capsys):
+        # The default initial state holds n characters: a huge --n must be
+        # refused, not spelled out.
+        assert run_cli("arrival-scan", "--n", str(2**63)) == 2
+        assert f"dense register capped at 12 sites, got {2**63}" in capsys.readouterr().err
+
     def test_distances_without_a_colon_exit_2(self, capsys):
         assert run_cli("arrival-scan", "--n", "4", "--distances", "2-3") == 2
         assert "distances must look like 'lo:hi', got '2-3'" in capsys.readouterr().err
@@ -376,6 +382,18 @@ class TestCcmi:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: cannot read series file {missing}: {read_error(missing)}\n"
+
+    def test_bins_past_the_label_range_exit_2(self, tmp_path, capsys):
+        ramp = self.write_series(tmp_path, "ramp.txt", range(20))
+        code = run_cli("ccmi", "--driver", str(ramp), "--response", str(ramp),
+                       "--bins", str(2**64))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {2**64} bins on 20 samples overflow the {np.intp.__name__} bin labels; "
+            "lower the bin count\n"
+        )
 
     def test_counter_limit_exits_2(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(74)

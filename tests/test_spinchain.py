@@ -189,7 +189,7 @@ def sector_layout(rows, factors):
 def whole_register(hamiltonian):
     """One `_Block` holding every basis state, the identity its only element."""
     states = np.arange(hamiltonian.dim)
-    return _Block(hamiltonian, states[None], np.ones(states.size), np.ones(1), states)
+    return _Block(hamiltonian, states[None], np.ones((1, states.size)))
 
 
 def block_basis(block, dim):
